@@ -1,6 +1,6 @@
 """Numerical machinery for the quadratic (double dispersion) term of the
 fixed-angle Born series: frequency chart, Ewald-sphere operators,
-principal-value integration, counterexample potentials, and the
+principal-value integration, radial counterexample potentials, and the
 sharp-regularity bound calculators."""
 
 from .analysis import (
@@ -31,12 +31,10 @@ from .dispersion import (
 from .geometry import (
     Chart,
     Direction,
-    EwaldSphere,
     NotInHalfSpace,
     SphereRule,
     chart,
     ewald_nodes,
-    ewald_sphere,
     in_cone,
     orient_nodes,
     sphere_rule,
@@ -45,11 +43,8 @@ from .potentials import (
     GBetaSpec,
     GridTooCoarseError,
     Potential,
-    bessel_kernel_hat,
-    eval_fourier,
     export_potential,
     gaussian_potential,
-    make_bump,
     make_gbeta,
 )
 from .spectral import (
@@ -59,11 +54,9 @@ from .spectral import (
     RadialProfile,
     SobolevIndex,
     TransformDirection,
-    bessel_weight,
     field_from_function,
     fourier,
     make_grid,
-    radial_fourier,
     read_field,
     sobolev_norm,
     write_field,

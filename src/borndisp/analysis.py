@@ -145,13 +145,11 @@ def gain_scan(
     """Weighted frequency-lattice norms of Q_{theta,2}(q) under growing
     frequency extent.
 
-    For radial q the operator output is symmetric about the theta axis, so
+    q is radial, so the operator output is symmetric about the theta axis and
     the lattice sum reduces to a polar quadrature: |Q| is sampled once on a
     (radius, angle) grid up to the largest extent and every (alpha, level)
     norm is a reweighted partial sum.
     """
-    if not q.is_radial:
-        raise ValueError("gain_scan requires a radial potential")
     n = theta.dimension
     levels = sorted(float(T) for T in levels)
     T_max = levels[-1]

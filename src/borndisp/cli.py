@@ -129,7 +129,29 @@ def _load_config(path) -> dict:
             raise ConfigError(
                 f"experiment '{cfg['experiment']}' requires field '{field}'"
             )
+    _check_runtime_constraints(cfg)
     return cfg
+
+
+def _check_runtime_constraints(cfg: dict) -> None:
+    """Constraints that the schema cannot express, checked before any work."""
+    vectors = {"theta": cfg.get("theta"), "ray/direction": cfg.get("ray", {}).get("direction")}
+    for where, v in vectors.items():
+        if v is not None and "n" in cfg and len(v) != cfg["n"]:
+            raise ConfigError(
+                f"invalid config at field '{where}': length {len(v)} does not "
+                f"match n = {cfg['n']}"
+            )
+    # fit_decay needs at least 8 samples on the ray
+    if cfg["experiment"] == "lemma52" and cfg["ray"]["count"] < 8:
+        raise ConfigError(
+            "invalid config at field 'ray/count': lemma52 needs at least 8 "
+            f"samples, got {cfg['ray']['count']}"
+        )
+    try:
+        _pv(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config at field 'pv': {exc}")
 
 
 def _out_dir(cfg: dict) -> Path:

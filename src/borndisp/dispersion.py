@@ -109,8 +109,6 @@ def bilinear_K(
 def ds_dr(q: Potential, theta: Direction, r: float, eta, rule: SphereRule) -> complex:
     """d/dr of S_{theta,r}(q)(eta): measure-derivative term plus the two
     gradient terms from the moving Ewald sphere."""
-    if q.fourier_grad is None:
-        raise ValueError("potential has no Fourier gradient evaluator")
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
     eta = np.asarray(eta, dtype=float)
@@ -189,6 +187,17 @@ def principal_value_op(
     return value
 
 
+def _sphere_and_pv(
+    q: Potential, theta: Direction, eta: np.ndarray, rule: SphereRule, pv: PVParams
+) -> tuple[complex, complex, float]:
+    """(S_{theta,1}(q)(eta), P_theta(q)(eta), k); raises NotInHalfSpace
+    off H_theta."""
+    k = chart(eta, theta).k
+    S = spherical_op(q, theta, 1.0, eta, rule)
+    P = principal_value_op(lambda r: spherical_op(q, theta, r, eta, rule), k, pv)
+    return S, P, k
+
+
 def b_theta2(
     q: Potential, theta: Direction, eta, rule: SphereRule, pv: PVParams
 ) -> complex:
@@ -196,12 +205,8 @@ def b_theta2(
     eta = np.asarray(eta, dtype=float)
     if float(eta @ theta.components) >= 0:
         return 0.0 + 0.0j
-    sphere = spherical_op(q, theta, 1.0, eta, rule)
-    ch = chart(eta, theta)
-    pv_part = principal_value_op(
-        lambda r: spherical_op(q, theta, r, eta, rule), ch.k, pv
-    )
-    return 1j * np.pi * sphere + pv_part
+    S, P, _ = _sphere_and_pv(q, theta, eta, rule, pv)
+    return 1j * np.pi * S + P
 
 
 def q_theta2_hat(
@@ -249,29 +254,6 @@ def q_full2_hat(
 # Batch API
 
 
-def _sample_one(
-    q: Potential,
-    theta: Direction,
-    eta: np.ndarray,
-    rule: SphereRule,
-    pv: PVParams,
-    cut: CutoffSpec,
-) -> DispersionSample:
-    in_h = float(eta @ theta.components) < 0
-    half = theta if in_h else -theta
-    try:
-        ch = chart(eta, half)
-    except NotInHalfSpace:
-        return DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan, in_h)
-    S = spherical_op(q, half, 1.0, eta, rule)
-    P = principal_value_op(
-        lambda r: spherical_op(q, half, r, eta, rule), ch.k, pv
-    )
-    B = 1j * np.pi * S + P
-    Q = complex(cutoff_chi(eta, cut)) * B
-    return DispersionSample(eta, S, P, B, Q, ch.k, in_h)
-
-
 def dispersion_batch(
     q: Potential,
     theta: Direction,
@@ -281,13 +263,24 @@ def dispersion_batch(
     cut: CutoffSpec,
     threads: int = 1,
 ) -> list[DispersionSample]:
-    """Evaluate S, P, B, Q at each eta. Per-eta results are independent, so
-    the output is identical for any thread count."""
+    """Evaluate S, P, B, Q at each eta, on the half space of theta or of
+    -theta that contains it. Per-eta results are independent, so the output
+    is identical for any thread count."""
+
+    def sample(eta: np.ndarray) -> DispersionSample:
+        in_h = float(eta @ theta.components) < 0
+        try:
+            S, P, k = _sphere_and_pv(q, theta if in_h else -theta, eta, rule, pv)
+        except NotInHalfSpace:
+            return DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan, in_h)
+        B = 1j * np.pi * S + P
+        return DispersionSample(eta, S, P, B, complex(cutoff_chi(eta, cut)) * B, k, in_h)
+
     etas = [np.asarray(e, dtype=float) for e in etas]
     if threads <= 1:
-        return [_sample_one(q, theta, e, rule, pv, cut) for e in etas]
+        return [sample(e) for e in etas]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda e: _sample_one(q, theta, e, rule, pv, cut), etas))
+        return list(pool.map(sample, etas))
 
 
 def write_samples_csv(samples: list[DispersionSample], path) -> None:

@@ -132,23 +132,6 @@ def orient_nodes(rule: SphereRule, axis: Direction) -> np.ndarray:
     return rule.nodes - np.outer(rule.nodes @ v, v) * (2.0 / vv)
 
 
-@dataclass(frozen=True)
-class EwaldSphere:
-    """Gamma_r(-2 k theta): sphere of center -k theta and radius r k."""
-
-    center: np.ndarray
-    radius: float
-    r: float
-    k: float
-    theta: Direction
-
-
-def ewald_sphere(k: float, r: float, theta: Direction) -> EwaldSphere:
-    if k <= 0 or r <= 0:
-        raise ValueError("k and r must be positive")
-    return EwaldSphere(center=-k * theta.components, radius=r * k, r=r, k=k, theta=theta)
-
-
 def ewald_nodes(
     k: float, r: float, theta: Direction, rule: SphereRule
 ) -> tuple[np.ndarray, np.ndarray]:

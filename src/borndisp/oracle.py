@@ -138,17 +138,13 @@ def trace_ratio(f, rho: float, rule: SphereRule | None = None) -> float:
     denominator is the frequency-side Riemann sum.
     """
     if isinstance(f, Potential):
-        if not f.is_radial:
-            raise ValueError("trace_ratio supports radial potentials or Fields")
         n = f.dimension
         area = _SPHERE_AREA[n]
         fval = float(np.abs(f.spatial_eval(np.array([rho] + [0.0] * (n - 1)))) ** 2)
         numer = fval * area * rho ** (n - 1)
 
         def dens(s):
-            pt = np.zeros(n)
-            pt[0] = s
-            return float(np.abs(f.fourier_eval(pt)) ** 2) * (1.0 + s**2) * s ** (n - 1)
+            return float(np.abs(f.fourier_radial(s**2)) ** 2) * (1.0 + s**2) * s ** (n - 1)
 
         integral, _ = integrate.quad(dens, 0.0, np.inf, limit=400)
         denom = area * integral / (2.0 * np.pi) ** n

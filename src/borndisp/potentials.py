@@ -1,7 +1,10 @@
 """
 Test potential families: the compactly supported counterexample g_beta
-(bump times Bessel kernel), Gaussians with exact Fourier pairs, and
-self-convolved mollifier bumps phi = psi * psi.
+(bump times Bessel kernel) and Gaussians with exact Fourier pairs.
+
+Every potential here is radial, so a ``Potential`` holds q and q_hat as
+functions of the squared radius s = |x|^2 or s = |xi|^2, and its point
+evaluators reduce x or xi to s once.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from .spectral import (
     Grid,
     RadialProfile,
     TransformDirection,
-    bessel_weight,
     bessel_weight_radius,
     fourier,
-    radial_fourier,
 )
 
 log = logging.getLogger(__name__)
@@ -33,39 +34,77 @@ class GridTooCoarseError(RuntimeError):
     """The frequency lattice truncates the Bessel kernel too early."""
 
 
-@dataclass
-class Potential:
-    """A test potential with paired spatial and Fourier evaluators.
+@dataclass(frozen=True)
+class _GaussianHat:
+    """q_hat(s) = amp exp(-s / 4a) of q(x) = exp(-a |x|^2), at s = |xi|^2."""
 
-    Evaluators are vectorized over point arrays of shape (..., n). For radial
-    potentials the Fourier evaluator dispatches on |xi| through a radial
-    profile with power-law tail extrapolation beyond the tabulated range.
+    a: float
+    amp: float
+
+    def __call__(self, s):
+        return self.amp * np.exp(-s / (4.0 * self.a))
+
+    def derivative(self, s):
+        """d q_hat / ds."""
+        return -self(s) / (4.0 * self.a)
+
+
+@dataclass(frozen=True)
+class _Tabulated:
+    """A radial profile read at rho = sqrt(s)."""
+
+    profile: RadialProfile
+
+    def __call__(self, s):
+        return self.profile(np.sqrt(s))
+
+    def derivative(self, s):
+        """d/ds = profile'(rho) / (2 rho); taken as 0 at rho = 0, where the
+        gradient of a radial function has no direction."""
+        rho = np.sqrt(s)
+        slope = self.profile.derivative(rho)
+        return np.where(rho > 0, slope / (2.0 * np.where(rho > 0, rho, 1.0)), 0.0)
+
+
+@dataclass(frozen=True)
+class Potential:
+    """A radial test potential, given by q and q_hat as functions of the
+    squared radius.
+
+    ``fourier_radial`` maps s = |xi|^2 to q_hat and has ``derivative(s)``;
+    ``spatial_radial`` maps s = |x|^2 to q inside ``support_radius``. The
+    point evaluators are vectorized over arrays of shape (..., n).
     """
 
     label: str
     dimension: int
-    spatial_eval: Callable
-    fourier_eval: Callable
+    fourier_radial: Callable
+    spatial_radial: Callable
     support_radius: float
-    is_real: bool
-    is_radial: bool
-    fourier_nonneg: bool
-    fourier_grad: Callable | None = None
-    fourier_profile: RadialProfile | None = None
-    analytic_fourier: bool = False
     meta: dict = field(default_factory=dict)
 
+    @property
+    def fourier_profile(self) -> RadialProfile | None:
+        """The tabulated q_hat, or None when q_hat is in closed form."""
+        return getattr(self.fourier_radial, "profile", None)
 
-def eval_fourier(q: Potential, xi) -> np.ndarray:
-    """q_hat at xi; single entry point used by every Ewald-sphere quadrature."""
-    return q.fourier_eval(np.asarray(xi, dtype=float))
+    @property
+    def analytic_fourier(self) -> bool:
+        return self.fourier_profile is None
 
+    def fourier_eval(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        return self.fourier_radial(np.sum(xi**2, axis=-1))
 
-def bessel_kernel_hat(xi, beta: float, n: int) -> np.ndarray:
-    """G_beta_hat(xi) = <xi>^{-n/2-beta}, the Bessel-kernel symbol."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return bessel_weight(xi, -(n / 2.0 + beta))
+    def fourier_grad(self, xi) -> np.ndarray:
+        xi = np.asarray(xi, dtype=float)
+        slope = self.fourier_radial.derivative(np.sum(xi**2, axis=-1))
+        return 2.0 * xi * slope[..., None]
+
+    def spatial_eval(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        s = np.sum(x**2, axis=-1)
+        return np.where(np.sqrt(s) <= self.support_radius, self.spatial_radial(s), 0.0)
 
 
 def gaussian_potential(a: float, grid: Grid) -> Potential:
@@ -73,49 +112,14 @@ def gaussian_potential(a: float, grid: Grid) -> Potential:
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
     n = grid.dimension
-    amp = (np.pi / a) ** (n / 2.0)
-
-    def spatial(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-a * np.sum(x**2, axis=-1))
-
-    def fhat(xi):
-        xi = np.asarray(xi, dtype=float)
-        return amp * np.exp(-np.sum(xi**2, axis=-1) / (4.0 * a))
-
-    def fgrad(xi):
-        xi = np.asarray(xi, dtype=float)
-        return -xi / (2.0 * a) * fhat(xi)[..., None]
-
     return Potential(
         label=f"gaussian(a={a})",
         dimension=n,
-        spatial_eval=spatial,
-        fourier_eval=fhat,
+        fourier_radial=_GaussianHat(a, (np.pi / a) ** (n / 2.0)),
+        spatial_radial=lambda s: np.exp(-a * s),
         support_radius=np.inf,
-        is_real=True,
-        is_radial=True,
-        fourier_nonneg=True,
-        fourier_grad=fgrad,
-        analytic_fourier=True,
         meta={"a": a},
     )
-
-
-def _radial_potential_evals(profile: RadialProfile):
-    def fhat(xi):
-        xi = np.asarray(xi, dtype=float)
-        return profile(np.sqrt(np.sum(xi**2, axis=-1)))
-
-    def fgrad(xi):
-        xi = np.asarray(xi, dtype=float)
-        rho = np.sqrt(np.sum(xi**2, axis=-1))
-        slope = profile.derivative(rho)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(rho[..., None] > 0, xi / np.where(rho == 0, 1, rho)[..., None], 0.0)
-        return slope[..., None] * unit
-
-    return fhat, fgrad
 
 
 def standard_mollifier(r, radius: float) -> np.ndarray:
@@ -126,51 +130,6 @@ def standard_mollifier(r, radius: float) -> np.ndarray:
     inside = u < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
     return out
-
-
-def make_bump(radius: float, grid: Grid) -> Potential:
-    """phi = psi * psi for the standard mollifier psi of the given radius.
-
-    phi_hat = psi_hat^2 is nonnegative by construction; the spatial profile
-    comes from the inverse radial transform, clipped to the exact support
-    |x| < 2 radius of the convolution.
-    """
-    if 2.0 * radius > grid.half_extent / 2.0:
-        raise ValueError(
-            f"bump radius {radius} too large for grid half extent {grid.half_extent}"
-        )
-    n = grid.dimension
-    r_in = np.linspace(0.0, radius, 513)
-    psi_prof = RadialProfile(r_in, standard_mollifier(r_in, radius))
-    rho = np.linspace(0.0, grid.nyquist_radius, 512)
-    psi_hat = radial_fourier(psi_prof, n, TransformDirection.FORWARD, out_radii=rho)
-    phi_hat = RadialProfile(rho, psi_hat.values**2)
-    phi_hat.fit_tail()
-
-    r_out = np.linspace(0.0, 2.0 * radius, 512)
-    phi_prof = radial_fourier(phi_hat, n, TransformDirection.INVERSE, out_radii=r_out)
-
-    fhat, fgrad = _radial_potential_evals(phi_hat)
-
-    def spatial(x):
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x**2, axis=-1))
-        out = phi_prof(r)
-        return np.where(r < 2.0 * radius, out, 0.0)
-
-    return Potential(
-        label=f"bump(radius={radius})",
-        dimension=n,
-        spatial_eval=spatial,
-        fourier_eval=fhat,
-        support_radius=2.0 * radius,
-        is_real=True,
-        is_radial=True,
-        fourier_nonneg=True,
-        fourier_grad=fgrad,
-        fourier_profile=phi_hat,
-        meta={"bump_radius": radius},
-    )
 
 
 @dataclass(frozen=True)
@@ -243,27 +202,12 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     sp_radii, sp_values = _shell_average(space_r, g, grid.spacing)
     sp_keep = sp_radii <= 2.0 * spec.bump_radius + 2.0 * grid.spacing
     spatial_prof = RadialProfile(sp_radii[sp_keep], sp_values[sp_keep])
-    support = 2.0 * spec.bump_radius
-
-    fhat, fgrad = _radial_potential_evals(profile)
-
-    def spatial(x):
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x**2, axis=-1))
-        out = spatial_prof(np.clip(r, None, spatial_prof.radii[-1]))
-        return np.where(r <= support, out, 0.0)
-
     return Potential(
         label=f"gbeta(n={n},beta={beta})",
         dimension=n,
-        spatial_eval=spatial,
-        fourier_eval=fhat,
-        support_radius=support,
-        is_real=True,
-        is_radial=True,
-        fourier_nonneg=True,
-        fourier_grad=fgrad,
-        fourier_profile=profile,
+        fourier_radial=_Tabulated(profile),
+        spatial_radial=_Tabulated(spatial_prof),
+        support_radius=2.0 * spec.bump_radius,
         meta={
             "beta": beta,
             "bump_radius": spec.bump_radius,
@@ -275,15 +219,16 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
 
 
 def export_potential(q: Potential, json_path, csv_path=None) -> None:
-    """JSON descriptor plus, for radial potentials, the Fourier-side radial
-    profile as a radius,value CSV."""
+    """JSON descriptor plus, for a tabulated q_hat, its radial profile as a
+    radius,value CSV."""
     desc = {
         "label": q.label,
         "dimension": q.dimension,
         "support_radius": None if np.isinf(q.support_radius) else q.support_radius,
-        "is_real": q.is_real,
-        "is_radial": q.is_radial,
-        "fourier_nonneg": q.fourier_nonneg,
+        # every potential is real and radial with a nonnegative q_hat
+        "is_real": True,
+        "is_radial": True,
+        "fourier_nonneg": True,
         "meta": {k: v for k, v in q.meta.items() if not isinstance(v, np.ndarray)},
     }
     if q.fourier_profile is not None:

@@ -1,6 +1,6 @@
 """
-Uniform grids, discrete Fourier transforms, radial transforms and weighted
-Sobolev norms.
+Uniform grids, discrete Fourier transforms, tabulated radial profiles and
+weighted Sobolev norms.
 
 Fourier convention (used everywhere in this package):
 
@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import interpolate
 
 
 class Domain(enum.Enum):
@@ -137,13 +137,8 @@ def fourier(field: Field, direction: TransformDirection) -> Field:
     return Field(field.grid, out, Domain.SPACE)
 
 
-def bessel_weight(xi, alpha: float) -> np.ndarray:
-    """<xi>^alpha = (1 + |xi|^2)^{alpha/2}, vectorized over points (last axis)."""
-    xi = np.asarray(xi, dtype=float)
-    return (1.0 + np.sum(xi**2, axis=-1)) ** (alpha / 2.0)
-
-
 def bessel_weight_radius(rho, alpha: float) -> np.ndarray:
+    """<rho>^alpha = (1 + rho^2)^{alpha/2}."""
     rho = np.asarray(rho, dtype=float)
     return (1.0 + rho**2) ** (alpha / 2.0)
 
@@ -198,21 +193,18 @@ class RadialProfile:
 
     def __post_init__(self) -> None:
         self.radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values)
-        self.values = values if np.iscomplexobj(values) else values.astype(float)
+        self.values = np.asarray(self.values, dtype=float)
         if self.radii.ndim != 1 or self.radii.shape != self.values.shape:
             raise ValueError("radii and values must be matching 1-d arrays")
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
         self._spline = interpolate.CubicSpline(self.radii, self.values)
 
-    def fit_tail(self, window: tuple[float, float] | None = None) -> None:
-        """Fit the power-law tail on a top window and anchor it continuously
-        at the last sampled radius."""
+    def fit_tail(self) -> None:
+        """Fit the power-law tail on the top half of the radii and anchor it
+        continuously at the last sampled radius."""
         r_max = self.radii[-1]
-        if window is None:
-            window = (0.5 * r_max, r_max)
-        mask = (self.radii >= window[0]) & (self.radii <= window[1])
+        mask = self.radii >= 0.5 * r_max
         p, _ = _power_law_fit(self.radii[mask], np.abs(self.values[mask]))
         self.tail_exponent = p
         edge = float(self.values[-1])
@@ -250,41 +242,6 @@ class RadialProfile:
                 tail = -c * p * rho * (1.0 + rho**2) ** (-(p + 2.0) / 2.0)
             out = np.where(beyond, tail, out)
         return out if out.ndim else float(out)
-
-
-def _radial_kernel(n: int, rho: float, r: np.ndarray) -> np.ndarray:
-    """Angular part of the n-d Fourier transform of a radial function."""
-    if n == 3:
-        return 4.0 * np.pi * r**2 * np.sinc(rho * r / np.pi)
-    return 2.0 * np.pi * r * special.j0(rho * r)
-
-
-def radial_fourier(
-    profile: RadialProfile,
-    n: int,
-    direction: TransformDirection,
-    out_radii: np.ndarray | None = None,
-) -> RadialProfile:
-    """Radial profile of the n-dimensional Fourier transform, by adaptive 1-d
-    quadrature of the profile's interpolant against the dimensional kernel."""
-    if n not in (2, 3):
-        raise ValueError(f"n must be 2 or 3, got {n}")
-    if np.iscomplexobj(profile.values):
-        raise ValueError("radial_fourier requires a real-valued profile")
-    r_max = profile.radii[-1]
-    if out_radii is None:
-        out_radii = profile.radii.copy()
-    scale = (2.0 * np.pi) ** (-n) if direction is TransformDirection.INVERSE else 1.0
-    out = np.empty_like(np.asarray(out_radii, dtype=float))
-    for i, rho in enumerate(np.asarray(out_radii, dtype=float)):
-        val, _ = integrate.quad(
-            lambda r: _radial_kernel(n, rho, np.asarray(r)) * profile._spline(r),
-            0.0,
-            r_max,
-            limit=400,
-        )
-        out[i] = scale * val
-    return RadialProfile(np.asarray(out_radii, dtype=float), out)
 
 
 # ---------------------------------------------------------------------------

@@ -87,15 +87,3 @@ def test_gain_scan_alpha_monotone(gauss2, theta2):
     payload = json.loads(scans_to_json(scans))
     assert len(payload) == 3
     assert payload[0]["levels"][0]["extent"] == 6.0
-
-
-def test_gain_scan_requires_radial(theta2, grid2):
-    from borndisp.potentials import Potential
-
-    q = Potential(label="nonradial", dimension=2,
-                  spatial_eval=lambda x: np.zeros(x.shape[:-1]),
-                  fourier_eval=lambda x: np.zeros(x.shape[:-1]),
-                  support_radius=1.0, is_real=True, is_radial=False,
-                  fourier_nonneg=True)
-    with pytest.raises(ValueError):
-        gain_scan(q, theta2, [1.0], [4.0, 8.0, 16.0], PVParams(), CutoffSpec())

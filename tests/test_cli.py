@@ -36,6 +36,45 @@ def test_bad_field_type_reports_path(tmp_path, capsys):
     assert "betas" in capsys.readouterr().err
 
 
+def _ray_config(tmp_path, **overrides):
+    return {
+        "experiment": "dispersion-ray", "n": 2, "a": 0.5, "theta": [-1, 0],
+        "ray": {"direction": [1, 0], "t_min": 3, "t_max": 8, "count": 6},
+        "out_dir": str(tmp_path / "out"), **overrides,
+    }
+
+
+def test_vector_length_must_match_n(tmp_path, capsys):
+    bad_theta = _write(tmp_path, "t.json", _ray_config(tmp_path, theta=[-1, 0, 0]))
+    assert run(bad_theta) == 1
+    assert "'theta'" in capsys.readouterr().err
+    ray = {"direction": [1, 0, 0], "t_min": 3, "t_max": 8, "count": 6}
+    bad_dir = _write(tmp_path, "d.json", _ray_config(tmp_path, ray=ray))
+    assert run(bad_dir) == 1
+    assert "'ray/direction'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lemma52_needs_eight_ray_samples(tmp_path, capsys):
+    cfg = _write(tmp_path, "l.json", {
+        "experiment": "lemma52", "n": 2, "beta": 1.0,
+        "grid": {"N": 256, "L": 16.0}, "theta": [-1, 0],
+        "ray": {"direction": [1, 0], "t_min": 8, "t_max": 48, "count": 7},
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert run(cfg) == 1
+    assert "'ray/count'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pv_delta_out_of_range(tmp_path, capsys):
+    cfg = _write(tmp_path, "p.json", _ray_config(tmp_path, pv={"delta": 1.5}))
+    assert run(cfg) == 1
+    err = capsys.readouterr().err
+    assert "'pv'" in err and "delta" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_chart_selftest(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, "c.json", {

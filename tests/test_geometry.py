@@ -8,7 +8,6 @@ from borndisp.geometry import (
     NotInHalfSpace,
     chart,
     ewald_nodes,
-    ewald_sphere,
     in_cone,
     orient_nodes,
     sphere_rule,
@@ -117,12 +116,6 @@ def test_orient_nodes_pole_to_axis(rule3):
     after = np.dot(rule3.weights, np.exp(2.0 * (nodes @ axis.components)))
     assert after == pytest.approx(before, rel=1e-12)
     assert np.max(np.abs(nodes @ axis.components - rule3.nodes[:, 2])) <= 1e-12
-
-
-def test_ewald_sphere_through_origin():
-    theta = Direction(np.array([-1.0, 0.0]))
-    sph = ewald_sphere(2.0, 1.0, theta)
-    assert np.linalg.norm(sph.center) == pytest.approx(sph.radius)
 
 
 def test_ewald_nodes_measure_and_radius(rule2):

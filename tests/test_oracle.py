@@ -45,8 +45,8 @@ def test_brute_b_amplitude_bilinearity(gauss2, theta2):
     one = oracle.brute_b_theta2(gauss2, theta2, eta, resolution=512)
     doubled = replace(
         gauss2,
-        fourier_eval=lambda xi: 2.0 * gauss2.fourier_eval(xi),
-        spatial_eval=lambda x: 2.0 * gauss2.spatial_eval(x),
+        fourier_radial=lambda s: 2.0 * gauss2.fourier_radial(s),
+        spatial_radial=lambda s: 2.0 * gauss2.spatial_radial(s),
     )
     four = oracle.brute_b_theta2(doubled, theta2, eta, resolution=512)
     assert four == pytest.approx(4.0 * one, rel=1e-12)

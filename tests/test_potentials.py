@@ -6,57 +6,31 @@ import pytest
 from borndisp.potentials import (
     GBetaSpec,
     GridTooCoarseError,
-    bessel_kernel_hat,
-    eval_fourier,
     export_potential,
     gaussian_potential,
-    make_bump,
     make_gbeta,
 )
 from borndisp.spectral import SobolevIndex, make_grid
 
 
-def test_bessel_kernel_hat_values():
-    assert bessel_kernel_hat(np.zeros(3), 1.0, 3) == pytest.approx(1.0)
-    xi = np.array([np.sqrt(3.0), 0.0, 0.0])
-    assert bessel_kernel_hat(xi, 1.0, 3) == pytest.approx(2.0**-2.5)
-    rs = np.linspace(0, 10, 50)
-    vals = bessel_kernel_hat(np.stack([rs, np.zeros(50)], axis=-1), 0.5, 2)
-    assert np.all(np.diff(vals) < 0)
-    with pytest.raises(ValueError):
-        bessel_kernel_hat(xi, -1.0, 3)
-
-
 def test_gaussian_potential(grid2):
     q = gaussian_potential(0.5, grid2)
     assert q.fourier_eval(np.zeros(2)) == pytest.approx(2 * np.pi)
-    assert q.fourier_nonneg and q.is_real and q.is_radial
-    assert eval_fourier(q, np.zeros(2)) == pytest.approx((np.pi / 0.5) ** 1)
+    assert q.analytic_fourier and q.fourier_profile is None
+    assert q.spatial_eval(np.array([1.0, 0.0])) == pytest.approx(np.exp(-0.5))
     with pytest.raises(ValueError):
         gaussian_potential(-1.0, grid2)
 
 
-def test_bump_construction(grid2):
-    phi = make_bump(1.5, grid2)
-    assert phi.support_radius == pytest.approx(3.0)
-    # phi_hat = psi_hat^2 >= 0 with a positive value at zero
-    assert phi.fourier_eval(np.zeros(2)) > 0
-    rs = np.linspace(0, 20, 200)
-    vals = phi.fourier_eval(np.stack([rs, np.zeros_like(rs)], axis=-1))
-    assert np.min(vals) >= -1e-12 * vals[0]
-    # spatial side: positive at 0, zero beyond the convolution support
-    assert phi.spatial_eval(np.zeros(2)) > 0
-    assert phi.spatial_eval(np.array([3.0 + grid2.spacing, 0.0])) == 0.0
-
-
 def test_bump_radius_guard(grid2):
+    # the bump phi = psi * psi has support 2 bump_radius, which must fit the grid
     with pytest.raises(ValueError):
-        make_bump(5.0, grid2)
+        GBetaSpec(beta=1.0, bump_radius=5.0, grid=grid2)
 
 
 def test_gbeta_flags_and_positivity(gbeta3):
     q = gbeta3
-    assert q.is_real and q.is_radial and q.fourier_nonneg
+    assert not q.analytic_fourier and q.fourier_profile is not None
     assert q.support_radius == pytest.approx(4.0)
     assert q.meta["ghat_zero"] > 0
     assert q.meta["ghat_min"] >= -1e-8 * q.meta["ghat_zero"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from borndisp.spectral import (
     Domain,
@@ -11,11 +10,10 @@ from borndisp.spectral import (
     RadialProfile,
     SobolevIndex,
     TransformDirection,
-    bessel_weight,
+    bessel_weight_radius,
     field_from_function,
     fourier,
     make_grid,
-    radial_fourier,
     read_field,
     sobolev_norm,
     write_field,
@@ -86,10 +84,11 @@ def test_plancherel(grid2):
 
 
 def test_bessel_weight_values():
-    assert bessel_weight(np.zeros(3), 7.0) == pytest.approx(1.0)
-    xi = np.array([np.sqrt(3.0), 0.0])
-    assert bessel_weight(xi, -5.0) == pytest.approx(2.0**-5)
-    assert bessel_weight(np.array([1.0, 0.0]), 2.0) == pytest.approx(2.0)
+    assert bessel_weight_radius(0.0, 7.0) == pytest.approx(1.0)
+    assert bessel_weight_radius(np.sqrt(3.0), -5.0) == pytest.approx(2.0**-5)
+    assert bessel_weight_radius(1.0, 2.0) == pytest.approx(2.0)
+    rs = np.linspace(0, 10, 50)
+    assert np.all(np.diff(bessel_weight_radius(rs, -2.5)) < 0)
 
 
 def test_sobolev_norm_gaussian(grid2):
@@ -119,53 +118,6 @@ def test_norm_monotone_in_alpha_and_delta(alpha, delta, seed):
     assert sobolev_norm(f, SobolevIndex(alpha, 0.0)) >= base - 1e-12
     assert sobolev_norm(f, SobolevIndex(0.0, delta)) >= base - 1e-12
     assert sobolev_norm(f, SobolevIndex(alpha, delta)) >= base - 1e-12
-
-
-def test_radial_fourier_gaussian_3d():
-    r = np.linspace(0.0, 8.0, 513)
-    prof = RadialProfile(r, np.exp(-(r**2) / 2))
-    rho = np.linspace(0.0, 4.0, 9)
-    out = radial_fourier(prof, 3, TransformDirection.FORWARD, out_radii=rho)
-    exact = (2 * np.pi) ** 1.5 * np.exp(-(rho**2) / 2)
-    assert np.max(np.abs(out.values - exact) / exact) < 1e-6
-
-
-def _j1_series(x, terms=40):
-    """J_1 by its power series: sum (-1)^m (x/2)^{2m+1} / (m! (m+1)!)."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    term = x / 2.0
-    fact = 1.0
-    for m in range(terms):
-        total += term / fact
-        term *= -((x / 2.0) ** 2) / (m + 1)
-        fact *= m + 2
-    return total
-
-
-def test_radial_fourier_disk_2d_against_j1_series():
-    r = np.linspace(0.0, 1.0, 513)
-    ind = RadialProfile(r, np.ones_like(r))
-    rho = np.array([0.5, 1.0, 2.0, 5.0, 8.0])
-    out = radial_fourier(ind, 2, TransformDirection.FORWARD, out_radii=rho)
-    exact = 2 * np.pi * _j1_series(rho) / rho
-    assert np.max(np.abs(out.values - exact)) < 1e-6
-    # the series itself must agree with scipy
-    assert np.max(np.abs(_j1_series(rho) - special.j1(rho))) < 1e-12
-
-
-def test_radial_fourier_zero_profile():
-    r = np.linspace(0.0, 4.0, 65)
-    out = radial_fourier(RadialProfile(r, np.zeros_like(r)), 3,
-                         TransformDirection.FORWARD)
-    assert np.all(out.values == 0.0)
-
-
-def test_radial_fourier_rejects_complex():
-    r = np.linspace(0.0, 1.0, 17)
-    with pytest.raises(ValueError):
-        radial_fourier(RadialProfile(r, np.ones_like(r) + 0j), 2,
-                       TransformDirection.FORWARD)
 
 
 def test_radial_profile_tail_extrapolation():
