@@ -18,6 +18,10 @@ from .potentials import Potential
 
 log = logging.getLogger(__name__)
 
+# Spacing of the radii at which gain_scan samples |Q|; the first radius is
+# one step out.
+RADIAL_STEP = 2.0
+
 
 class RayOutsideCone(ValueError):
     """The probe ray leaves the half cone D_theta."""
@@ -140,7 +144,7 @@ def gain_scan(
     cut: CutoffSpec,
     rule_level: int = 4,
     polar_nodes: int = 8,
-    radial_step: float = 2.0,
+    radial_step: float = RADIAL_STEP,
 ) -> list[RefinementScan]:
     """Weighted frequency-lattice norms of Q_{theta,2}(q) under growing
     frequency extent.
@@ -152,6 +156,11 @@ def gain_scan(
     """
     n = theta.dimension
     levels = sorted(float(T) for T in levels)
+    if levels[0] < radial_step:
+        raise ValueError(
+            f"level {levels[0]:g} is below the radial step {radial_step:g}: "
+            "no sampled radius lies inside it"
+        )
     T_max = levels[-1]
     rule = sphere_rule(n, rule_level)
     ts = np.arange(radial_step, T_max + 0.5 * radial_step, radial_step)

@@ -22,7 +22,7 @@ import jsonschema
 import numpy as np
 import scipy
 
-from . import __version__, analysis, bounds, dispersion, oracle, potentials
+from . import __version__, analysis, bounds, dispersion, potentials
 from .geometry import Direction, chart, sphere_rule
 from .potentials import GBetaSpec, gaussian_potential, make_gbeta
 from .spectral import make_grid
@@ -70,8 +70,6 @@ _SCHEMA = {
             "properties": {
                 "delta": {"type": "number"},
                 "inner_nodes": {"type": "integer"},
-                "outer_tol": {"type": "number"},
-                "r_max": {"type": "number"},
             },
         },
         "ray": {
@@ -90,7 +88,8 @@ _SCHEMA = {
         "betas": {"type": "array", "items": {"type": "number"}},
         "cone_aperture": {"type": "number"},
         "eta_norm": {"type": "number", "exclusiveMinimum": 0},
-        "angles_deg": {"type": "array", "items": {"type": "number"}},
+        "angles_deg": {"type": "array", "items": {"type": "number"},
+                       "minItems": 1},
         "samples": {"type": "integer", "minimum": 8},
         "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": "string"},
@@ -147,6 +146,12 @@ def _check_runtime_constraints(cfg: dict) -> None:
         raise ConfigError(
             "invalid config at field 'ray/count': lemma52 needs at least 8 "
             f"samples, got {cfg['ray']['count']}"
+        )
+    # the gain scan samples |Q| from one radial step outwards
+    if cfg["experiment"] == "gain-scan" and min(cfg["levels"]) < analysis.RADIAL_STEP:
+        raise ConfigError(
+            "invalid config at field 'levels': every level must be at least "
+            f"the radial step {analysis.RADIAL_STEP:g}, got {min(cfg['levels']):g}"
         )
     try:
         _pv(cfg)
@@ -339,6 +344,10 @@ def _run_bounds_table(cfg: dict, out: Path, threads: int):
 
 
 def _run_oracle_fixtures(cfg: dict, out: Path, threads: int):
+    # imported here: oracle pulls in scipy.integrate, which no other
+    # experiment needs
+    from . import oracle
+
     n = cfg.get("n", 2)
     grid = make_grid(2, 64, 16.0)
     q = gaussian_potential(cfg.get("a", 0.5), grid)

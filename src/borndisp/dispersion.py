@@ -4,6 +4,10 @@ the spherical operator S_{theta,r}, the bilinear operator K_r, the r-derivative
 of S, the principal-value operator P_theta, B_{theta,2}, the cutoff combination
 Q_{theta,2}, and the full-data average Q_{F,2}.
 
+S_{theta,r} takes one radius or a vector of radii. P_theta is a fixed
+Gauss-Legendre rule over (0, infinity), tail included, so each principal
+value costs one vectorized S evaluation on that rule's radii.
+
 All operators are pure; quadrature reductions use a fixed summation order so
 batch evaluation is deterministic regardless of worker count.
 """
@@ -12,11 +16,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import logging
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import (
     Direction,
@@ -24,11 +27,14 @@ from .geometry import (
     SphereRule,
     chart,
     ewald_nodes,
-    orient_nodes,
 )
 from .potentials import Potential
 
-log = logging.getLogger(__name__)
+# Gauss-Legendre nodes on each of the three outer pieces of the PV integral,
+# and the radius R1 where the tail (R1, infinity) starts; the tail is mapped
+# onto (0, 1) by r = R1 / v.
+OUTER_NODES = 24
+TAIL_R1 = 4.0
 
 
 @dataclass(frozen=True)
@@ -55,14 +61,10 @@ class PVParams:
 
     delta: float = 0.5
     inner_nodes: int = 64
-    outer_tol: float = 1e-8
-    r_max: float = 8.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.r_max <= 1.0 + self.delta:
-            raise ValueError("r_max must exceed 1 + delta")
         if self.inner_nodes < 2:
             raise ValueError("inner_nodes must be >= 2")
 
@@ -79,17 +81,24 @@ class DispersionSample:
 
 
 def spherical_op(
-    q: Potential, theta: Direction, r: float, eta, rule: SphereRule
-) -> complex:
+    q: Potential, theta: Direction, r: float | np.ndarray, eta, rule: SphereRule
+) -> complex | np.ndarray:
     """S_{theta,r}(q)(eta): bilinear integral of q_hat over Gamma_r(-2k theta),
-    weighted by 1/(k(1+r))."""
-    if r <= 0:
+    weighted by 1/(k(1+r)).
+
+    A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
+    array from one evaluation over all R spheres.
+    """
+    if np.any(np.asarray(r) <= 0):
         raise ValueError(f"r must be positive, got {r}")
     eta = np.asarray(eta, dtype=float)
     ch = chart(eta, theta)
     points, weights = ewald_nodes(ch.k, r, theta, rule)
     vals = q.fourier_eval(points) * q.fourier_eval(eta - points)
-    return complex(np.dot(weights, vals) / (ch.k * (1.0 + r)))
+    if np.ndim(r) == 0:
+        return complex(np.dot(weights, vals) / (ch.k * (1.0 + r)))
+    sums = np.einsum("rm,rm->r", weights, vals)
+    return (sums / (ch.k * (1.0 + np.asarray(r, dtype=float)))).astype(complex)
 
 
 def bilinear_K(
@@ -114,77 +123,52 @@ def ds_dr(q: Potential, theta: Direction, r: float, eta, rule: SphereRule) -> co
     eta = np.asarray(eta, dtype=float)
     ch = chart(eta, theta)
     k, n = ch.k, theta.dimension
-    omega = orient_nodes(rule, theta)
-    xi = -k * theta.components + (r * k) * omega
+    xi, weights = ewald_nodes(k, r, theta, rule)
+    omega = (xi + k * theta.components) / (r * k)
     q1 = q.fourier_eval(xi)
     q2 = q.fourier_eval(eta - xi)
     g1 = np.sum(q.fourier_grad(xi) * omega, axis=-1)
     g2 = np.sum(q.fourier_grad(eta - xi) * omega, axis=-1)
-    w = rule.weights
-    measure = (
-        k ** (n - 2)
-        * ((n - 1) * r ** (n - 2) * (1.0 + r) - r ** (n - 1))
-        / (1.0 + r) ** 2
-        * np.dot(w, q1 * q2)
-    )
-    motion = (
-        k ** (n - 1) * r ** (n - 1) / (1.0 + r) * (np.dot(w, g1 * q2) - np.dot(w, q1 * g2))
-    )
+    # S = pre * sum(weights q1 q2) with weights ~ r^{n-1}; xi moves at k omega
+    pre = 1.0 / (k * (1.0 + r))
+    measure = pre * ((n - 1) / r - 1.0 / (1.0 + r)) * np.dot(weights, q1 * q2)
+    motion = pre * k * (np.dot(weights, g1 * q2) - np.dot(weights, q1 * g2))
     return complex(measure + motion)
 
 
-def _tail_estimate(S_provider, r_max: float) -> float:
-    """Crude bound on the neglected tail of the PV integral past r_max,
-    assuming power-law decay of |S|."""
-    s1 = abs(S_provider(0.8 * r_max))
-    s2 = abs(S_provider(r_max))
-    if s2 == 0.0:
-        return 0.0
-    if s1 <= s2:
-        return np.inf
-    p = np.log(s1 / s2) / np.log(1.0 / 0.8)
-    if p <= 1.0:
-        return np.inf
-    # integral_{r_max}^inf s2 (r/r_max)^{-p} / (r-1) dr, with r-1 ~ r
-    return s2 * r_max / ((p - 1.0) * (r_max - 1.0))
+@functools.lru_cache(maxsize=8)
+def _pv_rule(params: PVParams) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r_j and coefficients c_j with p.v. integral of S(r)/(1-r) over
+    (0, infinity) = sum_j c_j S(r_j), for S smooth and decaying.
 
-
-def principal_value_op(
-    S_provider, k: float, params: PVParams, *, full_output: bool = False
-):
-    """p.v. integral of S(r)/(1-r) over (0, infinity), truncated at r_max.
-
-    The window |1-r| < delta is evaluated as the symmetric difference
-    integral_0^delta [S(1-s) - S(1+s)]/s ds by Gauss-Legendre; the outer
-    regions by adaptive quadrature; the tail past r_max is estimated from the
-    power-law decay of S and reported separately.
+    Four Gauss-Legendre pieces: the window |1-r| < delta as the symmetric
+    difference integral_0^delta [S(1-s) - S(1+s)]/s ds, then (0, 1-delta),
+    (1+delta, R1), and the tail (R1, infinity) through r = R1 / v. The arrays
+    are read-only because every caller with the same params shares them.
     """
     d = params.delta
     x, w = np.polynomial.legendre.leggauss(params.inner_nodes)
-    s = 0.5 * d * (x + 1.0)
-    ws = 0.5 * d * w
-    inner = complex(np.dot(ws, np.array([
-        (S_provider(1.0 - si) - S_provider(1.0 + si)) / si for si in s
-    ])))
+    s, ws = 0.5 * d * (x + 1.0), 0.5 * d * w
+    x, w = np.polynomial.legendre.leggauss(OUTER_NODES)
+    v, wv = 0.5 * (x + 1.0), 0.5 * w  # rule on (0, 1)
+    span = TAIL_R1 - 1.0 - d
+    outer = np.concatenate([(1.0 - d) * v, 1.0 + d + span * v, TAIL_R1 / v])
+    outer_w = np.concatenate([(1.0 - d) * wv, span * wv, TAIL_R1 * wv / v**2])
+    radii = np.concatenate([1.0 - s, 1.0 + s, outer])
+    coeffs = np.concatenate([ws / s, -ws / s, outer_w / (1.0 - outer)])
+    radii.flags.writeable = False
+    coeffs.flags.writeable = False
+    return radii, coeffs
 
-    lo, _ = integrate.quad_vec(
-        lambda r: S_provider(r) / (1.0 - r), 0.0, 1.0 - d,
-        epsabs=params.outer_tol, epsrel=params.outer_tol,
-    )
-    hi, _ = integrate.quad_vec(
-        lambda r: S_provider(r) / (1.0 - r), 1.0 + d, params.r_max,
-        epsabs=params.outer_tol, epsrel=params.outer_tol,
-    )
-    value = inner + complex(lo) + complex(hi)
-    tail = _tail_estimate(S_provider, params.r_max)
-    if np.isfinite(tail) and abs(value) > 0 and tail > 1e-3 * abs(value):
-        log.warning(
-            "PV tail estimate %.3e exceeds 1e-3 of the computed value %.3e; "
-            "consider increasing r_max=%.3g", tail, abs(value), params.r_max,
-        )
-    if full_output:
-        return value, tail
-    return value
+
+def principal_value_op(S_provider, params: PVParams) -> complex:
+    """p.v. integral of S(r)/(1-r) over (0, infinity).
+
+    ``S_provider`` maps a 1-d array of radii to the array of S values; it is
+    called once, on the radii of the fixed rule described in ``_pv_rule``.
+    """
+    radii, coeffs = _pv_rule(params)
+    return complex(np.dot(coeffs, S_provider(radii)))
 
 
 def _sphere_and_pv(
@@ -194,7 +178,7 @@ def _sphere_and_pv(
     off H_theta."""
     k = chart(eta, theta).k
     S = spherical_op(q, theta, 1.0, eta, rule)
-    P = principal_value_op(lambda r: spherical_op(q, theta, r, eta, rule), k, pv)
+    P = principal_value_op(lambda r: spherical_op(q, theta, r, eta, rule), pv)
     return S, P, k
 
 

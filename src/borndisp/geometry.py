@@ -133,14 +133,24 @@ def orient_nodes(rule: SphereRule, axis: Direction) -> np.ndarray:
 
 
 def ewald_nodes(
-    k: float, r: float, theta: Direction, rule: SphereRule
+    k: float, r: float | np.ndarray, theta: Direction, rule: SphereRule
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pushforward of the sphere rule to Gamma_r(-2 k theta): points
-    xi_i = -k theta + r k omega_i, weights w_i (rk)^{n-1}."""
-    if k <= 0 or r <= 0:
+    xi_i = -k theta + r k omega_i, weights w_i (rk)^{n-1}.
+
+    For a scalar r the result has shapes (M, n) and (M,). For a 1-d array of
+    R radii the nodes are oriented once and the shapes are (R, M, n) and
+    (R, M).
+    """
+    if k <= 0 or np.any(np.asarray(r) <= 0):
         raise ValueError("k and r must be positive")
     n = theta.dimension
     omega = orient_nodes(rule, theta)
-    points = -k * theta.components + (r * k) * omega
-    weights = rule.weights * (r * k) ** (n - 1)
+    if np.ndim(r) == 0:
+        points = -k * theta.components + (r * k) * omega
+        weights = rule.weights * (r * k) ** (n - 1)
+        return points, weights
+    rk = np.asarray(r, dtype=float) * k
+    points = -k * theta.components + rk[:, None, None] * omega
+    weights = rule.weights * (rk ** (n - 1))[:, None]
     return points, weights

@@ -84,8 +84,8 @@ def test_criterion_03_operator_oracle(gauss2, theta2, rule2):
 def test_criterion_04_pv_machinery():
     from borndisp.dispersion import principal_value_op
 
-    value = principal_value_op(lambda r: np.exp(-((1.0 - r) ** 2)), 1.0,
-                               PVParams(delta=0.5, inner_nodes=64, r_max=12.0))
+    value = principal_value_op(lambda r: np.exp(-((1.0 - r) ** 2)),
+                               PVParams(delta=0.5, inner_nodes=64))
     target = -0.5 * oracle.exp1_series(1.0)
     err = abs(value.real - target)
     ok = err <= 1e-6

@@ -87,3 +87,10 @@ def test_gain_scan_alpha_monotone(gauss2, theta2):
     payload = json.loads(scans_to_json(scans))
     assert len(payload) == 3
     assert payload[0]["levels"][0]["extent"] == 6.0
+
+
+def test_gain_scan_rejects_level_below_radial_step(gauss2, theta2):
+    # a level below the first sampled radius has no partial sum of its own
+    with pytest.raises(ValueError, match="level 1 "):
+        gain_scan(gauss2, theta2, [0.0], [1.0, 4.0, 8.0], PVParams(),
+                  CutoffSpec(), radial_step=2.0)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import borndisp
 from borndisp.cli import main, run
 
 
@@ -73,6 +78,47 @@ def test_pv_delta_out_of_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'pv'" in err and "delta" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_removed_pv_fields_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "r.json", _ray_config(tmp_path, pv={"r_max": 8.0}))
+    assert run(cfg) == 1
+    err = capsys.readouterr().err
+    assert "'pv'" in err and "r_max" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gain_scan_level_below_radial_step(tmp_path, capsys):
+    cfg = _write(tmp_path, "g.json", {
+        "experiment": "gain-scan", "n": 2, "beta": 1.0,
+        "grid": {"N": 64, "L": 16.0}, "theta": [-1, 0], "alphas": [1.0],
+        "levels": [1, 4, 8], "out_dir": str(tmp_path / "out"),
+    })
+    assert run(cfg) == 1
+    assert "'levels'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_qfull_radial_needs_an_angle(tmp_path, capsys):
+    cfg = _write(tmp_path, "q.json", {
+        "experiment": "qfull-radial", "n": 2, "eta_norm": 4.0,
+        "angles_deg": [], "out_dir": str(tmp_path / "out"),
+    })
+    assert run(cfg) == 1
+    assert "'angles_deg'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # every CLI run pays for its imports; only oracle-fixtures needs
+    # scipy.integrate
+    src = str(Path(borndisp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, borndisp.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_chart_selftest(tmp_path, capsys):

@@ -37,7 +37,10 @@ def test_pv_params_guards():
     with pytest.raises(ValueError):
         PVParams(delta=1.5)
     with pytest.raises(ValueError):
-        PVParams(r_max=1.2)
+        PVParams(inner_nodes=1)
+    # the integral runs to infinity: there is no cut-off radius to set
+    with pytest.raises(TypeError, match="r_max"):
+        PVParams(r_max=8.0)
 
 
 def test_spherical_op_positive_and_zero(gauss2, theta2, rule2):
@@ -59,6 +62,20 @@ def test_spherical_op_matches_dense_trapezoid(gauss2, theta2, rule2):
     F = gauss2.fourier_eval(xi) * gauss2.fourier_eval(eta - xi)
     dense = (2 * np.pi / M) * np.sum(F) * k / (2.0 * k)
     assert spherical_op(gauss2, theta2, 1.0, eta, rule2) == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("case", ["gauss2", "gbeta3"])
+def test_spherical_op_radius_array_matches_loop(case, request):
+    q = request.getfixturevalue(case)
+    n = q.dimension
+    theta = Direction(np.eye(n)[0] * -1.0)
+    eta = np.array([6.0, 2.0, 1.0][:n])
+    rule = sphere_rule(n, 4 if n == 2 else 3)
+    radii = np.array([0.3, 0.9, 1.0, 1.2, 3.0, 40.0])
+    batch = spherical_op(q, theta, radii, eta, rule)
+    loop = np.array([spherical_op(q, theta, r, eta, rule) for r in radii])
+    assert batch.shape == radii.shape and batch.dtype == complex
+    np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
 
 
 def test_bilinear_K_relations(gauss2, theta2, rule2):
@@ -95,24 +112,35 @@ def test_mean_value_inequality(gauss2, theta2, rule2):
 
 
 def test_pv_even_provider_vanishes():
-    params = PVParams(delta=0.5, r_max=8.0)
-    value = principal_value_op(lambda r: np.exp(-((1 - r) ** 2)) * 0 + 1.0
-                               if abs(1 - r) < 0.5 else 0.0, 1.0, params)
+    params = PVParams(delta=0.5)
+    value = principal_value_op(lambda r: np.where(np.abs(1 - r) < 0.5, 1.0, 0.0),
+                               params)
     # constant S on the window integrates to zero against the odd kernel;
     # outside the window the provider is zero
     assert abs(value) < 1e-12
 
 
 def test_pv_gaussian_shift_identity():
-    params = PVParams(delta=0.5, inner_nodes=64, r_max=12.0)
-    value = principal_value_op(lambda r: np.exp(-((1 - r) ** 2)), 1.0, params)
+    params = PVParams(delta=0.5, inner_nodes=64)
+    value = principal_value_op(lambda r: np.exp(-((1 - r) ** 2)), params)
     from borndisp.oracle import exp1_series
 
     assert value.real == pytest.approx(-0.5 * exp1_series(1.0), abs=1e-6)
 
 
 def test_pv_zero_provider():
-    assert principal_value_op(lambda r: 0.0, 1.0, PVParams()) == 0.0
+    assert principal_value_op(np.zeros_like, PVParams()) == 0.0
+
+
+def test_pv_power_law_to_infinity():
+    from borndisp.oracle import pv_1d
+
+    # decays like r^-3, so a cut at any finite radius leaves a visible tail
+    def S(r):
+        return (1.0 + r) ** -3
+
+    ref = pv_1d(lambda r: S(r) / (1.0 - r), 1.0, (0.0, np.inf))
+    assert abs(principal_value_op(S, PVParams()) - ref) <= 1e-8
 
 
 def test_b_theta2_structure(gauss2, theta2, rule2):
@@ -125,6 +153,19 @@ def test_b_theta2_structure(gauss2, theta2, rule2):
     # no cancellation: imag(B) = pi S >= 0 and real(B) = P
     assert B.imag == pytest.approx(np.pi * S.real, rel=1e-12)
     assert B.imag >= 0
+
+
+def test_b_theta2_grazing_theta_node(gauss2):
+    from borndisp.oracle import brute_b_theta2
+
+    # a level-3 theta-rule node 1.40625 degrees off the hyperplane
+    # eta.theta = 0, where k = 81.5: the PV window must resolve S there
+    theta = Direction(sphere_rule(2, 3).nodes[33])
+    a = np.deg2rad(1.40625)
+    eta = 4.0 * np.array([np.cos(a), np.sin(a)])
+    ref = brute_b_theta2(gauss2, theta, eta)
+    B = b_theta2(gauss2, theta, eta, sphere_rule(2, 6), PVParams())
+    assert abs(B - ref) <= 1e-9 * abs(ref)
 
 
 def test_q_theta2_hat_cutoff_and_halves(gauss2, theta2, rule2):
