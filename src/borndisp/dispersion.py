@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .geometry import (
     SphereRule,
     chart,
     ewald_nodes,
+    orient_nodes,
 )
 from .potentials import Potential
 
@@ -35,6 +35,10 @@ from .potentials import Potential
 # onto (0, 1) by r = R1 / v.
 OUTER_NODES = 24
 TAIL_R1 = 4.0
+
+# Sphere nodes per block of radii in an array-r spherical_op: each (R, M, n)
+# temporary stays below 2^18 n doubles (6 MB at n = 3) whatever the rule level.
+BLOCK_POINTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -87,18 +91,26 @@ def spherical_op(
     weighted by 1/(k(1+r)).
 
     A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
-    array from one evaluation over all R spheres.
+    array, evaluated in blocks of at most BLOCK_POINTS sphere nodes.
     """
     if np.any(np.asarray(r) <= 0):
         raise ValueError(f"r must be positive, got {r}")
     eta = np.asarray(eta, dtype=float)
-    ch = chart(eta, theta)
-    points, weights = ewald_nodes(ch.k, r, theta, rule)
-    vals = q.fourier_eval(points) * q.fourier_eval(eta - points)
+    k = chart(eta, theta).k
+
+    def weighted_sums(radii):
+        points, weights = ewald_nodes(k, radii, theta, rule)
+        vals = q.fourier_eval(points) * q.fourier_eval(eta - points)
+        if np.ndim(radii) == 0:
+            return np.dot(weights, vals)
+        return np.einsum("rm,rm->r", weights, vals)
+
     if np.ndim(r) == 0:
-        return complex(np.dot(weights, vals) / (ch.k * (1.0 + r)))
-    sums = np.einsum("rm,rm->r", weights, vals)
-    return (sums / (ch.k * (1.0 + np.asarray(r, dtype=float)))).astype(complex)
+        return complex(weighted_sums(r) / (k * (1.0 + r)))
+    r = np.asarray(r, dtype=float)
+    step = max(1, BLOCK_POINTS // rule.weights.size)
+    sums = np.concatenate([weighted_sums(r[i:i + step]) for i in range(0, r.size, step)])
+    return (sums / (k * (1.0 + r))).astype(complex)
 
 
 def bilinear_K(
@@ -123,28 +135,28 @@ def ds_dr(q: Potential, theta: Direction, r: float, eta, rule: SphereRule) -> co
     eta = np.asarray(eta, dtype=float)
     ch = chart(eta, theta)
     k, n = ch.k, theta.dimension
-    xi, weights = ewald_nodes(k, r, theta, rule)
-    omega = (xi + k * theta.components) / (r * k)
+    omega = orient_nodes(rule, theta)
+    xi = -k * theta.components + (r * k) * omega
     q1 = q.fourier_eval(xi)
     q2 = q.fourier_eval(eta - xi)
     g1 = np.sum(q.fourier_grad(xi) * omega, axis=-1)
     g2 = np.sum(q.fourier_grad(eta - xi) * omega, axis=-1)
     # S = pre * sum(weights q1 q2) with weights ~ r^{n-1}; xi moves at k omega
+    weights = rule.weights * (r * k) ** (n - 1)
     pre = 1.0 / (k * (1.0 + r))
     measure = pre * ((n - 1) / r - 1.0 / (1.0 + r)) * np.dot(weights, q1 * q2)
     motion = pre * k * (np.dot(weights, g1 * q2) - np.dot(weights, q1 * g2))
     return complex(measure + motion)
 
 
-@functools.lru_cache(maxsize=8)
-def _pv_rule(params: PVParams) -> tuple[np.ndarray, np.ndarray]:
-    """Radii r_j and coefficients c_j with p.v. integral of S(r)/(1-r) over
-    (0, infinity) = sum_j c_j S(r_j), for S smooth and decaying.
+def principal_value_op(S_provider, params: PVParams) -> complex:
+    """p.v. integral of S(r)/(1-r) over (0, infinity).
 
-    Four Gauss-Legendre pieces: the window |1-r| < delta as the symmetric
-    difference integral_0^delta [S(1-s) - S(1+s)]/s ds, then (0, 1-delta),
-    (1+delta, R1), and the tail (R1, infinity) through r = R1 / v. The arrays
-    are read-only because every caller with the same params shares them.
+    ``S_provider`` maps a 1-d array of radii to the array of S values; it is
+    called once, on the radii of a fixed rule of four Gauss-Legendre pieces:
+    the window |1-r| < delta as the symmetric difference
+    integral_0^delta [S(1-s) - S(1+s)]/s ds, then (0, 1-delta), (1+delta, R1),
+    and the tail (R1, infinity) through r = R1 / v.
     """
     d = params.delta
     x, w = np.polynomial.legendre.leggauss(params.inner_nodes)
@@ -156,18 +168,6 @@ def _pv_rule(params: PVParams) -> tuple[np.ndarray, np.ndarray]:
     outer_w = np.concatenate([(1.0 - d) * wv, span * wv, TAIL_R1 * wv / v**2])
     radii = np.concatenate([1.0 - s, 1.0 + s, outer])
     coeffs = np.concatenate([ws / s, -ws / s, outer_w / (1.0 - outer)])
-    radii.flags.writeable = False
-    coeffs.flags.writeable = False
-    return radii, coeffs
-
-
-def principal_value_op(S_provider, params: PVParams) -> complex:
-    """p.v. integral of S(r)/(1-r) over (0, infinity).
-
-    ``S_provider`` maps a 1-d array of radii to the array of S values; it is
-    called once, on the radii of the fixed rule described in ``_pv_rule``.
-    """
-    radii, coeffs = _pv_rule(params)
     return complex(np.dot(coeffs, S_provider(radii)))
 
 

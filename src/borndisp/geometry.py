@@ -146,11 +146,7 @@ def ewald_nodes(
         raise ValueError("k and r must be positive")
     n = theta.dimension
     omega = orient_nodes(rule, theta)
-    if np.ndim(r) == 0:
-        points = -k * theta.components + (r * k) * omega
-        weights = rule.weights * (r * k) ** (n - 1)
-        return points, weights
     rk = np.asarray(r, dtype=float) * k
-    points = -k * theta.components + rk[:, None, None] * omega
-    weights = rule.weights * (rk ** (n - 1))[:, None]
+    points = -k * theta.components + rk[..., None, None] * omega
+    weights = rule.weights * (rk ** (n - 1))[..., None]
     return points, weights

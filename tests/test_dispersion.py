@@ -78,6 +78,29 @@ def test_spherical_op_radius_array_matches_loop(case, request):
     np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
 
 
+def test_spherical_op_blocks_of_radii(gauss2, monkeypatch):
+    from borndisp import dispersion
+
+    class Recording:
+        def __init__(self, q):
+            self.q, self.shapes = q, []
+
+        def fourier_eval(self, xi):
+            self.shapes.append(xi.shape)
+            return self.q.fourier_eval(xi)
+
+    theta = Direction(np.array([-1.0, 0.0]))
+    eta = np.array([6.0, 2.0])
+    rule = sphere_rule(2, 4)
+    radii = np.linspace(0.2, 5.0, 7)
+    whole = spherical_op(gauss2, theta, radii, eta, rule)
+    monkeypatch.setattr(dispersion, "BLOCK_POINTS", 2 * rule.weights.size)
+    q = Recording(gauss2)
+    blocked = spherical_op(q, theta, radii, eta, rule)
+    np.testing.assert_array_equal(blocked, whole)
+    assert [s[0] for s in q.shapes] == [2, 2, 2, 2, 2, 2, 1, 1]
+
+
 def test_bilinear_K_relations(gauss2, theta2, rule2):
     eta = np.array([4.0, 0.0])
     for r in (0.7, 1.0, 1.6):
