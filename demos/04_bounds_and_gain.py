@@ -29,7 +29,7 @@ print("\nm threshold by dimension:",
 q = gaussian_potential(0.5, make_grid(2, 128, 16.0))
 theta = Direction(np.array([-1.0, 0.0]))
 scans = gain_scan(q, theta, [0.0, 2.0], [6.0, 12.0, 24.0], PVParams(),
-                  CutoffSpec(), rule_level=3, polar_nodes=6, radial_step=2.0)
+                  CutoffSpec(), rule_level=3)
 print("\ngain scan (Gaussian, weights <eta>^alpha, extents 6/12/24)")
 for s in scans:
     ratios = ", ".join(f"{r:.4f}" for r in s.growth_ratios)

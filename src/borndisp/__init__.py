@@ -10,7 +10,6 @@ from .analysis import (
     fit_decay,
     gain_scan,
     lemma52_check,
-    multi_ray_decay,
 )
 from .bounds import BoundReport, alpha0, alpha_j, m_threshold, thm_limits
 from .dispersion import (
@@ -18,10 +17,8 @@ from .dispersion import (
     DispersionSample,
     PVParams,
     b_theta2,
-    bilinear_K,
     cutoff_chi,
     dispersion_batch,
-    ds_dr,
     principal_value_op,
     q_full2_hat,
     q_theta2_hat,
@@ -57,9 +54,7 @@ from .spectral import (
     field_from_function,
     fourier,
     make_grid,
-    read_field,
     sobolev_norm,
-    write_field,
 )
 
 __version__ = "0.1.0"

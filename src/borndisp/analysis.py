@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds
-from .dispersion import CutoffSpec, PVParams, cutoff_chi, q_theta2_hat, spherical_op
+from .dispersion import CutoffSpec, PVParams, q_theta2_hat, spherical_op
 from .geometry import Direction, SphereRule, in_cone, sphere_rule
 from .potentials import Potential
 
@@ -21,6 +20,8 @@ log = logging.getLogger(__name__)
 # Spacing of the radii at which gain_scan samples |Q|; the first radius is
 # one step out.
 RADIAL_STEP = 2.0
+# Gauss-Legendre nodes of gain_scan's polar quadrature over the half space.
+POLAR_NODES = 8
 
 
 class RayOutsideCone(ValueError):
@@ -143,8 +144,6 @@ def gain_scan(
     pv: PVParams,
     cut: CutoffSpec,
     rule_level: int = 4,
-    polar_nodes: int = 8,
-    radial_step: float = RADIAL_STEP,
 ) -> list[RefinementScan]:
     """Weighted frequency-lattice norms of Q_{theta,2}(q) under growing
     frequency extent.
@@ -156,16 +155,16 @@ def gain_scan(
     """
     n = theta.dimension
     levels = sorted(float(T) for T in levels)
-    if levels[0] < radial_step:
+    if levels[0] < RADIAL_STEP:
         raise ValueError(
-            f"level {levels[0]:g} is below the radial step {radial_step:g}: "
+            f"level {levels[0]:g} is below the radial step {RADIAL_STEP:g}: "
             "no sampled radius lies inside it"
         )
     T_max = levels[-1]
     rule = sphere_rule(n, rule_level)
-    ts = np.arange(radial_step, T_max + 0.5 * radial_step, radial_step)
+    ts = np.arange(RADIAL_STEP, T_max + 0.5 * RADIAL_STEP, RADIAL_STEP)
 
-    x, w = np.polynomial.legendre.leggauss(polar_nodes)
+    x, w = np.polynomial.legendre.leggauss(POLAR_NODES)
     e_perp = _perp_unit(theta)
     if n == 3:
         mus = 0.5 * (x + 1.0)  # mu = -cos(angle to theta) in (0, 1)
@@ -186,7 +185,7 @@ def gain_scan(
 
     scans = []
     for alpha in alphas:
-        weight_t = (1.0 + ts**2) ** alpha * ts ** (n - 1) * radial_step
+        weight_t = (1.0 + ts**2) ** alpha * ts ** (n - 1) * RADIAL_STEP
         # factor 2: the mirrored half-space contributes equally for radial q
         partial = 2.0 * np.cumsum(weight_t * (qsq @ mu_w))
         level_vals = []
@@ -199,33 +198,6 @@ def gain_scan(
         scans.append(RefinementScan(alpha=float(alpha), levels=level_vals,
                                     growth_ratios=ratios))
     return scans
-
-
-def multi_ray_decay(
-    q: Potential,
-    theta: Direction,
-    a: float,
-    t_range: tuple[float, float],
-    rule: SphereRule,
-    rays: int = 5,
-    samples: int = 16,
-) -> list[DecayFit]:
-    """Decay fits of S_{theta,1} along several rays inside D_theta (a
-    one-dimensional axis probe can miss angular structure)."""
-    n = theta.dimension
-    e_perp = _perp_unit(theta)
-    max_angle = np.arccos(a) * 0.9
-    angles = np.linspace(0.0, max_angle, rays)
-    fits = []
-    for ang in angles:
-        d = -np.cos(ang) * theta.components + np.sin(ang) * e_perp
-        ts = np.geomspace(t_range[0], t_range[1], samples)
-        data = [
-            (float(t), float(np.real(spherical_op(q, theta, 1.0, t * d, rule))))
-            for t in ts
-        ]
-        fits.append(fit_decay(data, t_range))
-    return fits
 
 
 def scans_to_json(scans: list[RefinementScan]) -> str:

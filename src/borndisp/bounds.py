@@ -6,7 +6,6 @@ and positive-range limits, and the gain ceiling alpha0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -67,18 +66,6 @@ class BoundReport:
     thm11_max: float | None = None
     thm13_sup: float | None = None
     alpha0: float = 0.0
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "beta": self.beta,
-            "m": self.m,
-            "alpha_j": {str(k): v for k, v in self.alpha_j.items()},
-            "thm11_max": self.thm11_max,
-            "thm13_sup": self.thm13_sup,
-            "alpha0": self.alpha0,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def thm_limits(n: int, beta: float, j_max: int = 4) -> BoundReport:

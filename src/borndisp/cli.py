@@ -79,18 +79,18 @@ _SCHEMA = {
             "properties": {
                 "direction": {"type": "array", "items": {"type": "number"}},
                 "t_min": {"type": "number", "exclusiveMinimum": 0},
-                "t_max": {"type": "number"},
+                "t_max": {"type": "number", "exclusiveMinimum": 0},
                 "count": {"type": "integer", "minimum": 2},
             },
         },
         "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "levels": {"type": "array", "items": {"type": "number"}, "minItems": 3},
         "betas": {"type": "array", "items": {"type": "number"}},
-        "cone_aperture": {"type": "number"},
+        "cone_aperture": {"type": "number", "exclusiveMinimum": 0,
+                          "exclusiveMaximum": 1},
         "eta_norm": {"type": "number", "exclusiveMinimum": 0},
         "angles_deg": {"type": "array", "items": {"type": "number"},
                        "minItems": 1},
-        "samples": {"type": "integer", "minimum": 8},
         "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": "string"},
     },
@@ -141,6 +141,12 @@ def _check_runtime_constraints(cfg: dict) -> None:
                 f"invalid config at field '{where}': length {len(v)} does not "
                 f"match n = {cfg['n']}"
             )
+    # the fixtures have fixed dimensions: 2 for B and the PV, 3 for the trace
+    if cfg["experiment"] == "oracle-fixtures" and "n" in cfg:
+        raise ConfigError(
+            "invalid config at field 'n': oracle-fixtures has fixed "
+            "dimensions and takes no 'n'"
+        )
     # fit_decay needs at least 8 samples on the ray
     if cfg["experiment"] == "lemma52" and cfg["ray"]["count"] < 8:
         raise ConfigError(
@@ -348,7 +354,6 @@ def _run_oracle_fixtures(cfg: dict, out: Path, threads: int):
     # experiment needs
     from . import oracle
 
-    n = cfg.get("n", 2)
     grid = make_grid(2, 64, 16.0)
     q = gaussian_potential(cfg.get("a", 0.5), grid)
     theta = Direction(np.array([-1.0, 0.0]))
@@ -367,7 +372,7 @@ def _run_oracle_fixtures(cfg: dict, out: Path, threads: int):
         val = oracle.brute_b_theta2(q, theta, np.array([t, 0.0]))
         fixtures["brute_b"][f"eta_{t:g}e1"] = {"re": val.real, "im": val.imag}
     oracle.dump_fixtures(fixtures, out / "oracle_fixtures.json")
-    print(f"oracle-fixtures: n = {n}, wrote oracle_fixtures.json")
+    print("oracle-fixtures: wrote oracle_fixtures.json")
     return 0, ["oracle_fixtures.json"]
 
 

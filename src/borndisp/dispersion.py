@@ -1,8 +1,8 @@
 """
 Core operators of the double dispersion term: high-frequency cutoff chi,
-the spherical operator S_{theta,r}, the bilinear operator K_r, the r-derivative
-of S, the principal-value operator P_theta, B_{theta,2}, the cutoff combination
-Q_{theta,2}, and the full-data average Q_{F,2}.
+the spherical operator S_{theta,r}, the principal-value operator P_theta,
+B_{theta,2}, the cutoff combination Q_{theta,2}, and the full-data average
+Q_{F,2}.
 
 S_{theta,r} takes one radius or a vector of radii. P_theta is a fixed
 Gauss-Legendre rule over (0, infinity), tail included, so each principal
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Direction,
-    NotInHalfSpace,
-    SphereRule,
-    chart,
-    ewald_nodes,
-    orient_nodes,
-)
+from .geometry import Direction, NotInHalfSpace, SphereRule, chart, ewald_nodes
 from .potentials import Potential
 
 # Gauss-Legendre nodes on each of the three outer pieces of the PV integral,
@@ -81,7 +74,6 @@ class DispersionSample:
     B: complex
     Q: complex
     k: float
-    in_H_theta: bool
 
 
 def spherical_op(
@@ -93,60 +85,22 @@ def spherical_op(
     A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
     array, evaluated in blocks of at most BLOCK_POINTS sphere nodes.
     """
-    if np.any(np.asarray(r) <= 0):
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(radii <= 0):
         raise ValueError(f"r must be positive, got {r}")
     eta = np.asarray(eta, dtype=float)
     k = chart(eta, theta).k
 
-    def weighted_sums(radii):
-        points, weights = ewald_nodes(k, radii, theta, rule)
+    def weighted_sums(block):
+        points, weights = ewald_nodes(k, block, theta, rule)
         vals = q.fourier_eval(points) * q.fourier_eval(eta - points)
-        if np.ndim(radii) == 0:
-            return np.dot(weights, vals)
-        return np.einsum("rm,rm->r", weights, vals)
+        return np.vecdot(weights, vals)
 
-    if np.ndim(r) == 0:
-        return complex(weighted_sums(r) / (k * (1.0 + r)))
-    r = np.asarray(r, dtype=float)
     step = max(1, BLOCK_POINTS // rule.weights.size)
-    sums = np.concatenate([weighted_sums(r[i:i + step]) for i in range(0, r.size, step)])
-    return (sums / (k * (1.0 + r))).astype(complex)
-
-
-def bilinear_K(
-    f1hat, f2hat, theta: Direction, r: float, eta, rule: SphereRule
-) -> float:
-    """K_r(g1,g2)(eta) = (1/k) integral |g1(xi)| |g2(eta-xi)| over the Ewald
-    sphere; same nodes as spherical_op, no (1+r)^{-1} factor."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    eta = np.asarray(eta, dtype=float)
-    ch = chart(eta, theta)
-    points, weights = ewald_nodes(ch.k, r, theta, rule)
-    vals = np.abs(f1hat(points)) * np.abs(f2hat(eta - points))
-    return float(np.dot(weights, vals) / ch.k)
-
-
-def ds_dr(q: Potential, theta: Direction, r: float, eta, rule: SphereRule) -> complex:
-    """d/dr of S_{theta,r}(q)(eta): measure-derivative term plus the two
-    gradient terms from the moving Ewald sphere."""
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    eta = np.asarray(eta, dtype=float)
-    ch = chart(eta, theta)
-    k, n = ch.k, theta.dimension
-    omega = orient_nodes(rule, theta)
-    xi = -k * theta.components + (r * k) * omega
-    q1 = q.fourier_eval(xi)
-    q2 = q.fourier_eval(eta - xi)
-    g1 = np.sum(q.fourier_grad(xi) * omega, axis=-1)
-    g2 = np.sum(q.fourier_grad(eta - xi) * omega, axis=-1)
-    # S = pre * sum(weights q1 q2) with weights ~ r^{n-1}; xi moves at k omega
-    weights = rule.weights * (r * k) ** (n - 1)
-    pre = 1.0 / (k * (1.0 + r))
-    measure = pre * ((n - 1) / r - 1.0 / (1.0 + r)) * np.dot(weights, q1 * q2)
-    motion = pre * k * (np.dot(weights, g1 * q2) - np.dot(weights, q1 * g2))
-    return complex(measure + motion)
+    sums = np.concatenate([weighted_sums(radii[i:i + step])
+                           for i in range(0, radii.size, step)])
+    S = (sums / (k * (1.0 + radii))).astype(complex)
+    return complex(S[0]) if np.ndim(r) == 0 else S
 
 
 def principal_value_op(S_provider, params: PVParams) -> complex:
@@ -256,9 +210,9 @@ def dispersion_batch(
         try:
             S, P, k = _sphere_and_pv(q, theta if in_h else -theta, eta, rule, pv)
         except NotInHalfSpace:
-            return DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan, in_h)
+            return DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan)
         B = 1j * np.pi * S + P
-        return DispersionSample(eta, S, P, B, complex(cutoff_chi(eta, cut)) * B, k, in_h)
+        return DispersionSample(eta, S, P, B, complex(cutoff_chi(eta, cut)) * B, k)
 
     etas = [np.asarray(e, dtype=float) for e in etas]
     if threads <= 1:

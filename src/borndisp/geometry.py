@@ -84,7 +84,6 @@ class SphereRule:
 
     nodes: np.ndarray  # (M, n)
     weights: np.ndarray  # (M,)
-    degree: int
     level: int
 
 
@@ -98,7 +97,7 @@ def sphere_rule(n: int, level: int) -> SphereRule:
         phi = 2.0 * np.pi * np.arange(M) / M
         nodes = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         weights = np.full(M, 2.0 * np.pi / M)
-        return SphereRule(nodes, weights, degree=M - 1, level=level)
+        return SphereRule(nodes, weights, level=level)
     if n == 3:
         Mp = 2 ** (level + 2)
         Ma = 2 ** (level + 3)
@@ -110,7 +109,7 @@ def sphere_rule(n: int, level: int) -> SphereRule:
         nodes[:, 1] = np.outer(sin_polar, np.sin(phi)).ravel()
         nodes[:, 2] = np.repeat(x, Ma)
         weights = np.repeat(w, Ma) * (2.0 * np.pi / Ma)
-        return SphereRule(nodes, weights, degree=min(2 * Mp - 1, Ma - 1), level=level)
+        return SphereRule(nodes, weights, level=level)
     raise ValueError(f"n must be 2 or 3, got {n}")
 
 

@@ -44,10 +44,6 @@ class _GaussianHat:
     def __call__(self, s):
         return self.amp * np.exp(-s / (4.0 * self.a))
 
-    def derivative(self, s):
-        """d q_hat / ds."""
-        return -self(s) / (4.0 * self.a)
-
 
 @dataclass(frozen=True)
 class _Tabulated:
@@ -58,20 +54,13 @@ class _Tabulated:
     def __call__(self, s):
         return self.profile(np.sqrt(s))
 
-    def derivative(self, s):
-        """d/ds = profile'(rho) / (2 rho); taken as 0 at rho = 0, where the
-        gradient of a radial function has no direction."""
-        rho = np.sqrt(s)
-        slope = self.profile.derivative(rho)
-        return np.where(rho > 0, slope / (2.0 * np.where(rho > 0, rho, 1.0)), 0.0)
-
 
 @dataclass(frozen=True)
 class Potential:
     """A radial test potential, given by q and q_hat as functions of the
     squared radius.
 
-    ``fourier_radial`` maps s = |xi|^2 to q_hat and has ``derivative(s)``;
+    ``fourier_radial`` maps s = |xi|^2 to q_hat;
     ``spatial_radial`` maps s = |x|^2 to q inside ``support_radius``. The
     point evaluators are vectorized over arrays of shape (..., n).
     """
@@ -95,11 +84,6 @@ class Potential:
     def fourier_eval(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         return self.fourier_radial(np.sum(xi**2, axis=-1))
-
-    def fourier_grad(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        slope = self.fourier_radial.derivative(np.sum(xi**2, axis=-1))
-        return 2.0 * xi * slope[..., None]
 
     def spatial_eval(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

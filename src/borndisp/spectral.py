@@ -14,7 +14,6 @@ integrals (forward carries h^n, inverse carries the matching 1/h^n).
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -89,10 +88,6 @@ class Grid:
         mesh = np.meshgrid(*([self.space_axis()] * self.dimension), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def freq_points(self) -> np.ndarray:
-        mesh = np.meshgrid(*([self.freq_axis()] * self.dimension), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 def make_grid(n: int, N: int, L: float) -> Grid:
     return Grid(dimension=n, samples_per_axis=N, half_extent=float(L))
@@ -114,12 +109,11 @@ class Field:
             )
 
 
-def field_from_function(grid: Grid, f: Callable, domain: Domain = Domain.SPACE) -> Field:
-    """Sample a radius- or point-valued function on the grid."""
-    pts = grid.space_points() if domain is Domain.SPACE else grid.freq_points()
-    vals = np.asarray(f(pts), dtype=complex)
+def field_from_function(grid: Grid, f: Callable) -> Field:
+    """Sample a point-valued function on the space lattice."""
+    vals = np.asarray(f(grid.space_points()), dtype=complex)
     shape = (grid.samples_per_axis,) * grid.dimension
-    return Field(grid, vals.reshape(shape), domain)
+    return Field(grid, vals.reshape(shape), Domain.SPACE)
 
 
 def fourier(field: Field, direction: TransformDirection) -> Field:
@@ -229,44 +223,3 @@ class RadialProfile:
         if np.any(below):
             out = np.where(below, self.values[0], out)
         return out if out.ndim else float(out)
-
-    def derivative(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        out = self._spline(np.clip(rho, self.radii[0], self.radii[-1]), 1)
-        beyond = rho > self.radii[-1]
-        if np.any(beyond):
-            if self.tail_exponent is None or not np.isfinite(self.tail_exponent):
-                tail = 0.0
-            else:
-                p, c = self.tail_exponent, self.tail_coefficient
-                tail = -c * p * rho * (1.0 + rho**2) ** (-(p + 2.0) / 2.0)
-            out = np.where(beyond, tail, out)
-        return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# Field serialization: header (n:u8, N:u32, L:f64, domain:u8) + complex64 LE
-
-_HEADER = struct.Struct("<BIdB")
-
-
-def write_field(f: Field, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                f.grid.dimension,
-                f.grid.samples_per_axis,
-                f.grid.half_extent,
-                f.domain.value,
-            )
-        )
-        fh.write(np.ascontiguousarray(f.samples, dtype="<c8").tobytes())
-
-
-def read_field(path) -> Field:
-    with open(path, "rb") as fh:
-        n, N, L, dom = _HEADER.unpack(fh.read(_HEADER.size))
-        grid = Grid(n, N, L)
-        raw = np.frombuffer(fh.read(), dtype="<c8")
-    samples = raw.reshape((N,) * n).astype(complex)
-    return Field(grid, samples, Domain(dom))

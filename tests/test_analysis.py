@@ -8,7 +8,6 @@ from borndisp.analysis import (
     fit_decay,
     gain_scan,
     lemma52_check,
-    multi_ray_decay,
     scans_to_json,
 )
 from borndisp.dispersion import CutoffSpec, PVParams
@@ -66,18 +65,9 @@ def test_lemma52_ray_guard(gbeta2, theta2, rule2):
                       CutoffSpec(), direction=[0.3, 1.0])
 
 
-def test_multi_ray_decay(gbeta2, theta2, rule2):
-    fits = multi_ray_decay(gbeta2, theta2, 0.5, (8.0, 48.0), rule2, rays=3,
-                           samples=12)
-    assert len(fits) == 3
-    for f in fits:
-        assert -4.0 < f.exponent < -2.0
-
-
 def test_gain_scan_alpha_monotone(gauss2, theta2):
     scans = gain_scan(gauss2, theta2, [0.0, 1.0, 2.0], [6.0, 12.0, 24.0],
-                      PVParams(), CutoffSpec(), rule_level=3, polar_nodes=6,
-                      radial_step=2.0)
+                      PVParams(), CutoffSpec(), rule_level=3)
     # at each extent the weighted norm is nondecreasing in alpha
     for lev in range(3):
         by_alpha = [s.levels[lev][1] for s in scans]
@@ -93,4 +83,4 @@ def test_gain_scan_rejects_level_below_radial_step(gauss2, theta2):
     # a level below the first sampled radius has no partial sum of its own
     with pytest.raises(ValueError, match="level 1 "):
         gain_scan(gauss2, theta2, [0.0], [1.0, 4.0, 8.0], PVParams(),
-                  CutoffSpec(), radial_step=2.0)
+                  CutoffSpec())

@@ -88,6 +88,47 @@ def test_removed_pv_fields_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_ray_t_max_must_be_positive(tmp_path, capsys):
+    ray = {"direction": [1, 0], "t_min": 3, "t_max": -8, "count": 3}
+    cfg = _write(tmp_path, "t.json", _ray_config(tmp_path, ray=ray))
+    assert run(cfg) == 1
+    assert "'ray/t_max'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _lemma52_config(tmp_path, **overrides):
+    return {
+        "experiment": "lemma52", "n": 2, "beta": 1.0,
+        "grid": {"N": 256, "L": 16.0}, "theta": [-1, 0],
+        "ray": {"direction": [1, 0], "t_min": 8, "t_max": 48, "count": 16},
+        "out_dir": str(tmp_path / "out"), **overrides,
+    }
+
+
+def test_cone_aperture_out_of_range(tmp_path, capsys):
+    for a in (0.0, 1.0, 1.5):
+        cfg = _write(tmp_path, "a.json", _lemma52_config(tmp_path, cone_aperture=a))
+        assert run(cfg) == 1
+        assert "'cone_aperture'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_samples_key_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.json", _lemma52_config(tmp_path, samples=16))
+    assert run(cfg) == 1
+    assert "'samples'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_fixtures_rejects_n(tmp_path, capsys):
+    cfg = _write(tmp_path, "o.json", {
+        "experiment": "oracle-fixtures", "n": 3, "out_dir": str(tmp_path / "out"),
+    })
+    assert run(cfg) == 1
+    assert "'n'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gain_scan_level_below_radial_step(tmp_path, capsys):
     cfg = _write(tmp_path, "g.json", {
         "experiment": "gain-scan", "n": 2, "beta": 1.0,

@@ -14,9 +14,7 @@ from borndisp.spectral import (
     field_from_function,
     fourier,
     make_grid,
-    read_field,
     sobolev_norm,
-    write_field,
 )
 
 
@@ -131,16 +129,3 @@ def test_radial_profile_tail_extrapolation():
     mixed = prof(np.array([1.0, 5.0, 15.0, 30.0]))
     assert mixed.shape == (4,)
     assert np.all(mixed > 0)
-
-
-def test_field_io_round_trip(tmp_path, grid2):
-    rng = np.random.default_rng(2)
-    f = Field(grid2, rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256)),
-              Domain.FREQUENCY)
-    path = tmp_path / "field.bin"
-    write_field(f, path)
-    back = read_field(path)
-    assert back.grid == grid2
-    assert back.domain is Domain.FREQUENCY
-    # complex64 storage: expect single-precision fidelity
-    assert np.max(np.abs(back.samples - f.samples)) < 1e-5
