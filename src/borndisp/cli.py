@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__, analysis, bounds, dispersion, potentials
 from .geometry import Direction, chart, sphere_rule
-from .potentials import GBetaSpec, gaussian_potential, make_gbeta
+from .potentials import GBetaSpec, GridTooCoarseError, gaussian_potential, make_gbeta
 from .spectral import make_grid
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,8 @@ _SCHEMA = {
             "required": ["N", "L"],
             "additionalProperties": False,
             "properties": {
-                "N": {"type": "integer", "minimum": 8},
+                # the g_beta synthesis works on the first-orthant block
+                "N": {"type": "integer", "minimum": 8, "multipleOf": 2},
                 "L": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -104,6 +105,10 @@ _REQUIRED = {
     "qfull-radial": ["n", "eta_norm", "angles_deg"],
     "bounds-table": ["n", "betas"],
 }
+
+
+# experiments that build the configured potential (g_beta when beta is set)
+_POTENTIAL_EXPERIMENTS = ("gbeta", "dispersion-ray", "lemma52", "gain-scan", "qfull-radial")
 
 
 class ConfigError(ValueError):
@@ -163,6 +168,13 @@ def _check_runtime_constraints(cfg: dict) -> None:
         _pv(cfg)
     except ValueError as exc:
         raise ConfigError(f"invalid config at field 'pv': {exc}")
+    if cfg["experiment"] in _POTENTIAL_EXPERIMENTS and "beta" in cfg:
+        try:
+            _gbeta_spec(cfg)
+        except GridTooCoarseError as exc:
+            raise ConfigError(f"invalid config at field 'grid/N': {exc}")
+        except ValueError as exc:
+            raise ConfigError(f"invalid config at field 'bump_radius': {exc}")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -175,17 +187,21 @@ def _theta(cfg: dict) -> Direction:
     return Direction.normalized(cfg["theta"])
 
 
-def _potential(cfg: dict, grid=None):
+def _grid(cfg: dict):
+    g = cfg.get("grid", {"N": 128, "L": 16.0})
+    return make_grid(cfg["n"], g["N"], g["L"])
+
+
+def _gbeta_spec(cfg: dict) -> GBetaSpec:
+    return GBetaSpec(beta=cfg["beta"], bump_radius=cfg.get("bump_radius", 2.0),
+                     grid=_grid(cfg))
+
+
+def _potential(cfg: dict):
     """gbeta when beta is configured, else the analytic Gaussian family."""
-    n = cfg["n"]
-    if grid is None:
-        g = cfg.get("grid", {"N": 128, "L": 16.0})
-        grid = make_grid(n, g["N"], g["L"])
     if "beta" in cfg:
-        spec = GBetaSpec(beta=cfg["beta"], bump_radius=cfg.get("bump_radius", 2.0),
-                         grid=grid)
-        return make_gbeta(spec)
-    return gaussian_potential(cfg.get("a", 0.5), grid)
+        return make_gbeta(_gbeta_spec(cfg))
+    return gaussian_potential(cfg.get("a", 0.5), _grid(cfg))
 
 
 def _pv(cfg: dict) -> dispersion.PVParams:
@@ -238,9 +254,7 @@ def _run_chart_selftest(cfg: dict, out: Path, threads: int):
 
 
 def _run_gbeta(cfg: dict, out: Path, threads: int):
-    g = cfg["grid"]
-    grid = make_grid(cfg["n"], g["N"], g["L"])
-    q = _potential(cfg, grid)
+    q = _potential(cfg)
     potentials.export_potential(q, out / "gbeta.json", out / "gbeta_profile.csv")
     print(f"gbeta: ghat(0) = {q.meta['ghat_zero']:.6g}, "
           f"min ghat = {q.meta['ghat_min']:.3e}, "
@@ -267,9 +281,7 @@ def _run_dispersion_ray(cfg: dict, out: Path, threads: int):
 
 def _run_lemma52(cfg: dict, out: Path, threads: int):
     theta = _theta(cfg)
-    g = cfg["grid"]
-    grid = make_grid(cfg["n"], g["N"], g["L"])
-    q = _potential(cfg, grid)
+    q = _potential(cfg)
     ray = cfg["ray"]
     rule = sphere_rule(cfg["n"], cfg.get("rule_level", 4))
     verdict, data = analysis.lemma52_check(
@@ -289,9 +301,7 @@ def _run_lemma52(cfg: dict, out: Path, threads: int):
 
 def _run_gain_scan(cfg: dict, out: Path, threads: int):
     theta = _theta(cfg)
-    g = cfg["grid"]
-    grid = make_grid(cfg["n"], g["N"], g["L"])
-    q = _potential(cfg, grid)
+    q = _potential(cfg)
     scans = analysis.gain_scan(
         q, theta, cfg["alphas"], cfg["levels"], _pv(cfg), _cut(cfg),
         rule_level=cfg.get("rule_level", 4),
@@ -389,6 +399,9 @@ _RUNNERS = {
 
 
 def run(config_path, threads: int = 1) -> int:
+    if threads < 1:
+        print(f"error: --threads must be at least 1, got {threads}", file=sys.stderr)
+        return 1
     try:
         cfg = _load_config(config_path)
     except ConfigError as exc:

@@ -10,14 +10,13 @@ machinery of the dispersion module so agreement is an end-to-end test.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, interpolate
 
 from .geometry import Direction, SphereRule, chart
 from .potentials import Potential
-from .spectral import Domain, Field, TransformDirection, fourier
+from .spectral import Domain, TransformDirection, fourier
 
 EULER_GAMMA = 0.5772156649015328606
 

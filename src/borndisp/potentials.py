@@ -18,13 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .spectral import (
-    Domain,
-    Field,
     Grid,
     RadialProfile,
-    TransformDirection,
     bessel_weight_radius,
-    fourier,
+    orthant_forward,
+    orthant_inverse,
 )
 
 log = logging.getLogger(__name__)
@@ -127,17 +125,27 @@ class GBetaSpec:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if 2.0 * self.bump_radius > self.grid.half_extent / 2.0:
             raise ValueError("bump support must fit the grid with margin")
+        # The lattice represents radial frequencies out to the corner radius;
+        # truncation of G_beta_hat (peak 1) happens there.
+        tail = bessel_weight_radius(self.grid.corner_radius,
+                                    -(self.grid.dimension / 2.0 + self.beta))
+        if tail > 1e-3:
+            raise GridTooCoarseError(
+                f"G_beta_hat at the lattice corner radius is {tail:.2e} of the "
+                f"peak (> 1e-3); refine the grid for beta = {self.beta}"
+            )
 
 
-def _shell_average(radius_grid: np.ndarray, values: np.ndarray, bin_width: float):
-    """Mean of values over lattice shells of the given width; returns
-    (mean radius per shell, mean value per shell)."""
+def _shell_average(radius_grid: np.ndarray, values: np.ndarray,
+                   weights: np.ndarray, bin_width: float):
+    """Weighted mean of values over lattice shells of the given width;
+    returns (mean radius per shell, mean value per shell)."""
     r = radius_grid.ravel()
-    v = values.ravel()
+    w = weights.ravel()
     idx = np.floor(r / bin_width).astype(int)
-    count = np.bincount(idx)
-    mean_r = np.bincount(idx, weights=r) / count
-    mean_v = np.bincount(idx, weights=v) / count
+    count = np.bincount(idx, weights=w)
+    mean_r = np.bincount(idx, weights=w * r) / count
+    mean_v = np.bincount(idx, weights=w * values.ravel()) / count
     return mean_r, mean_v
 
 
@@ -149,41 +157,31 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     transform forward, and shell-average g_beta_hat into a radial profile
     with fitted power-law tail. Nonnegativity of the discrete g_beta_hat is
     inherited from phi_hat = psi_hat^2 >= 0 on the lattice.
+
+    Every array is radial, hence even under index negation, so each one is
+    held as its first-orthant block (N/2 + 1 samples per axis), each
+    transform is a DCT-I, and the shell averages weight an orthant point by
+    the number of lattice points it stands for. The result equals the
+    full-lattice synthesis up to rounding.
     """
     grid, n, beta = spec.grid, spec.grid.dimension, spec.beta
-    # The lattice represents radial frequencies out to the corner radius
-    # sqrt(n) * Nyquist; truncation of G_beta_hat happens there.
-    xi_cut = np.sqrt(n) * grid.nyquist_radius
-    peak = 1.0
-    tail = bessel_weight_radius(xi_cut, -(n / 2.0 + beta))
-    if tail > 1e-3 * peak:
-        raise GridTooCoarseError(
-            f"G_beta_hat at the lattice corner radius is {tail:.2e} of the "
-            f"peak (> 1e-3); refine the grid for beta = {beta}"
-        )
+    freq_r = grid.orthant_freq_radius()
+    space_r = grid.orthant_space_radius()
+    mult = grid.orthant_multiplicity()
 
-    freq_r = grid.freq_radius()
-    ghat_kernel = Field(grid, bessel_weight_radius(freq_r, -(n / 2.0 + beta)).astype(complex),
-                        Domain.FREQUENCY)
-    G = fourier(ghat_kernel, TransformDirection.INVERSE).samples.real
-
-    space_r = grid.space_radius()
-    psi = Field(grid, standard_mollifier(space_r, spec.bump_radius).astype(complex),
-                Domain.SPACE)
-    psi_hat = fourier(psi, TransformDirection.FORWARD).samples.real
-    phi = fourier(Field(grid, (psi_hat**2).astype(complex), Domain.FREQUENCY),
-                  TransformDirection.INVERSE).samples.real
-
+    G = orthant_inverse(grid, bessel_weight_radius(freq_r, -(n / 2.0 + beta)))
+    psi_hat = orthant_forward(grid, standard_mollifier(space_r, spec.bump_radius))
+    phi = orthant_inverse(grid, psi_hat**2)
     g = phi * G
-    ghat = fourier(Field(grid, g.astype(complex), Domain.SPACE),
-                   TransformDirection.FORWARD).samples.real
+    ghat = orthant_forward(grid, g)
 
-    radii, values = _shell_average(freq_r, ghat, grid.freq_spacing)
-    keep = radii <= 0.98 * xi_cut  # outermost corner shells are undersampled
+    radii, values = _shell_average(freq_r, ghat, mult, grid.freq_spacing)
+    # the outermost corner shells are undersampled
+    keep = radii <= 0.98 * grid.corner_radius
     profile = RadialProfile(radii[keep], values[keep])
     profile.fit_tail()
 
-    sp_radii, sp_values = _shell_average(space_r, g, grid.spacing)
+    sp_radii, sp_values = _shell_average(space_r, g, mult, grid.spacing)
     sp_keep = sp_radii <= 2.0 * spec.bump_radius + 2.0 * grid.spacing
     spatial_prof = RadialProfile(sp_radii[sp_keep], sp_values[sp_keep])
     return Potential(

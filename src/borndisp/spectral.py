@@ -9,16 +9,24 @@ Fourier convention (used everywhere in this package):
 
 The discrete transforms are scaled so that samples approximate the continuum
 integrals (forward carries h^n, inverse carries the matching 1/h^n).
+
+An array that is even under index negation (every radial array on the
+lattice) is fixed by its first-orthant block, samples 0..N/2 on each axis, and
+its length-N DFT on each axis is the DCT-I of that block. ``orthant_forward``
+and ``orthant_inverse`` transform such blocks; ``fourier`` transforms a
+general complex ``Field``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import interpolate
+from scipy.fft import dctn
 
 
 class Domain(enum.Enum):
@@ -65,6 +73,11 @@ class Grid:
     def nyquist_radius(self) -> float:
         return np.pi * self.samples_per_axis / (2.0 * self.half_extent)
 
+    @property
+    def corner_radius(self) -> float:
+        """Largest frequency radius on the lattice, sqrt(n) * Nyquist."""
+        return np.sqrt(self.dimension) * self.nyquist_radius
+
     def space_axis(self) -> np.ndarray:
         N = self.samples_per_axis
         return -self.half_extent + self.spacing * np.arange(N)
@@ -82,6 +95,21 @@ class Grid:
 
     def freq_radius(self) -> np.ndarray:
         return self._radius(self.freq_axis())
+
+    def orthant_space_radius(self) -> np.ndarray:
+        """|x| on the first-orthant block: x = m h for m = 0..N/2 per axis."""
+        return self._radius(self.spacing * np.arange(self.samples_per_axis // 2 + 1))
+
+    def orthant_freq_radius(self) -> np.ndarray:
+        """|xi| on the first-orthant block: xi = m dxi for m = 0..N/2 per axis."""
+        return self._radius(self.freq_spacing * np.arange(self.samples_per_axis // 2 + 1))
+
+    def orthant_multiplicity(self) -> np.ndarray:
+        """Number of lattice points each orthant point stands for under index
+        negation: per axis 1 at m = 0 and m = N/2, 2 otherwise."""
+        w = np.full(self.samples_per_axis // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        return functools.reduce(np.multiply.outer, [w] * self.dimension)
 
     def space_points(self) -> np.ndarray:
         """All lattice points as an array of shape (N^n, n)."""
@@ -129,6 +157,18 @@ def fourier(field: Field, direction: TransformDirection) -> Field:
         raise DomainMismatchError("inverse transform needs a frequency-domain field")
     out = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(field.samples))) / h**n
     return Field(field.grid, out, Domain.SPACE)
+
+
+def orthant_forward(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Scaled forward transform of an even real array given by its
+    first-orthant block; equals that block of ``fourier`` on the full lattice."""
+    return dctn(x, type=1) * grid.spacing**grid.dimension
+
+
+def orthant_inverse(grid: Grid, x_hat: np.ndarray) -> np.ndarray:
+    """Scaled inverse transform of an even real array given by its
+    first-orthant block; equals that block of ``fourier`` on the full lattice."""
+    return dctn(x_hat, type=1) / (grid.samples_per_axis * grid.spacing) ** grid.dimension
 
 
 def bessel_weight_radius(rho, alpha: float) -> np.ndarray:

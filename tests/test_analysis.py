@@ -11,7 +11,6 @@ from borndisp.analysis import (
     scans_to_json,
 )
 from borndisp.dispersion import CutoffSpec, PVParams
-from borndisp.geometry import Direction, sphere_rule
 
 
 def test_fit_decay_exact_power_law():

@@ -150,6 +150,34 @@ def test_qfull_radial_needs_an_angle(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"grid": {"N": 129, "L": 16.0}}, "'grid/N'"),
+    ({"grid": {"N": 32, "L": 16.0}}, "'grid/N'"),
+    ({"bump_radius": 5.0}, "'bump_radius'"),
+], ids=["odd_N", "too_coarse", "bump_too_wide"])
+def test_gbeta_grid_checked_at_load(tmp_path, capsys, overrides, field):
+    # odd N, a lattice too coarse for G_beta_hat, a bump that does not fit
+    # the default grid (L = 16)
+    cfg = _write(tmp_path, "g.json", {
+        "experiment": "dispersion-ray", "n": 3, "beta": 1.0, "theta": [-1, 0, 0],
+        "ray": {"direction": [1, 0, 0], "t_min": 3, "t_max": 8, "count": 2},
+        "out_dir": str(tmp_path / "out"), **overrides,
+    })
+    assert run(cfg) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_must_be_positive(tmp_path, capsys):
+    cfg = _write(tmp_path, "b.json", {
+        "experiment": "bounds-table", "n": 3, "betas": [1.0],
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert main(["--threads", "-3", cfg]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # every CLI run pays for its imports; only oracle-fixtures needs
     # scipy.integrate

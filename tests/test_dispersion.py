@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 

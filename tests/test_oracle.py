@@ -4,7 +4,7 @@ from scipy import special
 
 from borndisp import oracle
 from borndisp.dispersion import PVParams, b_theta2
-from borndisp.geometry import Direction, sphere_rule
+from borndisp.geometry import sphere_rule
 from borndisp.potentials import gaussian_potential
 from borndisp.spectral import field_from_function, make_grid
 

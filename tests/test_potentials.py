@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,19 @@ from borndisp.potentials import (
     export_potential,
     gaussian_potential,
     make_gbeta,
+    standard_mollifier,
 )
-from borndisp.spectral import SobolevIndex, make_grid
+from borndisp.spectral import (
+    Domain,
+    Field,
+    RadialProfile,
+    SobolevIndex,
+    TransformDirection,
+    bessel_weight_radius,
+    fourier,
+    make_grid,
+    sobolev_norm,
+)
 
 
 def test_gaussian_potential(grid2):
@@ -57,6 +69,78 @@ def test_gbeta_grid_too_coarse():
         make_gbeta(GBetaSpec(beta=0.2, bump_radius=1.0, grid=make_grid(3, 16, 16.0)))
 
 
+def _full_lattice_gbeta(spec):
+    """Reference synthesis of g_beta with four complex ``fourier`` calls on
+    the full N^n lattice and unweighted shell averages."""
+    grid, n, beta = spec.grid, spec.grid.dimension, spec.beta
+    N = grid.samples_per_axis
+
+    def shell_average(r, v, width):
+        idx = np.floor(r.ravel() / width).astype(int)
+        count = np.bincount(idx)
+        return (np.bincount(idx, weights=r.ravel()) / count,
+                np.bincount(idx, weights=v.ravel()) / count)
+
+    freq_r = grid.freq_radius()
+    # |x| = h |m| from the lattice index, so that mirror images share one
+    # value; -L + h j rounds them apart when h is not a power of two
+    mesh = np.meshgrid(*([grid.spacing * (np.arange(N) - N // 2)] * n), indexing="ij")
+    space_r = np.sqrt(sum(m**2 for m in mesh))
+
+    kernel = bessel_weight_radius(freq_r, -(n / 2.0 + beta)).astype(complex)
+    G = fourier(Field(grid, kernel, Domain.FREQUENCY), TransformDirection.INVERSE).samples.real
+    psi = Field(grid, standard_mollifier(space_r, spec.bump_radius).astype(complex),
+                Domain.SPACE)
+    psi_hat = fourier(psi, TransformDirection.FORWARD).samples.real
+    phi = fourier(Field(grid, (psi_hat**2).astype(complex), Domain.FREQUENCY),
+                  TransformDirection.INVERSE).samples.real
+    g = phi * G
+    ghat = fourier(Field(grid, g.astype(complex), Domain.SPACE),
+                   TransformDirection.FORWARD).samples.real
+
+    radii, values = shell_average(freq_r, ghat, grid.freq_spacing)
+    keep = radii <= 0.98 * np.sqrt(n) * grid.nyquist_radius
+    profile = RadialProfile(radii[keep], values[keep])
+    profile.fit_tail()
+    sp_radii, sp_values = shell_average(space_r, g, grid.spacing)
+    sp_keep = sp_radii <= 2.0 * spec.bump_radius + 2.0 * grid.spacing
+    return profile, RadialProfile(sp_radii[sp_keep], sp_values[sp_keep]), ghat.min()
+
+
+@pytest.mark.parametrize("n, N", [(2, 256), (3, 96)])
+def test_gbeta_matches_full_lattice_synthesis(n, N):
+    spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(n, N, 16.0))
+    ref, ref_spatial, ref_min = _full_lattice_gbeta(spec)
+    q = make_gbeta(spec)
+    prof, spatial = q.fourier_profile, q.spatial_radial.profile
+
+    def close(a, b, scale=None):
+        # relative to the largest reference value, or to the given scale
+        scale = np.max(np.abs(b)) if scale is None else scale
+        assert np.max(np.abs(np.asarray(a) - b)) <= 1e-11 * scale
+
+    close(prof.radii, ref.radii)
+    close(prof.values, ref.values)
+    close(prof.tail_exponent, ref.tail_exponent)
+    close(prof.tail_coefficient, ref.tail_coefficient)
+    close(q.meta["ghat_zero"], ref(0.0))
+    close(q.meta["ghat_min"], ref_min, scale=ref(0.0))
+    close(spatial.radii, ref_spatial.radii)
+    close(spatial.values, ref_spatial.values)
+
+
+def test_gbeta_memory():
+    # the four transforms on the (N/2 + 1)^3 orthant, not on N^3 complex arrays
+    spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(3, 128, 16.0))
+    tracemalloc.start()
+    try:
+        make_gbeta(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+
+
 def test_gbeta_tail_agrees_with_doubled_grid(gbeta3, gbeta3_fine):
     """Tail extrapolation vs direct synthesis on a doubled grid (<= 5%)."""
     rho = 2.0 * gbeta3.fourier_profile.radii[-1]
@@ -80,8 +164,6 @@ def test_gbeta_spatial_support(gbeta3):
 def test_gbeta_sobolev_refinement_trend():
     """Discrete W^{gamma,2} norms: stable under refinement for gamma < beta,
     growing for gamma > beta."""
-    from borndisp.spectral import Domain, Field, sobolev_norm
-
     norms = {}
     for N in (256, 512):
         grid = make_grid(2, N, 16.0)

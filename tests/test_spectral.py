@@ -14,6 +14,8 @@ from borndisp.spectral import (
     field_from_function,
     fourier,
     make_grid,
+    orthant_forward,
+    orthant_inverse,
     sobolev_norm,
 )
 
@@ -51,6 +53,26 @@ def test_round_trip(grid2):
               Domain.SPACE)
     back = fourier(fourier(f, TransformDirection.FORWARD), TransformDirection.INVERSE)
     assert np.max(np.abs(back.samples - f.samples)) < 1e-10 * np.max(np.abs(f.samples))
+
+
+def _orthant_block(grid, samples):
+    """Samples 0..N/2 per axis of a centred lattice array, in ifftshift order."""
+    block = slice(0, grid.samples_per_axis // 2 + 1)
+    return np.fft.ifftshift(samples)[(block,) * grid.dimension]
+
+
+@pytest.mark.parametrize("n, N", [(2, 256), (3, 48)])
+def test_orthant_transforms_match_full_lattice(n, N):
+    grid = make_grid(n, N, 16.0)
+    f = field_from_function(grid, lambda x: np.exp(-np.sum(x**2, axis=-1) / 2))
+    fh = fourier(f, TransformDirection.FORWARD)
+    x = np.exp(-grid.orthant_space_radius() ** 2 / 2)
+    xh = orthant_forward(grid, x)
+    assert np.max(np.abs(xh - _orthant_block(grid, fh.samples))) < 1e-12 * np.max(np.abs(xh))
+    back = orthant_inverse(grid, xh)
+    assert np.max(np.abs(back - x)) < 1e-12
+    # each orthant point stands for its mirror images, N^n points in all
+    assert grid.orthant_multiplicity().sum() == N**n
 
 
 def test_impulse_has_flat_spectrum():
