@@ -33,7 +33,7 @@ from .geometry import (
     chart,
     ewald_nodes,
     in_cone,
-    orient_nodes,
+    in_half_space,
     sphere_rule,
 )
 from .potentials import (

@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, analysis, bounds, dispersion, potentials
-from .geometry import Direction, chart, sphere_rule
+from .geometry import Direction, chart, in_cone, in_half_space, sphere_rule
 from .potentials import GBetaSpec, GridTooCoarseError, gaussian_potential, make_gbeta
 from .spectral import make_grid
 
@@ -146,18 +146,26 @@ def _check_runtime_constraints(cfg: dict) -> None:
                 f"invalid config at field '{where}': length {len(v)} does not "
                 f"match n = {cfg['n']}"
             )
+        if v is not None and not any(v):
+            raise ConfigError(f"invalid config at field '{where}': zero vector")
     # the fixtures have fixed dimensions: 2 for B and the PV, 3 for the trace
     if cfg["experiment"] == "oracle-fixtures" and "n" in cfg:
         raise ConfigError(
             "invalid config at field 'n': oracle-fixtures has fixed "
             "dimensions and takes no 'n'"
         )
-    # fit_decay needs at least 8 samples on the ray
-    if cfg["experiment"] == "lemma52" and cfg["ray"]["count"] < 8:
-        raise ConfigError(
-            "invalid config at field 'ray/count': lemma52 needs at least 8 "
-            f"samples, got {cfg['ray']['count']}"
-        )
+    # fit_decay needs 8 samples on a nonempty window, on a ray in D_theta
+    if cfg["experiment"] == "lemma52":
+        ray, a = cfg["ray"], cfg.get("cone_aperture", 0.5)
+        d = np.asarray(ray["direction"], dtype=float)
+        for where, bad, why in (
+            ("ray/count", ray["count"] < 8, f"needs at least 8 samples, got {ray['count']}"),
+            ("ray/t_max", ray["t_max"] <= ray["t_min"], "must exceed t_min"),
+            ("ray/direction", not in_cone(d / np.linalg.norm(d), _theta(cfg), a),
+             f"the ray is outside the cone D_theta of aperture {a:g}"),
+        ):
+            if bad:
+                raise ConfigError(f"invalid config at field '{where}': {why}")
     # the gain scan samples |Q| from one radial step outwards
     if cfg["experiment"] == "gain-scan" and min(cfg["levels"]) < analysis.RADIAL_STEP:
         raise ConfigError(
@@ -229,9 +237,8 @@ def _run_chart_selftest(cfg: dict, out: Path, threads: int):
         for _ in range(1000):
             theta = Direction.normalized(rng.normal(size=n))
             eta = rng.normal(size=n) * rng.uniform(0.1, 20.0)
-            if float(eta @ theta.components) >= 0:
-                eta = -eta
-            if float(eta @ theta.components) == 0.0:
+            eta = eta if in_half_space(eta, theta) else -eta
+            if not in_half_space(eta, theta):
                 continue
             ch = chart(eta, theta)
             recon = ch.k * (ch.theta_prime.components - theta.components)

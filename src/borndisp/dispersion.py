@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Direction, NotInHalfSpace, SphereRule, chart, ewald_nodes
+from .geometry import Direction, SphereRule, chart, ewald_nodes, in_half_space
 from .potentials import Potential
 
 # Gauss-Legendre nodes on each of the three outer pieces of the PV integral,
@@ -29,8 +29,8 @@ from .potentials import Potential
 OUTER_NODES = 24
 TAIL_R1 = 4.0
 
-# Sphere nodes per block of radii in an array-r spherical_op: each (R, M, n)
-# temporary stays below 2^18 n doubles (6 MB at n = 3) whatever the rule level.
+# Entries per block of radii in an array-r spherical_op: each (R, M)
+# temporary stays below 2^18 doubles (2 MB) whatever the rule level.
 BLOCK_POINTS = 2**18
 
 
@@ -83,23 +83,21 @@ def spherical_op(
     weighted by 1/(k(1+r)).
 
     A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
-    array, evaluated in blocks of at most BLOCK_POINTS sphere nodes.
+    array, evaluated in blocks of at most BLOCK_POINTS (radius, node) pairs.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(radii <= 0):
         raise ValueError(f"r must be positive, got {r}")
-    eta = np.asarray(eta, dtype=float)
-    k = chart(eta, theta).k
+    ch = chart(eta, theta)
 
     def weighted_sums(block):
-        points, weights = ewald_nodes(k, block, theta, rule)
-        vals = q.fourier_eval(points) * q.fourier_eval(eta - points)
-        return np.vecdot(weights, vals)
+        s_in, s_out, weights = ewald_nodes(ch, block, theta, rule)
+        return np.vecdot(weights, q.fourier_radial(s_in) * q.fourier_radial(s_out))
 
     step = max(1, BLOCK_POINTS // rule.weights.size)
     sums = np.concatenate([weighted_sums(radii[i:i + step])
                            for i in range(0, radii.size, step)])
-    S = (sums / (k * (1.0 + radii))).astype(complex)
+    S = (sums / (ch.k * (1.0 + radii))).astype(complex)
     return complex(S[0]) if np.ndim(r) == 0 else S
 
 
@@ -127,13 +125,13 @@ def principal_value_op(S_provider, params: PVParams) -> complex:
 
 def _sphere_and_pv(
     q: Potential, theta: Direction, eta: np.ndarray, rule: SphereRule, pv: PVParams
-) -> tuple[complex, complex, float]:
-    """(S_{theta,1}(q)(eta), P_theta(q)(eta), k); raises NotInHalfSpace
-    off H_theta."""
+) -> tuple[complex, complex, complex, float]:
+    """(S_{theta,1}(q)(eta), P_theta(q)(eta), B_{theta,2} = i pi S + P, k);
+    raises NotInHalfSpace off H_theta."""
     k = chart(eta, theta).k
     S = spherical_op(q, theta, 1.0, eta, rule)
     P = principal_value_op(lambda r: spherical_op(q, theta, r, eta, rule), pv)
-    return S, P, k
+    return S, P, 1j * np.pi * S + P, k
 
 
 def b_theta2(
@@ -141,10 +139,9 @@ def b_theta2(
 ) -> complex:
     """B_{theta,2}(q)(eta) = i pi S_{theta,1} + P_theta on H_theta, else 0."""
     eta = np.asarray(eta, dtype=float)
-    if float(eta @ theta.components) >= 0:
+    if not in_half_space(eta, theta):
         return 0.0 + 0.0j
-    S, P, _ = _sphere_and_pv(q, theta, eta, rule, pv)
-    return 1j * np.pi * S + P
+    return _sphere_and_pv(q, theta, eta, rule, pv)[2]
 
 
 def q_theta2_hat(
@@ -156,12 +153,12 @@ def q_theta2_hat(
     cut: CutoffSpec,
 ) -> complex:
     """chi(eta) [B_{theta,2} + B_{-theta,2}](eta); at most one summand is
-    nonzero off the hyperplane eta.theta = 0."""
+    nonzero, so only the half space that holds eta is evaluated."""
     eta = np.asarray(eta, dtype=float)
     chi = float(cutoff_chi(eta, cut))
     if chi == 0.0:
         return 0.0 + 0.0j
-    return chi * (b_theta2(q, theta, eta, rule, pv) + b_theta2(q, -theta, eta, rule, pv))
+    return chi * b_theta2(q, theta if in_half_space(eta, theta) else -theta, eta, rule, pv)
 
 
 def q_full2_hat(
@@ -182,9 +179,9 @@ def q_full2_hat(
     sphere_area = 2.0 * np.pi if n == 2 else 4.0 * np.pi
     total = 0.0 + 0.0j
     for node, weight in zip(theta_rule.nodes, theta_rule.weights):
-        if float(eta @ node) >= 0:
-            continue
-        total += weight * b_theta2(q, Direction(node), eta, rule, pv)
+        theta = Direction(node)
+        if in_half_space(eta, theta):
+            total += weight * b_theta2(q, theta, eta, rule, pv)
     return chi * 2.0 / sphere_area * total
 
 
@@ -206,12 +203,10 @@ def dispersion_batch(
     is identical for any thread count."""
 
     def sample(eta: np.ndarray) -> DispersionSample:
-        in_h = float(eta @ theta.components) < 0
-        try:
-            S, P, k = _sphere_and_pv(q, theta if in_h else -theta, eta, rule, pv)
-        except NotInHalfSpace:
+        side = theta if in_half_space(eta, theta) else -theta
+        if not in_half_space(eta, side):
             return DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan)
-        B = 1j * np.pi * S + P
+        S, P, B, k = _sphere_and_pv(q, side, eta, rule, pv)
         return DispersionSample(eta, S, P, B, complex(cutoff_chi(eta, cut)) * B, k)
 
     etas = [np.asarray(e, dtype=float) for e in etas]

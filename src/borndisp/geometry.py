@@ -19,7 +19,7 @@ import numpy as np
 
 
 class NotInHalfSpace(ValueError):
-    """eta.theta >= 0: the point is outside H_theta."""
+    """The point is outside H_theta (see ``in_half_space``)."""
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,19 @@ class Chart:
     theta_prime: Direction
 
 
+def in_half_space(eta, theta: Direction) -> bool:
+    """The one test of eta in H_theta: eta.theta < -8 eps |eta|. Within
+    rounding of the hyperplane eta.theta = 0 a point is in neither half."""
+    eta = np.asarray(eta, dtype=float)
+    slack = 8.0 * np.finfo(float).eps * float(np.linalg.norm(eta))
+    return float(eta @ theta.components) < -slack
+
+
 def chart(eta, theta: Direction) -> Chart:
     eta = np.asarray(eta, dtype=float)
     dot = float(eta @ theta.components)
-    if dot >= 0:
-        raise NotInHalfSpace(f"eta.theta = {dot} >= 0")
+    if not in_half_space(eta, theta):
+        raise NotInHalfSpace(f"eta.theta = {dot} is not below -8 eps |eta|")
     k = -float(eta @ eta) / (2.0 * dot)
     theta_prime = Direction.normalized((eta + k * theta.components) / k)
     return Chart(k=k, theta_prime=theta_prime)
@@ -113,39 +121,26 @@ def sphere_rule(n: int, level: int) -> SphereRule:
     raise ValueError(f"n must be 2 or 3, got {n}")
 
 
-def orient_nodes(rule: SphereRule, axis: Direction) -> np.ndarray:
-    """Rotate the rule's nodes so the reference pole maps onto ``axis``.
-
-    Uses a deterministic Householder reflection; the node set remains a valid
-    quadrature for the same weights. Orienting the pole at the axis makes the
-    rule exact in azimuth for integrands symmetric about the axis.
-    """
-    n = rule.nodes.shape[1]
-    pole = np.zeros(n)
-    pole[-1] = 1.0
-    u = axis.components
-    v = pole - u
-    vv = float(v @ v)
-    if vv < 1e-28:
-        return rule.nodes
-    return rule.nodes - np.outer(rule.nodes @ v, v) * (2.0 / vv)
-
-
 def ewald_nodes(
-    k: float, r: float | np.ndarray, theta: Direction, rule: SphereRule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pushforward of the sphere rule to Gamma_r(-2 k theta): points
-    xi_i = -k theta + r k omega_i, weights w_i (rk)^{n-1}.
+    ch: Chart, radii: np.ndarray, theta: Direction, rule: SphereRule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s_in, s_out, weights), each (R, M), of the sphere rule pushed forward
+    to Gamma_r(-2k theta) for R radii: node xi = -k theta + rk H x_i, with H
+    the Householder reflection taking the rule's pole to theta, has
 
-    For a scalar r the result has shapes (M, n) and (M,). For a 1-d array of
-    R radii the nodes are oriented once and the shapes are (R, M, n) and
-    (R, M).
+        s_in  = |xi|^2       = k^2 ((1 - r)^2 + 2r(1 - u)),  u = x_i.pole,
+        s_out = |eta - xi|^2 = k^2 ((1 - r)^2 + 2r(1 - v)),  v = x_i.(H theta'),
+
+    and weight w_i (rk)^{n-1}. This form does not cancel at large k.
     """
-    if k <= 0 or np.any(np.asarray(r) <= 0):
-        raise ValueError("k and r must be positive")
     n = theta.dimension
-    omega = orient_nodes(rule, theta)
-    rk = np.asarray(r, dtype=float) * k
-    points = -k * theta.components + rk[..., None, None] * omega
-    weights = rule.weights * (rk ** (n - 1))[..., None]
-    return points, weights
+    t_prime, h = ch.theta_prime.components, np.eye(n)[-1] - theta.components
+    hh = float(h @ h)
+    if hh >= 1e-28:
+        t_prime = t_prime - (2.0 * float(t_prime @ h) / hh) * h
+    r = np.asarray(radii, dtype=float)[:, None]
+    k2, gap = ch.k**2, (1.0 - r) ** 2
+    s_in = k2 * (gap + 2.0 * r * (1.0 - rule.nodes[:, -1]))
+    # v = x_i.(H theta') can round above 1
+    s_out = np.maximum(k2 * (gap + 2.0 * r * (1.0 - rule.nodes @ t_prime)), 0.0)
+    return s_in, s_out, rule.weights * (r * ch.k) ** (n - 1)

@@ -60,6 +60,22 @@ def test_vector_length_must_match_n(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_theta_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "t.json", _ray_config(tmp_path, theta=[0, 0]))
+    assert run(cfg) == 1
+    assert "'theta'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_ray_direction_rejected(tmp_path, capsys):
+    # unchecked, it gives a dispersion_ray.csv of NaN rows and exit 0
+    ray = {"direction": [0, 0], "t_min": 3, "t_max": 8, "count": 6}
+    cfg = _write(tmp_path, "d.json", _ray_config(tmp_path, ray=ray))
+    assert run(cfg) == 1
+    assert "'ray/direction'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lemma52_needs_eight_ray_samples(tmp_path, capsys):
     cfg = _write(tmp_path, "l.json", {
         "experiment": "lemma52", "n": 2, "beta": 1.0,
@@ -110,6 +126,23 @@ def test_cone_aperture_out_of_range(tmp_path, capsys):
         cfg = _write(tmp_path, "a.json", _lemma52_config(tmp_path, cone_aperture=a))
         assert run(cfg) == 1
         assert "'cone_aperture'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lemma52_ray_outside_cone(tmp_path, capsys):
+    # [0, 1] is orthogonal to theta = [-1, 0]: outside D_theta for any aperture
+    ray = {"direction": [0, 1], "t_min": 8, "t_max": 48, "count": 16}
+    cfg = _write(tmp_path, "c.json", _lemma52_config(tmp_path, ray=ray))
+    assert run(cfg) == 1
+    assert "'ray/direction'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lemma52_t_min_above_t_max(tmp_path, capsys):
+    ray = {"direction": [1, 0], "t_min": 48, "t_max": 8, "count": 16}
+    cfg = _write(tmp_path, "t.json", _lemma52_config(tmp_path, ray=ray))
+    assert run(cfg) == 1
+    assert "'ray/t_max'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

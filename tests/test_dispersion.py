@@ -81,9 +81,9 @@ def test_spherical_op_blocks_of_radii(gauss2, monkeypatch):
         def __init__(self, q):
             self.q, self.shapes = q, []
 
-        def fourier_eval(self, xi):
-            self.shapes.append(xi.shape)
-            return self.q.fourier_eval(xi)
+        def fourier_radial(self, s):
+            self.shapes.append(s.shape)
+            return self.q.fourier_radial(s)
 
     theta = Direction(np.array([-1.0, 0.0]))
     eta = np.array([6.0, 2.0])
@@ -152,6 +152,17 @@ def test_b_theta2_grazing_theta_node(gauss2):
     ref = brute_b_theta2(gauss2, theta, eta)
     B = b_theta2(gauss2, theta, eta, sphere_rule(2, 6), PVParams())
     assert abs(B - ref) <= 1e-9 * abs(ref)
+
+
+def test_b_theta2_zero_on_rounded_hyperplane(gauss2):
+    # eta.theta = -7.3e-16 is zero up to rounding; read as a half-space point
+    # it has k = 1.1e16 and one sphere node samples the cap, giving a value
+    # that halves with each rule level instead of the limit 0
+    theta = Direction(np.array([np.cos(1.5 * np.pi), np.sin(1.5 * np.pi)]))
+    eta = np.array([4.0, 0.0])
+    assert float(eta @ theta.components) < 0
+    for level in (4, 5, 6):
+        assert b_theta2(gauss2, theta, eta, sphere_rule(2, level), PVParams()) == 0
 
 
 def test_q_theta2_hat_cutoff_and_halves(gauss2, theta2, rule2):

@@ -9,7 +9,7 @@ from borndisp.geometry import (
     chart,
     ewald_nodes,
     in_cone,
-    orient_nodes,
+    in_half_space,
     sphere_rule,
 )
 
@@ -40,6 +40,13 @@ def test_chart_outside_half_space():
     theta = Direction(np.array([1.0, 0.0]))
     with pytest.raises(NotInHalfSpace):
         chart(np.array([1.0, 0.0]), theta)
+    # eta.theta = -7.3e-16 is zero up to rounding: outside both half spaces
+    grazing = Direction(np.array([np.cos(1.5 * np.pi), np.sin(1.5 * np.pi)]))
+    eta = np.array([4.0, 0.0])
+    assert float(eta @ grazing.components) < 0
+    assert not in_half_space(eta, grazing) and not in_half_space(eta, -grazing)
+    with pytest.raises(NotInHalfSpace):
+        chart(eta, grazing)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,25 +113,34 @@ def test_sphere_rule_refinement_convergence():
     assert abs(integral(5) - integral(6)) <= 1e-8
 
 
-def test_orient_nodes_pole_to_axis(rule3):
-    axis = Direction.normalized([1.0, 2.0, -2.0])
-    nodes = orient_nodes(rule3, axis)
-    # orientation preserves the quadrature (weights unchanged, same sphere)
-    assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0)
-    # axisymmetric integrands see the same node latitudes as at the pole
-    before = np.dot(rule3.weights, np.exp(2.0 * rule3.nodes[:, 2]))
-    after = np.dot(rule3.weights, np.exp(2.0 * (nodes @ axis.components)))
-    assert after == pytest.approx(before, rel=1e-12)
-    assert np.max(np.abs(nodes @ axis.components - rule3.nodes[:, 2])) <= 1e-12
-
-
-def test_ewald_nodes_measure_and_radius(rule2):
-    theta = Direction(np.array([-1.0, 0.0]))
-    k, r = 3.0, 1.5
-    pts, w = ewald_nodes(k, r, theta, rule2)
-    assert np.sum(w) == pytest.approx(2 * np.pi * (r * k), abs=1e-10)
-    dist = np.linalg.norm(pts + k * theta.components, axis=1)
-    assert np.max(np.abs(dist - r * k)) <= 1e-12 * r * k
-    # r = 1: the sphere passes through the origin
-    pts1, _ = ewald_nodes(k, 1.0, theta, rule2)
-    assert np.min(np.linalg.norm(pts1, axis=1)) < 2 * np.pi * k / len(pts1) * 2
+@pytest.mark.parametrize("n", [2, 3])
+def test_ewald_nodes_squared_radii(n):
+    rng = np.random.default_rng(n)
+    rule = sphere_rule(n, 3)
+    pole = np.eye(n)[-1]
+    radii = np.array([0.4, 1.0, 2.5])
+    area = 2 * np.pi if n == 2 else 4 * np.pi
+    for _ in range(5):
+        theta = Direction.normalized(rng.normal(size=n))
+        eta = rng.normal(size=n) * rng.uniform(1.0, 50.0)
+        if not in_half_space(eta, theta):
+            eta = -eta
+        ch = chart(eta, theta)
+        s_in, s_out, w = ewald_nodes(ch, radii, theta, rule)
+        assert s_in.shape == s_out.shape == w.shape == (radii.size, rule.weights.size)
+        # the explicit points xi = -k theta + r k omega, with omega the rule
+        # nodes reflected so that the pole goes to theta
+        h = pole - theta.components
+        omega = rule.nodes - np.outer(rule.nodes @ h, h) * (2.0 / (h @ h))
+        assert np.allclose(omega @ theta.components, rule.nodes[:, -1], atol=1e-14)
+        rk = radii[:, None, None] * ch.k
+        xi = -ch.k * theta.components + rk * omega
+        scale = ((1.0 + radii[:, None]) * ch.k) ** 2
+        assert np.max(np.abs(s_in - np.sum(xi**2, axis=-1)) / scale) <= 1e-12
+        assert np.max(np.abs(s_out - np.sum((eta - xi) ** 2, axis=-1)) / scale) <= 1e-12
+        np.testing.assert_allclose(w.sum(axis=1), area * (radii * ch.k) ** (n - 1),
+                                   rtol=1e-12)
+        assert s_in.min() >= 0.0 and s_out.min() >= 0.0
+        if n == 2:
+            # a node on the pole: at r = 1 its point is xi = 0
+            assert s_in[list(radii).index(1.0)].min() == 0.0
