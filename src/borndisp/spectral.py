@@ -14,7 +14,11 @@ An array that is even under index negation (every radial array on the
 lattice) is fixed by its first-orthant block, samples 0..N/2 on each axis, and
 its length-N DFT on each axis is the DCT-I of that block. ``orthant_forward``
 and ``orthant_inverse`` transform such blocks; ``fourier`` transforms a
-general complex ``Field``.
+general complex ``Field``. The DCT-I is the real part of numpy's ``rfft`` of
+the block's even extension x_0..x_{m-1}..x_1 on each axis.
+
+A ``RadialProfile`` is read by the not-a-knot cubic spline through its
+samples, built and evaluated here in numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import interpolate
-from scipy.fft import dctn
 
 
 class Domain(enum.Enum):
@@ -159,16 +161,30 @@ def fourier(field: Field, direction: TransformDirection) -> Field:
     return Field(field.grid, out, Domain.SPACE)
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I on every axis: on an axis of length m, the length
+    2m - 2 DFT of the even extension x_0..x_{m-1}..x_1, which is real and
+    whose first m entries are the result.
+
+    Each pass transforms the last axis and then rotates it to the front, so
+    the axes are back in order after one pass per axis."""
+    y = np.asarray(x, dtype=float)
+    for _ in range(y.ndim):
+        even = np.concatenate([y, y[..., -2:0:-1]], axis=-1)
+        y = np.moveaxis(np.fft.rfft(even, axis=-1).real, -1, 0)
+    return y
+
+
 def orthant_forward(grid: Grid, x: np.ndarray) -> np.ndarray:
     """Scaled forward transform of an even real array given by its
     first-orthant block; equals that block of ``fourier`` on the full lattice."""
-    return dctn(x, type=1) * grid.spacing**grid.dimension
+    return _dct1(x) * grid.spacing**grid.dimension
 
 
 def orthant_inverse(grid: Grid, x_hat: np.ndarray) -> np.ndarray:
     """Scaled inverse transform of an even real array given by its
     first-orthant block; equals that block of ``fourier`` on the full lattice."""
-    return dctn(x_hat, type=1) / (grid.samples_per_axis * grid.spacing) ** grid.dimension
+    return _dct1(x_hat) / (grid.samples_per_axis * grid.spacing) ** grid.dimension
 
 
 def bessel_weight_radius(rho, alpha: float) -> np.ndarray:
@@ -214,25 +230,84 @@ def _power_law_fit(radii: np.ndarray, values: np.ndarray) -> tuple[float, float]
     return -float(slope), float(np.exp(intercept))
 
 
+def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system whose row i is
+    lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i], by a forward
+    sweep and back substitution without row exchanges."""
+    lo, dg, up, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    m = len(b)
+    for i in range(1, m):
+        w = lo[i] / dg[i - 1]
+        dg[i] -= w * up[i - 1]
+        b[i] -= w * b[i - 1]
+    s = [0.0] * m
+    s[-1] = b[-1] / dg[-1]
+    for i in range(m - 2, -1, -1):
+        s[i] = (b[i] - up[i] * s[i + 1]) / dg[i]
+    return np.array(s)
+
+
+def _not_a_knot_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients, shape (4, m - 1), of the not-a-knot cubic spline through
+    the m >= 2 knots (x, y): on [x[i], x[i+1]] it is
+    sum_k c[k, i] (t - x[i])^{3-k}, and its third derivative is continuous
+    across x[1] and x[m-2]. Two knots give the line and three the parabola
+    through them.
+
+    From four knots on, the slopes s solve the usual tridiagonal system with
+    not-a-knot first and last rows. Eliminating the first row leaves the
+    positive pivot dx[0] + dx[1], every later pivot stays positive, so the
+    sweep needs no row exchange."""
+    m = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if m == 2:
+        s = np.array([slope[0], slope[0]])
+    elif m == 3:
+        mid = (dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1])
+        s = np.array([2.0 * slope[0] - mid, mid, 2.0 * slope[1] - mid])
+    else:
+        lower, diag, upper, rhs = np.zeros(m), np.empty(m), np.zeros(m), np.empty(m)
+        lower[1:-1] = dx[1:]
+        diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+        upper[1:-1] = dx[:-1]
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        diag[0], upper[0] = dx[1], d
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        lower[-1], diag[-1] = d, dx[-2]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = _solve_tridiagonal(lower, diag, upper, rhs)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
 @dataclass
 class RadialProfile:
     """Radial function sampled on increasing radii, with a fitted power-law
-    tail value(rho) ~ tail_coefficient * <rho>^{-tail_exponent} beyond range."""
+    tail value(rho) ~ tail_coefficient * <rho>^{-tail_exponent} beyond range.
+
+    Inside the sampled range it is read by the not-a-knot cubic spline
+    through the samples; below the first radius it takes the first value."""
 
     radii: np.ndarray
     values: np.ndarray
     tail_exponent: float | None = None
     tail_coefficient: float | None = None
-    _spline: interpolate.CubicSpline = field(init=False, repr=False, default=None)
+    _coef: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         self.radii = np.asarray(self.radii, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.radii.ndim != 1 or self.radii.shape != self.values.shape:
             raise ValueError("radii and values must be matching 1-d arrays")
+        if len(self.radii) < 2:
+            raise ValueError(f"a radial profile needs at least 2 radii, got {len(self.radii)}")
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
-        self._spline = interpolate.CubicSpline(self.radii, self.values)
+        self._coef = _not_a_knot_cubic(self.radii, self.values)
 
     def fit_tail(self) -> None:
         """Fit the power-law tail on the top half of the radii and anchor it
@@ -249,7 +324,17 @@ class RadialProfile:
 
     def __call__(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        out = self._spline(np.clip(rho, self.radii[0], self.radii[-1]))
+        # radii below the table clip to radii[0], where the first cubic is
+        # values[0] exactly
+        dr = np.clip(rho, self.radii[0], self.radii[-1])
+        i = np.searchsorted(self.radii[1:-1], dr, side="right")
+        dr -= self.radii.take(i)
+        # Horner's rule in place: the kernel reads q_hat at up to 2^18 points
+        # a call, where every fresh temporary costs as much as the arithmetic
+        out = self._coef[0].take(i)
+        for c in self._coef[1:]:
+            out *= dr
+            out += c.take(i)
         beyond = rho > self.radii[-1]
         if np.any(beyond):
             if self.tail_exponent is None or not np.isfinite(self.tail_exponent):
@@ -259,7 +344,4 @@ class RadialProfile:
                     rho, -self.tail_exponent
                 )
             out = np.where(beyond, tail, out)
-        below = rho < self.radii[0]
-        if np.any(below):
-            out = np.where(below, self.values[0], out)
         return out if out.ndim else float(out)

@@ -223,6 +223,48 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert out.strip() == "False"
 
 
+_HEAVY_SCIPY = ("scipy.interpolate", "scipy.fft", "scipy.special", "scipy.linalg",
+                "scipy.optimize")
+
+
+def _heavy_scipy_loaded(code: str, *args: str) -> list:
+    """Run code in a fresh interpreter with args as sys.argv[1:]; return the
+    modules of _HEAVY_SCIPY that it loaded."""
+    src = str(Path(borndisp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("BORN_DISPERSION_OUT", None)
+    code = (f"import json, sys; {code}; "
+            f"print(json.dumps([m for m in {_HEAVY_SCIPY!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_out_heavy_scipy():
+    # the spline and the DCT-I are numpy code; only `import scipy` (for the
+    # manifest's version) stays on the start-up path
+    assert _heavy_scipy_loaded("import borndisp.cli") == []
+
+
+def test_cli_runs_leave_out_heavy_scipy(tmp_path):
+    # a run that builds a g_beta table and one that reads Q_F: a scipy import
+    # that is only deferred to the run fails here
+    gbeta = _write(tmp_path, "g.json", {
+        "experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0},
+        "out_dir": str(tmp_path / "g"),
+    })
+    qfull = _write(tmp_path, "q.json", {
+        "experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,
+        "angles_deg": [1.40625], "rule_level": 1, "theta_rule_level": 1,
+        "out_dir": str(tmp_path / "q"),
+    })
+    code = "from borndisp.cli import main; assert [main([c]) for c in sys.argv[1:]] == [0, 0]"
+    assert _heavy_scipy_loaded(code, gbeta, qfull) == []
+    assert (tmp_path / "g" / "gbeta.json").exists()
+    assert (tmp_path / "q" / "manifest.json").exists()
+
+
 def test_chart_selftest(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, "c.json", {

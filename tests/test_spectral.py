@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dctn
+from scipy.interpolate import CubicSpline
 
 from borndisp.spectral import (
     Domain,
@@ -73,6 +75,19 @@ def test_orthant_transforms_match_full_lattice(n, N):
     assert np.max(np.abs(back - x)) < 1e-12
     # each orthant point stands for its mirror images, N^n points in all
     assert grid.orthant_multiplicity().sum() == N**n
+
+
+# block lengths N/2 + 1 = 9 and 10: odd and even
+@pytest.mark.parametrize("n, N", [(2, 16), (2, 18), (3, 16), (3, 18)])
+def test_orthant_transforms_match_scipy_dct1(n, N):
+    grid = make_grid(n, N, 4.0)
+    x = np.random.default_rng(N + n).normal(size=(N // 2 + 1,) * n)
+    ref = dctn(x, type=1)
+    h = grid.spacing
+    fwd = orthant_forward(grid, x)
+    assert np.max(np.abs(fwd - ref * h**n)) <= 1e-13 * np.max(np.abs(fwd))
+    inv = orthant_inverse(grid, x)
+    assert np.max(np.abs(inv - ref / (N * h) ** n)) <= 1e-13 * np.max(np.abs(inv))
 
 
 def test_impulse_has_flat_spectrum():
@@ -151,3 +166,54 @@ def test_radial_profile_tail_extrapolation():
     mixed = prof(np.array([1.0, 5.0, 15.0, 30.0]))
     assert mixed.shape == (4,)
     assert np.all(mixed > 0)
+    # below the first radius the profile takes the first value
+    inner = RadialProfile(r[10:], vals[10:])
+    assert inner(0.0) == vals[10]
+    assert np.all(inner(np.array([0.0, 0.2, r[10]])) == vals[10])
+
+
+def _spline_reference(prof, rho):
+    """The profile read through scipy's not-a-knot CubicSpline, with the
+    same first value below and the same tail past the table."""
+    r0, r1 = prof.radii[0], prof.radii[-1]
+    inside = CubicSpline(prof.radii, prof.values)(np.clip(rho, r0, r1))
+    if prof.tail_exponent is None:
+        tail = 0.0
+    else:
+        tail = prof.tail_coefficient * bessel_weight_radius(rho, -prof.tail_exponent)
+    return np.where(rho > r1, tail, inside)
+
+
+def test_radial_profile_matches_cubic_spline_on_random_knots():
+    rng = np.random.default_rng(3)
+    for m in (4, 5, 17, 160):
+        radii = np.cumsum(rng.uniform(0.05, 1.0, m))
+        values = rng.normal(size=m)
+        prof = RadialProfile(radii, values)
+        rho = np.concatenate([rng.uniform(0.0, radii[-1] + 2.0, 4000), radii])
+        ref = _spline_reference(prof, rho)
+        assert np.max(np.abs(prof(rho) - ref)) <= 1e-13 * np.max(np.abs(values))
+
+
+def test_radial_profile_matches_cubic_spline_on_gbeta_table(gbeta3):
+    prof = gbeta3.fourier_profile
+    rng = np.random.default_rng(4)
+    rho = np.concatenate([
+        [0.0, 0.5 * prof.radii[0]],                    # below the table
+        rng.uniform(prof.radii[0], prof.radii[-1], 4000), prof.radii,
+        rng.uniform(prof.radii[-1], 3.0 * prof.radii[-1], 100),  # past it
+    ])
+    ref = _spline_reference(prof, rho)
+    assert np.all(ref > 0)
+    assert np.max(np.abs(prof(rho) / ref - 1.0)) <= 1e-13
+
+
+def test_radial_profile_short_tables():
+    # two knots give the line and three the parabola, as in CubicSpline
+    for radii, values in (([1.0, 3.0], [2.0, -1.0]), ([0.5, 1.0, 2.5], [1.0, -2.0, 3.0])):
+        prof = RadialProfile(radii, values)
+        rho = np.linspace(radii[0], radii[-1], 41)
+        ref = CubicSpline(radii, values)(rho)
+        assert np.max(np.abs(prof(rho) - ref)) <= 1e-13 * np.max(np.abs(values))
+    with pytest.raises(ValueError, match="at least 2 radii, got 1"):
+        RadialProfile([1.0], [2.0])
