@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,9 @@ OUTER_NODES = 24
 TAIL_R1 = 4.0
 
 # Entries per block of radii in an array-r spherical_op: each (R, M)
-# temporary stays below 2^18 doubles (2 MB) whatever the rule level.
+# temporary (the second radius, its q_hat and the product) stays below 2^18
+# doubles (2 MB) whatever the rule level; the first radius and its q_hat are
+# only (R, P), one entry per polar row of the rule.
 BLOCK_POINTS = 2**18
 
 
@@ -54,16 +56,32 @@ def cutoff_chi(xi, spec: CutoffSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PVParams:
-    """Numerical parameters for the principal-value integral over r."""
+    """Numerical parameters for the principal-value integral over r.
+
+    ``rule`` holds the (radii, coefficients) of the principal-value rule they
+    define (see ``principal_value_op``), built once here; it takes no part
+    in comparison, hashing or repr."""
 
     delta: float = 0.5
     inner_nodes: int = 64
+    rule: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.inner_nodes < 2:
             raise ValueError("inner_nodes must be >= 2")
+        d = self.delta
+        x, w = np.polynomial.legendre.leggauss(self.inner_nodes)
+        s, ws = 0.5 * d * (x + 1.0), 0.5 * d * w
+        x, w = np.polynomial.legendre.leggauss(OUTER_NODES)
+        v, wv = 0.5 * (x + 1.0), 0.5 * w  # rule on (0, 1)
+        span = TAIL_R1 - 1.0 - d
+        outer = np.concatenate([(1.0 - d) * v, 1.0 + d + span * v, TAIL_R1 / v])
+        outer_w = np.concatenate([(1.0 - d) * wv, span * wv, TAIL_R1 * wv / v**2])
+        radii = np.concatenate([1.0 - s, 1.0 + s, outer])
+        coeffs = np.concatenate([ws / s, -ws / s, outer_w / (1.0 - outer)])
+        object.__setattr__(self, "rule", (radii, coeffs))
 
 
 @dataclass
@@ -84,6 +102,8 @@ def spherical_op(
 
     A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
     array, evaluated in blocks of at most BLOCK_POINTS (radius, node) pairs.
+    q_hat is read once per polar row of the rule at the first radius |xi|,
+    which ``ewald_nodes`` gives per row, and once per node at |eta - xi|.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(radii <= 0):
@@ -92,7 +112,9 @@ def spherical_op(
 
     def weighted_sums(block):
         s_in, s_out, weights = ewald_nodes(ch, block, theta, rule)
-        return np.vecdot(weights, q.fourier_radial(s_in) * q.fourier_radial(s_out))
+        prod = q.fourier_radial(s_out).reshape(block.size, -1, rule.row)
+        prod *= q.fourier_radial(s_in)[:, :, None]
+        return np.vecdot(weights, prod.reshape(weights.shape))
 
     step = max(1, BLOCK_POINTS // rule.weights.size)
     sums = np.concatenate([weighted_sums(radii[i:i + step])
@@ -105,21 +127,12 @@ def principal_value_op(S_provider, params: PVParams) -> complex:
     """p.v. integral of S(r)/(1-r) over (0, infinity).
 
     ``S_provider`` maps a 1-d array of radii to the array of S values; it is
-    called once, on the radii of a fixed rule of four Gauss-Legendre pieces:
-    the window |1-r| < delta as the symmetric difference
-    integral_0^delta [S(1-s) - S(1+s)]/s ds, then (0, 1-delta), (1+delta, R1),
-    and the tail (R1, infinity) through r = R1 / v.
+    called once, on the radii of ``params.rule``, a fixed rule of four
+    Gauss-Legendre pieces: the window |1-r| < delta as the symmetric
+    difference integral_0^delta [S(1-s) - S(1+s)]/s ds, then (0, 1-delta),
+    (1+delta, R1), and the tail (R1, infinity) through r = R1 / v.
     """
-    d = params.delta
-    x, w = np.polynomial.legendre.leggauss(params.inner_nodes)
-    s, ws = 0.5 * d * (x + 1.0), 0.5 * d * w
-    x, w = np.polynomial.legendre.leggauss(OUTER_NODES)
-    v, wv = 0.5 * (x + 1.0), 0.5 * w  # rule on (0, 1)
-    span = TAIL_R1 - 1.0 - d
-    outer = np.concatenate([(1.0 - d) * v, 1.0 + d + span * v, TAIL_R1 / v])
-    outer_w = np.concatenate([(1.0 - d) * wv, span * wv, TAIL_R1 * wv / v**2])
-    radii = np.concatenate([1.0 - s, 1.0 + s, outer])
-    coeffs = np.concatenate([ws / s, -ws / s, outer_w / (1.0 - outer)])
+    radii, coeffs = params.rule
     return complex(np.dot(coeffs, S_provider(radii)))
 
 

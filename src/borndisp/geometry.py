@@ -88,16 +88,24 @@ def in_cone(eta, theta: Direction, a: float) -> bool:
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Quadrature nodes and weights on S^{n-1}."""
+    """Quadrature nodes and weights on S^{n-1}, in rows of ``row``
+    consecutive nodes that share the last coordinate (the polar one)."""
 
     nodes: np.ndarray  # (M, n)
     weights: np.ndarray  # (M,)
     level: int
+    row: int = 1
+
+    def __post_init__(self) -> None:
+        polar = self.nodes[:, -1].reshape(-1, self.row)
+        if np.any(polar != polar[:, :1]):
+            raise ValueError(f"nodes do not share the polar coordinate in rows of {self.row}")
 
 
 def sphere_rule(n: int, level: int) -> SphereRule:
     """n = 2: trapezoid with 2^{level+4} angles. n = 3: Gauss-Legendre in
-    cos(polar) with 2^{level+2} nodes x trapezoid azimuth with 2^{level+3}."""
+    cos(polar) with 2^{level+2} nodes x trapezoid azimuth with 2^{level+3},
+    one row of azimuths per polar node."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if n == 2:
@@ -117,21 +125,23 @@ def sphere_rule(n: int, level: int) -> SphereRule:
         nodes[:, 1] = np.outer(sin_polar, np.sin(phi)).ravel()
         nodes[:, 2] = np.repeat(x, Ma)
         weights = np.repeat(w, Ma) * (2.0 * np.pi / Ma)
-        return SphereRule(nodes, weights, level=level)
+        return SphereRule(nodes, weights, level=level, row=Ma)
     raise ValueError(f"n must be 2 or 3, got {n}")
 
 
 def ewald_nodes(
     ch: Chart, radii: np.ndarray, theta: Direction, rule: SphereRule
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s_in, s_out, weights), each (R, M), of the sphere rule pushed forward
-    to Gamma_r(-2k theta) for R radii: node xi = -k theta + rk H x_i, with H
-    the Householder reflection taking the rule's pole to theta, has
+    """(s_in, s_out, weights) of the sphere rule pushed forward to
+    Gamma_r(-2k theta) for R radii: node xi = -k theta + rk H x_i, with H the
+    Householder reflection taking the rule's pole to theta, has
 
         s_in  = |xi|^2       = k^2 ((1 - r)^2 + 2r(1 - u)),  u = x_i.pole,
         s_out = |eta - xi|^2 = k^2 ((1 - r)^2 + 2r(1 - v)),  v = x_i.(H theta'),
 
-    and weight w_i (rk)^{n-1}. This form does not cancel at large k.
+    and weight w_i (rk)^{n-1}. This form does not cancel at large k. u is
+    the polar coordinate, one value per row of the rule, so s_in is (R, P)
+    for the P = M / rule.row rows; s_out and the weights are (R, M).
     """
     n = theta.dimension
     t_prime, h = ch.theta_prime.components, np.eye(n)[-1] - theta.components
@@ -140,7 +150,7 @@ def ewald_nodes(
         t_prime = t_prime - (2.0 * float(t_prime @ h) / hh) * h
     r = np.asarray(radii, dtype=float)[:, None]
     k2, gap = ch.k**2, (1.0 - r) ** 2
-    s_in = k2 * (gap + 2.0 * r * (1.0 - rule.nodes[:, -1]))
+    s_in = k2 * (gap + 2.0 * r * (1.0 - rule.nodes[::rule.row, -1]))
     # v = x_i.(H theta') can round above 1
     s_out = np.maximum(k2 * (gap + 2.0 * r * (1.0 - rule.nodes @ t_prime)), 0.0)
     return s_in, s_out, rule.weights * (r * ch.k) ** (n - 1)

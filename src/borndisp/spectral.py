@@ -284,19 +284,37 @@ def _not_a_knot_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
 
+# Largest bucket table of a RadialProfile; only knots far closer together
+# than their mean gap reach it.
+MAX_BUCKETS = 2**16
+
+
 @dataclass
 class RadialProfile:
     """Radial function sampled on increasing radii, with a fitted power-law
     tail value(rho) ~ tail_coefficient * <rho>^{-tail_exponent} beyond range.
 
     Inside the sampled range it is read by the not-a-knot cubic spline
-    through the samples; below the first radius it takes the first value."""
+    through the samples; below the first radius it takes the first value.
+
+    A radius finds its spline interval through a table of equal buckets,
+    half the smallest knot gap wide, so that a bucket holds at most one
+    knot: ``_bucket_start[b]`` counts the interior knots in buckets below b,
+    and one compare with the next knot adds that knot if the radius has
+    reached it. Only a table capped at MAX_BUCKETS holds more knots in a
+    bucket, and takes ``_per_bucket`` compares. The computed bucket is
+    monotone in the radius even after rounding, so the index equals
+    ``searchsorted``'s exactly."""
 
     radii: np.ndarray
     values: np.ndarray
     tail_exponent: float | None = None
     tail_coefficient: float | None = None
     _coef: np.ndarray = field(init=False, repr=False, default=None)
+    _bucket_scale: float = field(init=False, repr=False, default=None)
+    _bucket_start: np.ndarray = field(init=False, repr=False, default=None)
+    _interior: np.ndarray = field(init=False, repr=False, default=None)
+    _per_bucket: int = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         self.radii = np.asarray(self.radii, dtype=float)
@@ -308,6 +326,13 @@ class RadialProfile:
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
         self._coef = _not_a_knot_cubic(self.radii, self.values)
+        span = self.radii[-1] - self.radii[0]
+        width = max(0.5 * np.diff(self.radii).min(), span / MAX_BUCKETS)
+        self._bucket_scale = 1.0 / width
+        buckets = self._bucket(self.radii)
+        self._bucket_start = np.searchsorted(buckets[1:-1], np.arange(buckets[-1] + 1))
+        self._per_bucket = int(np.bincount(buckets[1:-1]).max(initial=0))
+        self._interior = np.append(self.radii[1:-1], np.inf)
 
     def fit_tail(self) -> None:
         """Fit the power-law tail on the top half of the radii and anchor it
@@ -322,26 +347,39 @@ class RadialProfile:
         else:
             self.tail_coefficient = 0.0
 
+    def _bucket(self, dr) -> np.ndarray:
+        """Bucket index of radii at or above radii[0]."""
+        return ((dr - self.radii[0]) * self._bucket_scale).astype(np.intp)
+
+    def interval(self, dr) -> np.ndarray:
+        """Index of the spline interval of radii in [radii[0], radii[-1]]:
+        the number of interior knots at or below each, as
+        ``searchsorted(radii[1:-1], dr, side="right")``."""
+        i = self._bucket_start.take(self._bucket(dr))
+        for _ in range(self._per_bucket):
+            i += dr >= self._interior.take(i)
+        return i
+
     def __call__(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
         # radii below the table clip to radii[0], where the first cubic is
         # values[0] exactly
         dr = np.clip(rho, self.radii[0], self.radii[-1])
-        i = np.searchsorted(self.radii[1:-1], dr, side="right")
+        i = self.interval(dr)
         dr -= self.radii.take(i)
         # Horner's rule in place: the kernel reads q_hat at up to 2^18 points
-        # a call, where every fresh temporary costs as much as the arithmetic
-        out = self._coef[0].take(i)
+        # a call, where every fresh temporary costs as much as the arithmetic;
+        # a 0-d read takes a scalar, made an array for the tail write below
+        out = np.asarray(self._coef[0].take(i))
         for c in self._coef[1:]:
             out *= dr
             out += c.take(i)
         beyond = rho > self.radii[-1]
         if np.any(beyond):
             if self.tail_exponent is None or not np.isfinite(self.tail_exponent):
-                tail = 0.0
+                out[beyond] = 0.0
             else:
-                tail = self.tail_coefficient * bessel_weight_radius(
-                    rho, -self.tail_exponent
+                out[beyond] = self.tail_coefficient * bessel_weight_radius(
+                    rho[beyond], -self.tail_exponent
                 )
-            out = np.where(beyond, tail, out)
         return out if out.ndim else float(out)

@@ -96,6 +96,31 @@ def test_pv_delta_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_pv_rule_built_only_where_configured_or_used(tmp_path, monkeypatch):
+    # a PVParams builds its quadrature rule; the defaults need no check, so
+    # a run builds one only to check a configured 'pv' and to evaluate
+    from borndisp import dispersion
+
+    built = []
+
+    class Recording(dispersion.PVParams):
+        def __post_init__(self):
+            built.append((self.delta, self.inner_nodes))
+            super().__post_init__()
+
+    monkeypatch.setattr(dispersion, "PVParams", Recording)
+    gbeta = _write(tmp_path, "g.json", {
+        "experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0},
+        "out_dir": str(tmp_path / "g"),
+    })
+    assert main([gbeta]) == 0 and built == []
+    assert main([_write(tmp_path, "r.json", _ray_config(tmp_path))]) == 0
+    assert built == [(0.5, 64)]
+    pv = {"delta": 0.4}
+    assert main([_write(tmp_path, "p.json", _ray_config(tmp_path, pv=pv))]) == 0
+    assert built == [(0.5, 64), (0.4, 64), (0.4, 64)]
+
+
 def test_removed_pv_fields_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "r.json", _ray_config(tmp_path, pv={"r_max": 8.0}))
     assert run(cfg) == 1

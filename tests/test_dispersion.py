@@ -97,6 +97,39 @@ def test_spherical_op_blocks_of_radii(gauss2, monkeypatch):
     assert [s[0] for s in q.shapes] == [2, 2, 2, 2, 2, 2, 1, 1]
 
 
+@pytest.mark.parametrize("case", ["gauss2", "gbeta2", "gauss3", "gbeta3"])
+@pytest.mark.parametrize("level", [3, 4])
+def test_spherical_op_equals_per_node_product(case, level, request):
+    # q_hat at the first radius is read once per polar row; the sums must
+    # equal those of the explicit product of two (R, M) reads, bit for bit
+    from borndisp.geometry import chart, ewald_nodes
+
+    q = request.getfixturevalue(case)
+    n = q.dimension
+    theta = Direction.normalized([0.3, -1.0, 0.4][:n])
+    eta = np.array([5.0, 3.0, -1.0][:n])
+    rule = sphere_rule(n, level)
+    radii = PVParams().rule[0]
+    ch = chart(eta, theta)
+    s_in, s_out, weights = ewald_nodes(ch, radii, theta, rule)
+    s_in = np.repeat(s_in, rule.row, axis=1)
+    sums = np.vecdot(weights, q.fourier_radial(s_in) * q.fourier_radial(s_out))
+    expected = (sums / (ch.k * (1.0 + radii))).astype(complex)
+    np.testing.assert_array_equal(spherical_op(q, theta, radii, eta, rule), expected)
+
+
+def test_pv_params_equal_and_hash_equal():
+    a, b = PVParams(), PVParams()
+    assert a == b and hash(a) == hash(b)
+    assert a != PVParams(delta=0.3) and a != PVParams(inner_nodes=32)
+    assert repr(a) == "PVParams(delta=0.5, inner_nodes=64)"
+    # each instance builds its own rule, from its own parameters
+    radii, coeffs = a.rule
+    assert radii.shape == coeffs.shape == (2 * 64 + 3 * 24,)
+    np.testing.assert_array_equal(radii, b.rule[0])
+    assert PVParams(inner_nodes=32).rule[0].size == 2 * 32 + 3 * 24
+
+
 def test_pv_even_provider_vanishes():
     params = PVParams(delta=0.5)
     value = principal_value_op(lambda r: np.where(np.abs(1 - r) < 0.5, 1.0, 0.0),

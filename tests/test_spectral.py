@@ -217,3 +217,43 @@ def test_radial_profile_short_tables():
         assert np.max(np.abs(prof(rho) - ref)) <= 1e-13 * np.max(np.abs(values))
     with pytest.raises(ValueError, match="at least 2 radii, got 1"):
         RadialProfile([1.0], [2.0])
+
+
+def test_radial_profile_interval_matches_searchsorted(gbeta3):
+    rng = np.random.default_rng(6)
+    uneven = np.cumsum(rng.uniform(0.05, 1.0, 40))
+    # a gap 1e-9 of the span caps the bucket table, so buckets hold more
+    # than one knot
+    squeezed = np.sort(np.concatenate([np.linspace(0.0, 10.0, 30), [5.0, 5.0 + 1e-8]]))
+    profiles = [gbeta3.fourier_profile, RadialProfile(uneven, np.sin(uneven)),
+                RadialProfile(squeezed, np.cos(squeezed)),
+                RadialProfile([1.0, 3.0], [2.0, -1.0]),
+                RadialProfile([0.5, 1.0, 2.5], [1.0, -2.0, 3.0])]
+    assert profiles[0]._per_bucket == 1 and profiles[2]._per_bucket > 1
+    for prof in profiles:
+        r = prof.radii
+        rho = np.concatenate([
+            r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf),
+            rng.uniform(r[0], r[-1], 20000),
+            r[0] - rng.uniform(0.0, 5.0, 50),   # below the table
+            r[-1] + rng.uniform(0.0, 50.0, 50),  # past it
+        ])
+        dr = np.clip(rho, r[0], r[-1])
+        np.testing.assert_array_equal(prof.interval(dr),
+                                      np.searchsorted(r[1:-1], dr, side="right"))
+
+
+def test_radial_profile_array_read_equals_scalar_reads(gbeta3):
+    r = np.linspace(0.0, 10.0, 201)
+    with_tail = RadialProfile(r, (1.0 + r**2) ** -1.25)
+    with_tail.fit_tail()
+    for prof in (gbeta3.fourier_profile, with_tail, RadialProfile(r, np.cos(r))):
+        edge = prof.radii[-1]
+        rho = np.concatenate([[0.0, edge, np.nextafter(edge, np.inf)],
+                              np.linspace(0.0, 3.0 * edge, 301)])
+        rho = np.random.default_rng(7).permutation(rho)
+        values = prof(rho)
+        assert np.any(rho > edge) and np.any(rho <= edge)
+        np.testing.assert_array_equal(values, [prof(float(x)) for x in rho])
+        if prof.tail_exponent is None:
+            assert np.all(values[rho > edge] == 0.0)
