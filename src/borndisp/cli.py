@@ -14,11 +14,11 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
 
@@ -97,6 +97,61 @@ _SCHEMA = {
     },
 }
 
+# The JSON Schema keywords that _validate implements. "type" takes the JSON
+# types below, except that an "integer" (and an integer in an "enum") is a
+# JSON integer only: 3.0 is not one, since a level, a count or a node number
+# given as 3.0 fails part-way through a run.
+_KEYWORDS = frozenset({
+    "type", "enum", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum", "exclusiveMaximum",
+    "multipleOf",
+})
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+          "integer": int}
+
+
+def _validate(value, schema: dict, path: str = "") -> None:
+    """Check value against schema, in the subset of JSON Schema named by
+    _KEYWORDS (multipleOf on integers only); raise ConfigError naming the
+    field of the first failure, as a '/'-separated path."""
+    def fail(why: str):
+        raise ConfigError(f"invalid config at field '{path or '(root)'}': {why}")
+
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise TypeError(f"schema keywords {sorted(unknown)} are not implemented")
+    kind = schema.get("type")
+    # bool is an int in Python, never a number in JSON
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
+        fail(f"{value!r} is not of type '{kind}'")
+    if "enum" in schema and not any(type(value) is type(e) and value == e
+                                    for e in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']}")
+    for key, bad, why in (
+        ("minimum", lambda m: value < m, "is less than the minimum"),
+        ("exclusiveMinimum", lambda m: value <= m, "is not above"),
+        ("exclusiveMaximum", lambda m: value >= m, "is not below"),
+        ("multipleOf", lambda m: value % m != 0, "is not a multiple of"),
+        ("minItems", lambda m: len(value) < m, "has fewer items than"),
+        ("maxItems", lambda m: len(value) > m, "has more items than"),
+    ):
+        if key in schema and bad(schema[key]):
+            fail(f"{value!r} {why} {schema[key]}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        _validate(item, schema["items"], f"{path}/{i}" if path else str(i))
+    for key in schema.get("required", ()):
+        if key not in value:
+            fail(f"required key '{key}' is missing")
+    fields = schema.get("properties", {})
+    if schema.get("additionalProperties") is False:
+        for key in value:
+            if key not in fields:
+                fail(f"unexpected key '{key}'")
+    for key, sub in fields.items():
+        if key in value:
+            _validate(value[key], sub, f"{path}/{key}" if path else key)
+
+
 _REQUIRED = {
     "gbeta": ["n", "beta", "grid"],
     "dispersion-ray": ["n", "theta", "ray"],
@@ -123,11 +178,7 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    try:
-        jsonschema.validate(cfg, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(f"invalid config at field '{where}': {exc.message}")
+    _validate(cfg, _SCHEMA)
     for field in _REQUIRED.get(cfg["experiment"], []):
         if field not in cfg:
             raise ConfigError(
@@ -427,6 +478,7 @@ def run(config_path, threads: int = 1) -> int:
         log.exception("experiment failed")
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "experiment": cfg["experiment"],
         "config_sha256": digest,
@@ -437,6 +489,9 @@ def run(config_path, threads: int = 1) -> int:
         "threads": threads,
         "artifacts": artifacts,
         "exit_code": code,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "minor_page_faults": usage.ru_minflt,
     }
     _write_json(manifest, out / "manifest.json")
     return code

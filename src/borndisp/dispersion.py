@@ -29,11 +29,16 @@ from .potentials import Potential
 OUTER_NODES = 24
 TAIL_R1 = 4.0
 
-# Entries per block of radii in an array-r spherical_op: each (R, M)
-# temporary (the second radius, its q_hat and the product) stays below 2^18
-# doubles (2 MB) whatever the rule level; the first radius and its q_hat are
-# only (R, P), one entry per polar row of the rule.
-BLOCK_POINTS = 2**18
+# (radius, node) pairs per block of an array-r spherical_op. A block's
+# arrays (the workspace and a tabulated q_hat read's temporaries) are then
+# 256 KiB each and about 2 MiB together: they stay in a core's L2 cache, and
+# malloc reuses the freed temporaries for the next block. At 2^18 it returned
+# them to the system and faulted them back in (64k minor faults in scan-n3's
+# gain scan, against about 480 here). In a sweep over 2^12..2^18 of the
+# kernel time on qfull-n2, scan-n3 and the criterion-6 gain scan, 2^15 had
+# the lowest median on each: smaller blocks pay the per-block overhead,
+# larger ones the cache misses and the faults.
+BLOCK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,8 @@ def spherical_op(
     weighted by 1/(k(1+r)).
 
     A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
-    array, evaluated in blocks of at most BLOCK_POINTS (radius, node) pairs.
+    array, evaluated in blocks of at most BLOCK_POINTS (radius, node) pairs
+    in one workspace, which ``ewald_nodes`` fills and q_hat overwrites.
     q_hat is read once per polar row of the rule at the first radius |xi|,
     which ``ewald_nodes`` gives per row, and once per node at |eta - xi|.
     """
@@ -109,16 +115,27 @@ def spherical_op(
     if np.any(radii <= 0):
         raise ValueError(f"r must be positive, got {r}")
     ch = chart(eta, theta)
-
-    def weighted_sums(block):
-        s_in, s_out, weights = ewald_nodes(ch, block, theta, rule)
-        prod = q.fourier_radial(s_out).reshape(block.size, -1, rule.row)
-        prod *= q.fourier_radial(s_in)[:, :, None]
-        return np.vecdot(weights, prod.reshape(weights.shape))
-
-    step = max(1, BLOCK_POINTS // rule.weights.size)
-    sums = np.concatenate([weighted_sums(radii[i:i + step])
-                           for i in range(0, radii.size, step)])
+    M, row = rule.weights.size, rule.row
+    P = M // row
+    step = min(radii.size, max(1, BLOCK_POINTS // M))
+    # The workspace of s_in (step, P), s_out and the weights (step, M)
+    # belongs to this call and serves every block; one buffer, because
+    # malloc keeps a freed chunk of that size for the next call instead of
+    # returning it to the system, as it does with three adjacent smaller ones
+    work = np.split(np.empty(step * (P + 2 * M)), [step * P, step * (P + M)])
+    sums = np.empty(radii.size)
+    for i in range(0, radii.size, step):
+        block = radii[i:i + step]
+        b = block.size
+        s_in, s_out, weights = ewald_nodes(ch, block, theta, rule, out=(
+            work[0][:b * P].reshape(b, P), work[1][:b * M].reshape(b, M),
+            work[2][:b * M].reshape(b, M)))
+        # q_hat in place, the first radius spread over its row
+        q.fourier_radial(s_in, out=s_in)
+        q.fourier_radial(s_out, out=s_out)
+        rows = s_out.reshape(b, P, row)
+        np.multiply(rows, s_in[:, :, None], out=rows)
+        sums[i:i + b] = np.vecdot(weights, s_out)
     S = (sums / (ch.k * (1.0 + radii))).astype(complex)
     return complex(S[0]) if np.ndim(r) == 0 else S
 

@@ -130,7 +130,7 @@ def sphere_rule(n: int, level: int) -> SphereRule:
 
 
 def ewald_nodes(
-    ch: Chart, radii: np.ndarray, theta: Direction, rule: SphereRule
+    ch: Chart, radii: np.ndarray, theta: Direction, rule: SphereRule, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s_in, s_out, weights) of the sphere rule pushed forward to
     Gamma_r(-2k theta) for R radii: node xi = -k theta + rk H x_i, with H the
@@ -142,6 +142,9 @@ def ewald_nodes(
     and weight w_i (rk)^{n-1}. This form does not cancel at large k. u is
     the polar coordinate, one value per row of the rule, so s_in is (R, P)
     for the P = M / rule.row rows; s_out and the weights are (R, M).
+
+    ``out``, if given, is the (s_in, s_out, weights) triple of arrays to
+    write; otherwise they are allocated.
     """
     n = theta.dimension
     t_prime, h = ch.theta_prime.components, np.eye(n)[-1] - theta.components
@@ -149,8 +152,16 @@ def ewald_nodes(
     if hh >= 1e-28:
         t_prime = t_prime - (2.0 * float(t_prime @ h) / hh) * h
     r = np.asarray(radii, dtype=float)[:, None]
-    k2, gap = ch.k**2, (1.0 - r) ** 2
-    s_in = k2 * (gap + 2.0 * r * (1.0 - rule.nodes[::rule.row, -1]))
+    if out is None:
+        M = rule.weights.size
+        out = np.empty((r.size, M // rule.row)), np.empty((r.size, M)), np.empty((r.size, M))
+    s_in, s_out, weights = out
+    k2, gap, two_r = ch.k**2, (1.0 - r) ** 2, 2.0 * r
+    for s, x in ((s_in, rule.nodes[::rule.row, -1]), (s_out, rule.nodes @ t_prime)):
+        np.multiply(two_r, 1.0 - x, out=s)
+        s += gap
+        s *= k2
     # v = x_i.(H theta') can round above 1
-    s_out = np.maximum(k2 * (gap + 2.0 * r * (1.0 - rule.nodes @ t_prime)), 0.0)
-    return s_in, s_out, rule.weights * (r * ch.k) ** (n - 1)
+    np.maximum(s_out, 0.0, out=s_out)
+    np.multiply(rule.weights, (r * ch.k) ** (n - 1), out=weights)
+    return s_in, s_out, weights

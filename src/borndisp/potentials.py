@@ -39,8 +39,12 @@ class _GaussianHat:
     a: float
     amp: float
 
-    def __call__(self, s):
-        return self.amp * np.exp(-s / (4.0 * self.a))
+    def __call__(self, s, out=None):
+        out = np.negative(s, out=np.empty(np.shape(s)) if out is None else out)
+        out /= 4.0 * self.a
+        np.exp(out, out=out)
+        out *= self.amp
+        return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,8 @@ class _Tabulated:
 
     profile: RadialProfile
 
-    def __call__(self, s):
-        return self.profile(np.sqrt(s))
+    def __call__(self, s, out=None):
+        return self.profile(np.sqrt(s, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,8 @@ class Potential:
     """A radial test potential, given by q and q_hat as functions of the
     squared radius.
 
-    ``fourier_radial`` maps s = |xi|^2 to q_hat;
+    ``fourier_radial`` maps s = |xi|^2 to q_hat; called with an array
+    ``out``, which may be s itself, it writes q_hat there.
     ``spatial_radial`` maps s = |x|^2 to q inside ``support_radius``. The
     point evaluators are vectorized over arrays of shape (..., n).
     """

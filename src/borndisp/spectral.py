@@ -360,26 +360,31 @@ class RadialProfile:
             i += dr >= self._interior.take(i)
         return i
 
-    def __call__(self, rho) -> np.ndarray:
+    def __call__(self, rho, out=None) -> np.ndarray:
+        """The profile at rho; an array ``out``, which may be rho itself,
+        receives the values."""
         rho = np.asarray(rho, dtype=float)
+        beyond = rho > self.radii[-1]
+        far = rho[beyond] if np.any(beyond) else None
         # radii below the table clip to radii[0], where the first cubic is
         # values[0] exactly
         dr = np.clip(rho, self.radii[0], self.radii[-1])
         i = self.interval(dr)
         dr -= self.radii.take(i)
-        # Horner's rule in place: the kernel reads q_hat at up to 2^18 points
-        # a call, where every fresh temporary costs as much as the arithmetic;
-        # a 0-d read takes a scalar, made an array for the tail write below
-        out = np.asarray(self._coef[0].take(i))
+        # Horner's rule in place: the kernel reads q_hat in blocks of
+        # (radius, node) pairs, where every fresh temporary costs as much as
+        # the arithmetic; a 0-d read takes a scalar, made an array for the
+        # tail write below. i is in range, so mode="clip" moves no index; it
+        # spares the copy through a buffer that take makes of out otherwise
+        out = np.asarray(self._coef[0].take(i, out=out, mode="clip"))
         for c in self._coef[1:]:
             out *= dr
             out += c.take(i)
-        beyond = rho > self.radii[-1]
-        if np.any(beyond):
+        if far is not None:
             if self.tail_exponent is None or not np.isfinite(self.tail_exponent):
                 out[beyond] = 0.0
             else:
                 out[beyond] = self.tail_coefficient * bessel_weight_radius(
-                    rho[beyond], -self.tail_exponent
+                    far, -self.tail_exponent
                 )
         return out if out.ndim else float(out)

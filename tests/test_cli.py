@@ -129,6 +129,32 @@ def test_removed_pv_fields_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _qfull_config(tmp_path, **overrides):
+    return {
+        "experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,
+        "angles_deg": [1.40625], "rule_level": 1, "theta_rule_level": 1,
+        "out_dir": str(tmp_path / "out"), **overrides,
+    }
+
+
+@pytest.mark.parametrize("config, field", [
+    (lambda p: _ray_config(p, rule_level=2.0), "'rule_level'"),
+    (lambda p: _qfull_config(p, theta_rule_level=3.0), "'theta_rule_level'"),
+    (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 3, "t_max": 8,
+                                   "count": 3.0}), "'ray/count'"),
+    (lambda p: _ray_config(p, pv={"inner_nodes": 8.0}), "'pv/inner_nodes'"),
+    (lambda p: _qfull_config(p, n=2.0), "'n'"),
+    (lambda p: {"experiment": "chart-selftest", "n": 2, "seed": 3.0,
+                "out_dir": str(p / "out")}, "'seed'"),
+], ids=["rule_level", "theta_rule_level", "ray_count", "pv_inner_nodes", "n", "seed"])
+def test_integral_float_rejected_in_integer_field(tmp_path, capsys, config, field):
+    # JSON Schema counts 3.0 as an integer; numpy does not, so each of these
+    # would pass validation and fail part-way through the run
+    assert run(_write(tmp_path, "f.json", config(tmp_path))) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_ray_t_max_must_be_positive(tmp_path, capsys):
     ray = {"direction": [1, 0], "t_min": 3, "t_max": -8, "count": 3}
     cfg = _write(tmp_path, "t.json", _ray_config(tmp_path, ray=ray))
@@ -248,8 +274,9 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert out.strip() == "False"
 
 
+# jsonschema is only the tests' reference for the config check
 _HEAVY_SCIPY = ("scipy.interpolate", "scipy.fft", "scipy.special", "scipy.linalg",
-                "scipy.optimize")
+                "scipy.optimize", "jsonschema")
 
 
 def _heavy_scipy_loaded(code: str, *args: str) -> list:
@@ -300,6 +327,7 @@ def test_chart_selftest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 0
     assert len(manifest["config_sha256"]) == 64
+    assert manifest["peak_rss_mb"] > 0 and isinstance(manifest["minor_page_faults"], int)
 
 
 def test_bounds_table(tmp_path):
@@ -357,3 +385,127 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert run(cfg) == 0
     assert (override / "bounds_table.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def _schema_keywords(schema: dict):
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_keywords(sub)
+    if "items" in schema:
+        yield from _schema_keywords(schema["items"])
+
+
+def test_validate_implements_every_schema_keyword():
+    from borndisp import cli
+
+    assert set(_schema_keywords(cli._SCHEMA)) <= cli._KEYWORDS
+    with pytest.raises(TypeError, match="pattern"):
+        cli._validate("x", {"type": "string", "pattern": "^x$"})
+
+
+def _base_configs() -> list:
+    ray = {"direction": [1, 0], "t_min": 3, "t_max": 8, "count": 6}
+    return [
+        {"experiment": "chart-selftest", "n": 2, "seed": 3, "out_dir": "o"},
+        {"experiment": "gbeta", "n": 3, "beta": 1.0, "bump_radius": 2.0,
+         "grid": {"N": 128, "L": 16.0}, "out_dir": "o"},
+        {"experiment": "dispersion-ray", "n": 2, "a": 0.5, "theta": [-1, 0], "ray": ray,
+         "rule_level": 4, "pv": {"delta": 0.5, "inner_nodes": 64}, "C0": 2.0,
+         "out_dir": "o"},
+        {"experiment": "lemma52", "n": 2, "beta": 1.0, "grid": {"N": 256, "L": 16.0},
+         "theta": [-1, 0], "ray": dict(ray, count=16), "cone_aperture": 0.5,
+         "out_dir": "o"},
+        {"experiment": "gain-scan", "n": 3, "beta": 1.0, "theta": [-1.0, 0.0, 0.0],
+         "alphas": [1.7, 2.3], "levels": [4.0, 6.0, 8.0], "rule_level": 3, "out_dir": "o"},
+        {"experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,
+         "angles_deg": [1.40625, 73.0], "theta_rule_level": 3, "out_dir": "o"},
+        {"experiment": "bounds-table", "n": 3, "betas": [0.5, 1.0], "out_dir": "o"},
+        {"experiment": "oracle-fixtures", "a": 0.5, "out_dir": "o"},
+    ]
+
+
+_ODD_VALUES = ("x", "", None, True, False, 0, 1, 2, 3, 7, 8, 64, -1, 2.0, 3.0, 8.0,
+               0.0, 0.5, 1.0, 1.5, -0.5, 1e9, 129, [], [1.0], [1, 0], [1, 0, 0, 1],
+               ["a", 1], {}, {"N": 64}, "gbeta")
+
+
+def _mutate(cfg, rng) -> None:
+    """One random edit of cfg in place: a value replaced, a key removed, a key
+    added (unknown or from the schema), or an item added to or taken from an
+    array."""
+    from borndisp import cli
+
+    containers = [(cfg, cli._SCHEMA)]
+    stack = [(cfg, cli._SCHEMA)]
+    while stack:
+        node, schema = stack.pop()
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            sub = (schema.get("properties", {}).get(key, {}) if isinstance(node, dict)
+                   else schema.get("items", {}))
+            if isinstance(value, (dict, list)):
+                containers.append((value, sub))
+                stack.append((value, sub))
+    node, schema = rng.choice(containers)
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    edit = rng.choice(["replace", "replace", "remove", "add"])
+    if edit == "replace" and keys:
+        node[rng.choice(keys)] = rng.choice(_ODD_VALUES)
+    elif edit == "remove" and keys:
+        node.pop(rng.choice(keys))
+    elif isinstance(node, dict):
+        known = list(schema.get("properties", {}))
+        key = rng.choice(known + ["extra"]) if known else "extra"
+        node[key] = rng.choice(_ODD_VALUES)
+    else:
+        node.append(rng.choice(_ODD_VALUES))
+
+
+def _integral_float_field(cfg, path: str) -> bool:
+    """Whether the field at path holds a float with an integral value where the
+    schema wants an integer, by type or by an integer enum."""
+    from borndisp import cli
+
+    value, schema = cfg, cli._SCHEMA
+    for part in [p for p in path.split("/") if p != "(root)"]:
+        value = value[int(part)] if isinstance(value, list) else value[part]
+        schema = (schema["items"] if "items" in schema
+                  else schema["properties"][part])
+    integer = schema.get("type") == "integer" or any(
+        type(e) is int for e in schema.get("enum", ()))
+    return integer and isinstance(value, float) and value.is_integer()
+
+
+def test_validate_agrees_with_jsonschema():
+    # the same verdict as jsonschema on mutated configs, naming a field that
+    # jsonschema names too; the only difference allowed is an integral float
+    # in an integer field, which _validate refuses
+    import copy
+    import random
+    import re
+
+    from borndisp import cli
+
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.validators.validator_for(cli._SCHEMA)(cli._SCHEMA)
+    rng = random.Random(20261019)
+    verdicts = {"accepted": 0, "rejected": 0, "integral float": 0}
+    for _ in range(2000):
+        cfg = copy.deepcopy(rng.choice(_base_configs()))
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            _mutate(cfg, rng)
+        paths = {"/".join(map(str, e.absolute_path)) or "(root)"
+                 for e in validator.iter_errors(cfg)}
+        try:
+            cli._validate(cfg, cli._SCHEMA)
+        except cli.ConfigError as exc:
+            path = re.match(r"invalid config at field '([^']*)'", str(exc)).group(1)
+            if _integral_float_field(cfg, path):
+                verdicts["integral float"] += 1
+            else:
+                assert path in paths, (cfg, str(exc), paths)
+                verdicts["rejected"] += 1
+        else:
+            assert not paths, (cfg, paths)
+            verdicts["accepted"] += 1
+    # the corpus reaches every verdict
+    assert min(verdicts.values()) >= 50, verdicts

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from borndisp.dispersion import (
+    BLOCK_POINTS,
     CutoffSpec,
     PVParams,
     b_theta2,
@@ -74,27 +75,34 @@ def test_spherical_op_radius_array_matches_loop(case, request):
     np.testing.assert_array_equal(batch, loop)
 
 
-def test_spherical_op_blocks_of_radii(gauss2, monkeypatch):
+@pytest.mark.parametrize("block_points", [2**10, BLOCK_POINTS, 2**18])
+@pytest.mark.parametrize("case", ["gauss2", "gbeta2", "gauss3", "gbeta3"])
+def test_spherical_op_blocks_of_radii(case, block_points, request, monkeypatch):
+    # every block size gives the sums of one radius at a time, bit for bit
     from borndisp import dispersion
 
     class Recording:
         def __init__(self, q):
             self.q, self.shapes = q, []
 
-        def fourier_radial(self, s):
+        def fourier_radial(self, s, out=None):
             self.shapes.append(s.shape)
-            return self.q.fourier_radial(s)
+            return self.q.fourier_radial(s, out=out)
 
-    theta = Direction(np.array([-1.0, 0.0]))
-    eta = np.array([6.0, 2.0])
-    rule = sphere_rule(2, 4)
-    radii = np.linspace(0.2, 5.0, 7)
-    whole = spherical_op(gauss2, theta, radii, eta, rule)
-    monkeypatch.setattr(dispersion, "BLOCK_POINTS", 2 * rule.weights.size)
-    q = Recording(gauss2)
-    blocked = spherical_op(q, theta, radii, eta, rule)
-    np.testing.assert_array_equal(blocked, whole)
-    assert [s[0] for s in q.shapes] == [2, 2, 2, 2, 2, 2, 1, 1]
+    q = request.getfixturevalue(case)
+    n = q.dimension
+    theta = Direction(np.eye(n)[0] * -1.0)
+    eta = np.array([6.0, 2.0, 1.0][:n])
+    rule = sphere_rule(n, 4 if n == 2 else 3)
+    radii = PVParams().rule[0]
+    loop = np.array([spherical_op(q, theta, r, eta, rule) for r in radii])
+    monkeypatch.setattr(dispersion, "BLOCK_POINTS", block_points)
+    rec = Recording(q)
+    blocked = spherical_op(rec, theta, radii, eta, rule)
+    np.testing.assert_array_equal(blocked, loop)
+    step = max(1, block_points // rule.weights.size)
+    sizes = [min(step, radii.size - i) for i in range(0, radii.size, step)]
+    assert [s[0] for s in rec.shapes] == [b for b in sizes for _ in range(2)]
 
 
 @pytest.mark.parametrize("case", ["gauss2", "gbeta2", "gauss3", "gbeta3"])

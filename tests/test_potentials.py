@@ -34,6 +34,32 @@ def test_gaussian_potential(grid2):
         gaussian_potential(-1.0, grid2)
 
 
+@pytest.mark.parametrize("case", ["gauss3", "gbeta3"])
+def test_fourier_radial_in_place_equals_allocating(case, request):
+    # the kernel reads q_hat into its own squared radii; that read must give
+    # the allocating read's values bit for bit, below, inside and past the
+    # table, and on a 0-d array
+    q = request.getfixturevalue(case)
+    f = q.fourier_radial
+    edges = request.getfixturevalue("gbeta3").fourier_profile.radii
+    rho = np.concatenate([
+        [0.0, 0.5 * edges[0], edges[0]],
+        np.random.default_rng(4).uniform(edges[0], edges[-1], 61),
+        edges[1:-1:7], [edges[-1], np.nextafter(edges[-1], np.inf)],
+        edges[-1] * np.array([1.5, 4.0, 40.0]),
+    ])
+    s = np.tile(rho**2, (3, 1))
+    fresh = f(s)
+    buf = s.copy()
+    assert f(buf, out=buf) is buf
+    assert buf.tobytes() == fresh.tobytes()
+    for x in s.ravel():
+        cell = np.array(x)
+        f(cell, out=cell)
+        assert cell.tobytes() == np.float64(f(x)).tobytes()
+        assert cell.tobytes() == np.float64(f(np.array(x))).tobytes()
+
+
 def test_bump_radius_guard(grid2):
     # the bump phi = psi * psi has support 2 bump_radius, which must fit the grid
     with pytest.raises(ValueError):
