@@ -154,6 +154,24 @@ def _shell_average(radius_grid: np.ndarray, values: np.ndarray,
     return mean_r, mean_v
 
 
+def _inner_shells(radius_grid: np.ndarray, values: np.ndarray,
+                  weights: np.ndarray, spacing: float, cut: float):
+    """``_shell_average`` with shells of width ``spacing`` on an orthant block
+    of radii m * spacing, keeping the shells of mean radius <= cut.
+
+    Only the corner sub-block [0, cut/spacing + 3)^n is binned: a kept shell
+    has index at most cut/spacing, while a point outside the sub-block has an
+    index of at least cut/spacing + 3 on some axis, so its shell is at least
+    two further out. Within a shell, ``bincount`` adds the points in the
+    order of the whole block, so the result is bit-equal to binning the
+    whole block."""
+    corner = (slice(0, int(cut / spacing) + 3),) * radius_grid.ndim
+    radii, means = _shell_average(radius_grid[corner], values[corner],
+                                  weights[corner], spacing)
+    keep = radii <= cut
+    return radii[keep], means[keep]
+
+
 def make_gbeta(spec: GBetaSpec) -> Potential:
     """g_beta = phi * G_beta synthesized on the grid.
 
@@ -168,6 +186,10 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     transform is a DCT-I, and the shell averages weight an orthant point by
     the number of lattice points it stands for. The result equals the
     full-lattice synthesis up to rounding.
+
+    The spatial profile keeps the shells out to 2 * bump_radius + 2h and
+    bins only the corner sub-block of the orthant that holds their points
+    (``_inner_shells``).
     """
     grid, n, beta = spec.grid, spec.grid.dimension, spec.beta
     freq_r = grid.orthant_freq_radius()
@@ -186,9 +208,9 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     profile = RadialProfile(radii[keep], values[keep])
     profile.fit_tail()
 
-    sp_radii, sp_values = _shell_average(space_r, g, mult, grid.spacing)
-    sp_keep = sp_radii <= 2.0 * spec.bump_radius + 2.0 * grid.spacing
-    spatial_prof = RadialProfile(sp_radii[sp_keep], sp_values[sp_keep])
+    sp_radii, sp_values = _inner_shells(space_r, g, mult, grid.spacing,
+                                        2.0 * spec.bump_radius + 2.0 * grid.spacing)
+    spatial_prof = RadialProfile(sp_radii, sp_values)
     return Potential(
         label=f"gbeta(n={n},beta={beta})",
         dimension=n,

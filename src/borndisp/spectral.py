@@ -14,8 +14,8 @@ An array that is even under index negation (every radial array on the
 lattice) is fixed by its first-orthant block, samples 0..N/2 on each axis, and
 its length-N DFT on each axis is the DCT-I of that block. ``orthant_forward``
 and ``orthant_inverse`` transform such blocks; ``fourier`` transforms a
-general complex ``Field``. The DCT-I is the real part of numpy's ``rfft`` of
-the block's even extension x_0..x_{m-1}..x_1 on each axis.
+general complex ``Field``. The DCT-I is one product per axis with the dense
+m x m DCT-I matrix, done by numpy's BLAS.
 
 A ``RadialProfile`` is read by the not-a-knot cubic spline through its
 samples, built and evaluated here in numpy.
@@ -89,8 +89,8 @@ class Grid:
         return self.freq_spacing * (np.arange(N) - N // 2)
 
     def _radius(self, axis: np.ndarray) -> np.ndarray:
-        mesh = np.meshgrid(*([axis] * self.dimension), indexing="ij")
-        return np.sqrt(sum(m**2 for m in mesh))
+        # (x_0^2 + x_1^2) + x_2^2 by broadcasting, with no meshgrid copies
+        return np.sqrt(functools.reduce(np.add.outer, [axis**2] * self.dimension))
 
     def space_radius(self) -> np.ndarray:
         return self._radius(self.space_axis())
@@ -162,17 +162,28 @@ def fourier(field: Field, direction: TransformDirection) -> Field:
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-I on every axis: on an axis of length m, the length
-    2m - 2 DFT of the even extension x_0..x_{m-1}..x_1, which is real and
-    whose first m entries are the result.
+    """Unnormalized DCT-I on every axis of a 2-D or 3-D block with all axes
+    of length m:
 
-    Each pass transforms the last axis and then rotates it to the front, so
-    the axes are back in order after one pass per axis."""
+        y_k = x_0 + (-1)^k x_{m-1} + 2 sum_{j=1}^{m-2} x_j cos(pi j k / (m - 1)),
+
+    the length 2m - 2 DFT of the even extension x_0..x_{m-1}..x_1.
+
+    Each axis is one product with the m x m matrix C[k, j] = c_j
+    cos(pi j k / (m - 1)), c_j = 1 at j = 0 and j = m - 1 and 2 otherwise:
+    the last axis as rows times C^T, the middle one of three as a stack of
+    C times matrices, the first as C times the block's columns. The angle is
+    reduced as the integer j k mod 2m - 2 before the cosine, so every entry
+    is accurate to rounding."""
     y = np.asarray(x, dtype=float)
-    for _ in range(y.ndim):
-        even = np.concatenate([y, y[..., -2:0:-1]], axis=-1)
-        y = np.moveaxis(np.fft.rfft(even, axis=-1).real, -1, 0)
-    return y
+    shape, m = y.shape, y.shape[0]
+    jk = np.multiply.outer(np.arange(m), np.arange(m)) % (2 * m - 2)
+    C = np.cos(np.pi * jk / (m - 1))
+    C[:, 1:-1] *= 2.0
+    y = (y.reshape(-1, m) @ C.T).reshape(shape)
+    if y.ndim == 3:
+        y = np.matmul(C, y)
+    return (C @ y.reshape(m, -1)).reshape(shape)
 
 
 def orthant_forward(grid: Grid, x: np.ndarray) -> np.ndarray:

@@ -262,12 +262,17 @@ def test_threads_must_be_positive(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _subprocess_env(**extra: str) -> dict:
+    """The environment of a fresh interpreter that imports this borndisp."""
+    src = str(Path(borndisp.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # every CLI run pays for its imports; only oracle-fixtures needs
     # scipy.integrate
-    src = str(Path(borndisp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _subprocess_env()
     code = "import sys, borndisp.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
@@ -282,9 +287,7 @@ _HEAVY_SCIPY = ("scipy.interpolate", "scipy.fft", "scipy.special", "scipy.linalg
 def _heavy_scipy_loaded(code: str, *args: str) -> list:
     """Run code in a fresh interpreter with args as sys.argv[1:]; return the
     modules of _HEAVY_SCIPY that it loaded."""
-    src = str(Path(borndisp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _subprocess_env()
     env.pop("BORN_DISPERSION_OUT", None)
     code = (f"import json, sys; {code}; "
             f"print(json.dumps([m for m in {_HEAVY_SCIPY!r} if m in sys.modules]))")
@@ -373,6 +376,25 @@ def test_dispersion_ray_thread_independence(tmp_path):
         assert run(cfg, threads=threads) == 0
         csvs.append((out / "dispersion_ray.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_gbeta_blas_thread_independence(tmp_path):
+    # the DCT-I is a BLAS matrix product, whose work split follows the
+    # thread count; the g_beta artifacts must not
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"g{threads}"
+        cfg = _write(tmp_path, f"g{threads}.json", {
+            "experiment": "gbeta", "n": 3, "beta": 1.0, "bump_radius": 2.0,
+            "grid": {"N": 128, "L": 16.0}, "out_dir": str(out),
+        })
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads)
+        env.pop("BORN_DISPERSION_OUT", None)
+        subprocess.run([sys.executable, "-m", "borndisp.cli", cfg], env=env,
+                       check=True, capture_output=True, timeout=300)
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("gbeta.json", "gbeta_profile.csv")])
+    assert artifacts[0] == artifacts[1]
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -90,6 +90,49 @@ def test_orthant_transforms_match_scipy_dct1(n, N):
     assert np.max(np.abs(inv - ref / (N * h) ** n)) <= 1e-13 * np.max(np.abs(inv))
 
 
+def _longdouble_dct1(x):
+    """DCT-I on every axis as a direct cosine sum in extended precision, with
+    the angle reduced as the integer j k mod 2m - 2."""
+    m = x.shape[0]
+    jk = np.multiply.outer(np.arange(m), np.arange(m)) % (2 * m - 2)
+    pi = 4 * np.arctan(np.longdouble(1))
+    C = np.cos(pi * jk.astype(np.longdouble) / (m - 1))
+    C[:, 1:-1] *= 2
+    y = x.astype(np.longdouble)
+    for axis in range(x.ndim):
+        y = np.moveaxis(np.tensordot(C, y, axes=([1], [axis])), 0, axis)
+    return y
+
+
+@pytest.mark.parametrize("n, m", [(3, 65), (2, 129)])
+def test_orthant_transforms_match_longdouble_dct1(n, m):
+    grid = make_grid(n, 2 * (m - 1), 16.0)
+    x = np.random.default_rng(m + n).normal(size=(m,) * n)
+    ref = _longdouble_dct1(x)
+    scale = np.max(np.abs(ref))
+    fwd = orthant_forward(grid, x) / grid.spacing**n
+    assert np.max(np.abs(fwd - ref)) <= 1e-14 * scale
+    inv = orthant_inverse(grid, x) * (grid.samples_per_axis * grid.spacing) ** n
+    assert np.max(np.abs(inv - ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n, N, L", [(2, 256, 16.0), (3, 48, 16.0), (3, 18, 4.0)])
+def test_radius_equals_meshgrid_formula(n, N, L):
+    grid = make_grid(n, N, L)
+
+    def meshgrid_radius(axis):
+        mesh = np.meshgrid(*([axis] * n), indexing="ij")
+        return np.sqrt(sum(m**2 for m in mesh))
+
+    orthant = np.arange(N // 2 + 1)
+    np.testing.assert_array_equal(grid.space_radius(), meshgrid_radius(grid.space_axis()))
+    np.testing.assert_array_equal(grid.freq_radius(), meshgrid_radius(grid.freq_axis()))
+    np.testing.assert_array_equal(grid.orthant_space_radius(),
+                                  meshgrid_radius(grid.spacing * orthant))
+    np.testing.assert_array_equal(grid.orthant_freq_radius(),
+                                  meshgrid_radius(grid.freq_spacing * orthant))
+
+
 def test_impulse_has_flat_spectrum():
     g = make_grid(2, 32, 8.0)
     s = np.zeros((32, 32), dtype=complex)
