@@ -11,8 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import CutoffSpec, PVParams, q_theta2_hat, spherical_op
-from .geometry import Direction, SphereRule, in_cone, sphere_rule
+from .dispersion import (
+    CutoffSpec,
+    PVParams,
+    b_theta2,
+    bipolar_b,
+    spherical_op,
+)
+from .geometry import Direction, SphereRule, chart, in_cone, sphere_rule
 from .potentials import Potential
 
 log = logging.getLogger(__name__)
@@ -103,7 +109,9 @@ def lemma52_check(
 
     Samples S_{theta,1}(q)(t d) along a ray d in D_theta and passes iff the
     fitted decay exponent is >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15.
-    Returns the verdict and the raw (t, S) samples.
+    In n = 3, S_{theta,1} = Im B / pi is the middle wedge of ``bipolar_b``
+    at the rule's level, for every sample in one call. Returns the verdict
+    and the raw (t, S) samples.
     """
     d = -theta.components if direction is None else np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
@@ -112,7 +120,14 @@ def lemma52_check(
     if t_range[0] <= 2.0 * cut.C0:
         log.warning("t_min %.3g is inside the cutoff transition band", t_range[0])
     ts = np.geomspace(t_range[0], t_range[1], samples)
-    data = [(float(t), float(np.real(spherical_op(q, theta, 1.0, t * d, rule)))) for t in ts]
+    if theta.dimension == 3:
+        etas = ts[:, None] * d
+        ks = [chart(eta, theta).k for eta in etas]
+        S = bipolar_b(q, np.linalg.norm(etas, axis=1), ks, rule.level,
+                      sphere_only=True).imag / np.pi
+    else:
+        S = [np.real(spherical_op(q, theta, 1.0, t * d, rule)) for t in ts]
+    data = [(float(t), float(s)) for t, s in zip(ts, S)]
     fit = fit_decay(data, t_range)
     threshold = -min(beta + n / 2.0 + 1.0, 2.0 * beta + 2.0) - 0.15
     margin = fit.exponent - threshold
@@ -161,27 +176,8 @@ def gain_scan(
             "no sampled radius lies inside it"
         )
     T_max = levels[-1]
-    rule = sphere_rule(n, rule_level)
     ts = np.arange(RADIAL_STEP, T_max + 0.5 * RADIAL_STEP, RADIAL_STEP)
-
-    x, w = np.polynomial.legendre.leggauss(POLAR_NODES)
-    e_perp = _perp_unit(theta)
-    if n == 3:
-        mus = 0.5 * (x + 1.0)  # mu = -cos(angle to theta) in (0, 1)
-        mu_w = 0.5 * w * (2.0 * np.pi)  # hemisphere measure 2 pi d(mu)
-        dirs = [-m * theta.components + np.sqrt(1 - m**2) * e_perp for m in mus]
-    else:
-        phis = 0.5 * np.pi * x  # angle from -theta in (-pi/2, pi/2)
-        mu_w = 0.5 * np.pi * w
-        dirs = [
-            -np.cos(p) * theta.components + np.sin(p) * e_perp for p in phis
-        ]
-
-    qsq = np.zeros((ts.size, len(dirs)))
-    for i, t in enumerate(ts):
-        for j, d in enumerate(dirs):
-            eta = t * d
-            qsq[i, j] = abs(q_theta2_hat(q, theta, eta, rule, pv, cut)) ** 2
+    qsq, mu_w = _polar_samples(q, theta, ts, pv, cut, rule_level)
 
     scans = []
     for alpha in alphas:
@@ -198,6 +194,45 @@ def gain_scan(
         scans.append(RefinementScan(alpha=float(alpha), levels=level_vals,
                                     growth_ratios=ratios))
     return scans
+
+
+def _polar_samples(
+    q: Potential,
+    theta: Direction,
+    ts: np.ndarray,
+    pv: PVParams,
+    cut: CutoffSpec,
+    rule_level: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """|Q_{theta,2}(q)(eta)|^2 at eta = t d for the radii ts and the
+    POLAR_NODES directions d of the half space H_theta, as a (radius,
+    direction) array, and the directions' weights.
+
+    The cutoff is taken at the radius t itself, so a row with t <= C0 is
+    exactly 0 and evaluates no B. In n = 3 every other point goes to one
+    ``bipolar_b`` call: d = -mu theta + sqrt(1 - mu^2) e_perp gives
+    |eta| = t and k = t / (2 mu).
+    """
+    x, w = np.polynomial.legendre.leggauss(POLAR_NODES)
+    chi = cut.radial(ts)
+    live = np.flatnonzero(chi)
+    qsq = np.zeros((ts.size, POLAR_NODES))
+    if theta.dimension == 3:
+        mus = 0.5 * (x + 1.0)  # mu = -cos(angle to theta) in (0, 1)
+        mu_w = 0.5 * w * (2.0 * np.pi)  # hemisphere measure 2 pi d(mu)
+        e = np.repeat(ts[live], POLAR_NODES)
+        B = bipolar_b(q, e, e / (2.0 * np.tile(mus, live.size)), rule_level)
+        qsq[live] = np.abs(chi[live, None] * B.reshape(live.size, POLAR_NODES)) ** 2
+        return qsq, mu_w
+    phis = 0.5 * np.pi * x  # angle from -theta in (-pi/2, pi/2)
+    mu_w = 0.5 * np.pi * w
+    e_perp = _perp_unit(theta)
+    dirs = [-np.cos(p) * theta.components + np.sin(p) * e_perp for p in phis]
+    rule = sphere_rule(2, rule_level)
+    for i in live:
+        for j, d in enumerate(dirs):
+            qsq[i, j] = abs(chi[i] * b_theta2(q, theta, ts[i] * d, rule, pv)) ** 2
+    return qsq, mu_w
 
 
 def scans_to_json(scans: list[RefinementScan]) -> str:

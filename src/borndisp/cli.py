@@ -223,6 +223,13 @@ def _check_runtime_constraints(cfg: dict) -> None:
             "invalid config at field 'levels': every level must be at least "
             f"the radial step {analysis.RADIAL_STEP:g}, got {min(cfg['levels']):g}"
         )
+    # in n = 3, B comes from the bipolar rule, which has no principal value
+    # over r
+    if "pv" in cfg and cfg.get("n") == 3:
+        raise ConfigError(
+            "invalid config at field 'pv': n = 3 takes no principal-value "
+            "settings (B comes from the bipolar rule of rule_level)"
+        )
     # the defaults are valid, and a PVParams builds its quadrature rule (and
     # loads numpy.polynomial), so only a configured 'pv' is built here
     if "pv" in cfg:

@@ -1,7 +1,8 @@
 """
 Independent brute-force references: direct evaluation of B_{theta,2} in polar
-coordinates about -k theta, a 1-d principal-value integrator for closed-form
-checks, the sphere trace-constant ratio, and the sphere-kernel integral bound.
+coordinates about -k theta, S_{theta,r} and B_{theta,2} in closed form for a
+Gaussian, a 1-d principal-value integrator for closed-form checks, the sphere
+trace-constant ratio, and the sphere-kernel integral bound.
 
 These deliberately avoid the Ewald-sphere parametrization and the PV
 machinery of the dispersion module so agreement is an end-to-end test.
@@ -10,6 +11,7 @@ machinery of the dispersion module so agreement is an end-to-end test.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 from scipy import integrate, interpolate
@@ -118,6 +120,79 @@ def brute_b_theta2(
     hi, _ = integrate.quad_vec(g, (1.0 + delta) * k, t_max, epsabs=1e-12, epsrel=1e-10)
     pv_term = inner + lo + hi
     return complex(1j * np.pi * sphere + pv_term)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms for the Gaussian q = exp(-a |x|^2)
+
+
+def _gaussian_chart(theta: Direction, eta) -> tuple[float, float, float]:
+    """(k, |eta|^2, c = |theta + theta'|) at eta in H_theta."""
+    eta = np.asarray(eta, dtype=float)
+    k = chart(eta, theta).k
+    e = float(np.linalg.norm(eta))
+    return k, e * e, np.sqrt(max(2.0 * k - e, 0.0) * (2.0 * k + e)) / k
+
+
+def gaussian_s(a: float, theta: Direction, eta, r):
+    """S_{theta,r}(q)(eta) for q = exp(-a |x|^2) in n = 2 or 3, for a radius
+    or an array of radii:
+
+        S(r) = A^2 (rk)^{n-1} / (k (1 + r)) (2 pi)^{n/2} kappa^{1-n/2}
+               ive(n/2 - 1, kappa) exp(-(k^2/2a)(1 + r^2 - r c))
+
+    with A = (pi/a)^{n/2}, c = |theta + theta'| and kappa = r k^2 c / 2a.
+    In n = 3 the Bessel factor is 4 pi (1 - exp(-2 kappa)) / (2 kappa), which
+    tends to the sphere area 4 pi at kappa = 0 (theta' = -theta). The
+    exponent is formed as (1 - r)^2 + r (2 - c), with
+    2 - c = |eta|^2 / (k^2 (2 + c)), which does not cancel at large k.
+    """
+    n = theta.dimension
+    k, e2, c = _gaussian_chart(theta, eta)
+    r = np.asarray(r, dtype=float)
+    kappa = r * k * k * c / (2.0 * a)
+    if n == 3:
+        safe = np.where(kappa > 0.0, kappa, 1.0)
+        bessel = 4.0 * np.pi * np.where(kappa > 0.0, -np.expm1(-2.0 * safe) / (2.0 * safe), 1.0)
+    else:
+        from scipy.special import ive
+
+        bessel = 2.0 * np.pi * ive(0, kappa)
+    exponent = -(k * k / (2.0 * a)) * ((1.0 - r) ** 2 + r * e2 / (k * k * (2.0 + c)))
+    amp = (np.pi / a) ** n
+    return amp * (r * k) ** (n - 1) / (k * (1.0 + r)) * bessel * np.exp(exponent)
+
+
+def gaussian_b_theta2(a: float, theta: Direction, eta) -> complex:
+    """B_{theta,2}(q)(eta) = i pi S(1) + p.v. integral_0^inf S(r)/(1 - r) dr
+    for q = exp(-a |x|^2), from ``gaussian_s`` by adaptive quadrature.
+
+    S peaks at r = c/2 with width sqrt(a)/k. The pole's window
+    |r - 1| < d, d = min(1/2, 10 sqrt(a)/k), is integrated with the Cauchy
+    weight; the rest of (0, 4) in pieces split at the peak and a few widths
+    on either side; the tail (4, infinity) through r = 4/v.
+    """
+    k, _, c = _gaussian_chart(theta, eta)
+
+    def S(r):
+        return float(gaussian_s(a, theta, eta, r))
+
+    width = np.sqrt(a) / k
+    d = min(0.5, 10.0 * width)
+    tol = 1e-15 * (abs(S(0.5 * c)) + abs(S(1.0)))
+    opts = {"epsabs": tol, "epsrel": 1e-13, "limit": 500}
+    marks = 0.5 * c + width * np.array([-12.0, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0, 12.0])
+    with warnings.catch_warnings():
+        # QUADPACK reports roundoff at these tolerances; the results hold
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        P = -integrate.quad(S, 1.0 - d, 1.0 + d, weight="cauchy", wvar=1.0, **opts)[0]
+        for lo, hi in ((0.0, 1.0 - d), (1.0 + d, 4.0)):
+            edges = [lo, *sorted(x for x in marks if lo < x < hi), hi]
+            for p0, p1 in zip(edges[:-1], edges[1:]):
+                P += integrate.quad(lambda r: S(r) / (1.0 - r), p0, p1, **opts)[0]
+        P += integrate.quad(lambda v: S(4.0 / v) * 4.0 / (v * (v - 4.0)) if v > 0 else 0.0,
+                            0.0, 1.0, **opts)[0]
+    return complex(P, np.pi * S(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_criterion_02_gbeta_decay(gbeta3):
             f"min ghat {gbeta3.meta['ghat_min']:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_03_operator_oracle(gauss2, theta2, rule2):
+def test_criterion_03_operator_oracle(gauss2, theta2, rule2, gauss3, theta3, rule3):
     start = time.monotonic()
     pv = PVParams()
     worst = 0.0
@@ -75,10 +75,17 @@ def test_criterion_03_operator_oracle(gauss2, theta2, rule2):
         ref = oracle.brute_b_theta2(gauss2, theta2, eta)
         lib = b_theta2(gauss2, theta2, eta, rule2, pv)
         worst = max(worst, abs(lib - ref) / abs(ref))
+    worst3 = 0.0
+    for t in (3.0, 5.0, 8.0):
+        eta = np.array([t, 1.0, 0.5])
+        ref = oracle.gaussian_b_theta2(0.5, theta3, eta)
+        lib = b_theta2(gauss3, theta3, eta, rule3, pv)
+        worst3 = max(worst3, abs(lib - ref) / abs(ref))
     elapsed = time.monotonic() - start
-    ok = worst <= 0.05 and elapsed < 300.0
+    ok = worst <= 0.05 and worst3 <= 0.05 and elapsed < 300.0
     _report(3, "operator oracle equivalence", ok,
-            f"worst relative error {worst:.2e} (tol 5%), {elapsed:.1f}s")
+            f"worst relative error n=2 {worst:.2e}, n=3 {worst3:.2e} (tol 5%), "
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_04_pv_machinery():

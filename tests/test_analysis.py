@@ -11,6 +11,7 @@ from borndisp.analysis import (
     scans_to_json,
 )
 from borndisp.dispersion import CutoffSpec, PVParams
+from borndisp.geometry import Direction
 
 
 def test_fit_decay_exact_power_law():
@@ -83,3 +84,31 @@ def test_gain_scan_rejects_level_below_radial_step(gauss2, theta2):
     with pytest.raises(ValueError, match="level 1 "):
         gain_scan(gauss2, theta2, [0.0], [1.0, 4.0, 8.0], PVParams(),
                   CutoffSpec())
+
+
+@pytest.mark.parametrize("case", ["gauss2", "gauss3"])
+def test_gain_scan_cutoff_edge_row_is_zero(case, request, monkeypatch):
+    # chi is taken at the radius t, not at |t d|, which rounds above C0 for
+    # some directions: the t = C0 row is exactly 0 and reads no B
+    from borndisp import analysis
+
+    q = request.getfixturevalue(case)
+    n = q.dimension
+    seen = []
+
+    def recording(fn, radii):
+        def wrapped(q, *args, **kwargs):
+            seen.append(radii(args))
+            return fn(q, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(analysis, "bipolar_b", recording(
+        analysis.bipolar_b, lambda args: np.atleast_1d(args[0])))
+    monkeypatch.setattr(analysis, "b_theta2", recording(
+        analysis.b_theta2, lambda args: np.atleast_1d(np.linalg.norm(args[1]))))
+    theta = Direction.normalized([0.3, -1.0, 0.4][:n])
+    ts = np.array([1.0, 2.0, 4.0])
+    qsq, _ = analysis._polar_samples(q, theta, ts, PVParams(), CutoffSpec(C0=2.0), 3)
+    assert np.all(qsq[:2] == 0.0) and np.all(qsq[2] > 0.0)
+    radii = np.concatenate(seen)
+    assert radii.size == analysis.POLAR_NODES and np.all(radii > 3.9)

@@ -129,6 +129,22 @@ def test_removed_pv_fields_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment", ["dispersion-ray", "gain-scan"])
+def test_pv_rejected_in_n3(tmp_path, capsys, experiment):
+    # n = 3 evaluates B by the bipolar rule, which the pv settings do not reach
+    cfg = {"experiment": experiment, "n": 3, "a": 0.5, "theta": [-1, 0, 0],
+           "pv": {"delta": 0.5}, "out_dir": str(tmp_path / "out")}
+    if experiment == "gain-scan":
+        cfg.update(beta=1.0, grid={"N": 128, "L": 16.0}, alphas=[1.7],
+                   levels=[4.0, 6.0, 8.0])
+    else:
+        cfg["ray"] = {"direction": [1, 0, 0], "t_min": 3, "t_max": 8, "count": 3}
+    assert run(_write(tmp_path, "p.json", cfg)) == 1
+    err = capsys.readouterr().err
+    assert "'pv'" in err and "n = 3" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _qfull_config(tmp_path, **overrides):
     return {
         "experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,

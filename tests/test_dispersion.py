@@ -6,6 +6,7 @@ from borndisp.dispersion import (
     CutoffSpec,
     PVParams,
     b_theta2,
+    bipolar_b,
     cutoff_chi,
     dispersion_batch,
     principal_value_op,
@@ -257,3 +258,96 @@ def test_csv_schema(gauss2, theta2, rule2, tmp_path):
     write_samples_csv(samples, path)
     header = path.read_text().splitlines()[0]
     assert header == "eta_1,eta_2,k,S_re,S_im,P_re,P_im,B_re,B_im,Q_re,Q_im"
+
+
+# ---------------------------------------------------------------------------
+# The bipolar rule (n = 3)
+
+
+def _eta_at(e, k):
+    """The point of H_theta, theta = -e_1, with |eta| = e and chart k."""
+    c = e / (2.0 * k)
+    return np.array([e * c, e * np.sqrt(1.0 - c * c), 0.0])
+
+
+def test_bipolar_b_matches_gaussian_oracle(gauss3, theta3):
+    # the 1e-9 gate at level 4 over k in [2, 2500]; |eta| <= 12 keeps
+    # S_{theta,1} ~ exp(-|eta|^2 / 8a) far above underflow
+    from borndisp.oracle import gaussian_b_theta2
+
+    worst = 0.0
+    for k in np.geomspace(2.0, 2500.0, 7):
+        for e in (1.0, 4.0, 12.0):
+            if e > 2.0 * k:
+                continue
+            ref = gaussian_b_theta2(0.5, theta3, _eta_at(e, k))
+            B = bipolar_b(gauss3, e, k, 4)[0]
+            worst = max(worst, abs(B - ref) / abs(ref))
+    assert worst <= 1e-9
+
+
+def test_bipolar_b_closed_middle_wedge(gauss3, theta3):
+    # eta = -2k theta: the two singular rays meet and the middle wedge has
+    # zero width, yet holds i pi S_{theta,1}
+    from borndisp.oracle import gaussian_b_theta2, gaussian_s
+
+    eta = np.array([4.0, 0.0, 0.0])
+    B = bipolar_b(gauss3, 4.0, 2.0, 4)[0]
+    assert abs(B - gaussian_b_theta2(0.5, theta3, eta)) <= 1e-12 * abs(B)
+    assert B.imag / np.pi == pytest.approx(float(gaussian_s(0.5, theta3, eta, 1.0)),
+                                           rel=1e-13)
+
+
+def test_bipolar_b_lattice_self_convergence(gbeta3):
+    # the lattice q_hat is a spline with a value-only tail join, so the rule
+    # converges algebraically; level 4 stays within 1e-5 of level 6
+    e = np.array([8.0, 24.0, 48.0, 96.0, 4.0])
+    k = np.array([4.5, 120.0, 600.0, 2400.0, 1000.0])
+    fine = bipolar_b(gbeta3, e, k, 6)
+    assert np.all(np.abs(bipolar_b(gbeta3, e, k, 4) - fine) <= 1e-5 * np.abs(fine))
+
+
+@pytest.mark.parametrize("e, k", [(4.0, 3.0), (6.0, 12.0), (4.0, 30.0)])
+def test_bipolar_b_agrees_with_sphere_and_pv(gauss3, theta3, e, k):
+    from borndisp.dispersion import _sphere_and_pv
+
+    ref = _sphere_and_pv(gauss3, theta3, _eta_at(e, k), sphere_rule(3, 6), PVParams())[2]
+    assert abs(bipolar_b(gauss3, e, k, 6)[0] - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("case", ["gauss3", "gbeta3"])
+def test_bipolar_b_block_independence(case, request, monkeypatch):
+    # a point's B is the same bits alone, in any block and at any place in it
+    from borndisp import dispersion
+
+    q = request.getfixturevalue(case)
+    e = np.linspace(2.1, 90.0, 23)
+    k = e / (2.0 * np.linspace(0.04, 1.0, 23))
+    alone = np.array([bipolar_b(q, ei, ki, 3)[0] for ei, ki in zip(e, k)])
+    for block in (2**11, 5 * 2**11, BLOCK_POINTS, 2**18):
+        monkeypatch.setattr(dispersion, "BLOCK_POINTS", block)
+        np.testing.assert_array_equal(bipolar_b(q, e, k, 3), alone)
+        np.testing.assert_array_equal(bipolar_b(q, e[3:], k[3:], 3), alone[3:])
+
+
+def test_bipolar_b_sphere_only(gbeta3, theta3):
+    # the middle wedge alone is i pi S_{theta,1}, bit for bit the imaginary
+    # part of B, and agrees with the sphere rule
+    e, k = np.array([8.0, 8.0]), np.array([6.0, 20.0])
+    B = bipolar_b(gbeta3, e, k, 4)
+    S = bipolar_b(gbeta3, e, k, 4, sphere_only=True)
+    np.testing.assert_array_equal(S.real, 0.0)
+    np.testing.assert_array_equal(S.imag, B.imag)
+    for i in range(2):
+        ref = spherical_op(gbeta3, theta3, 1.0, _eta_at(e[i], k[i]), sphere_rule(3, 6))
+        assert S[i].imag / np.pi == pytest.approx(ref.real, rel=1e-5)
+
+
+def test_n3_batch_parts(gauss3, theta3, rule3):
+    # in n = 3, S = Im B / pi and P = Re B, from one bipolar value
+    etas = [_eta_at(4.0, 3.0), -_eta_at(5.0, 8.0)]
+    for s in dispersion_batch(gauss3, theta3, etas, rule3, PVParams(), CutoffSpec()):
+        assert s.B == complex(s.P.real, np.pi * s.S.real)
+        assert s.Q == cutoff_chi(s.eta, CutoffSpec()) * s.B
+        assert s.B == b_theta2(gauss3, theta3 if s.eta[0] > 0 else -theta3, s.eta,
+                               rule3, PVParams())

@@ -52,6 +52,29 @@ def test_brute_b_amplitude_bilinearity(gauss2, theta2):
     assert four == pytest.approx(4.0 * one, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_gaussian_s_matches_spherical_op(n):
+    from borndisp.dispersion import spherical_op
+    from borndisp.geometry import Direction
+
+    q = gaussian_potential(0.5, make_grid(n, 16, 16.0))
+    theta = Direction.normalized([-1.0, 0.3, 0.2][:n])
+    rule = sphere_rule(n, 6)
+    radii = np.array([0.2, 0.7, 1.0, 1.3, 2.5])
+    for e, k in ((1.0, 0.6), (2.0, 1.5), (4.0, 3.0), (4.0, 10.0), (8.0, 20.0)):
+        # |eta| = e at the angle to -theta whose cosine is e / 2k
+        c = e / (2.0 * k)
+        perp = np.eye(n)[1] - (np.eye(n)[1] @ theta.components) * theta.components
+        eta = e * (-c * theta.components + np.sqrt(1 - c * c) * perp / np.linalg.norm(perp))
+        ref = oracle.gaussian_s(0.5, theta, eta, radii)
+        got = spherical_op(q, theta, radii, eta, rule)
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.max(ref))
+    # theta' = -theta, where kappa = 0: the sphere area times the prefactor
+    eta = -4.0 * theta.components
+    assert oracle.gaussian_s(0.5, theta, eta, 1.0) == pytest.approx(
+        spherical_op(q, theta, 1.0, eta, rule).real, rel=1e-12)
+
+
 def test_brute_b_requires_analytic(gbeta2, theta2):
     with pytest.raises(ValueError):
         oracle.brute_b_theta2(gbeta2, theta2, np.array([4.0, 0.0]))
