@@ -95,7 +95,6 @@ def fit_decay(samples, window: tuple[float, float]) -> DecayFit:
 
 def lemma52_check(
     q: Potential,
-    n: int,
     beta: float,
     theta: Direction,
     a: float,
@@ -108,7 +107,8 @@ def lemma52_check(
     """Lower-bound surrogate for the spherical operator on the cone axis.
 
     Samples S_{theta,1}(q)(t d) along a ray d in D_theta and passes iff the
-    fitted decay exponent is >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15.
+    fitted decay exponent is >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15,
+    with n = theta.dimension.
     In n = 3, S_{theta,1} = Im B / pi is the middle wedge of ``bipolar_b``
     at the rule's level, for every sample in one call. Returns the verdict
     and the raw (t, S) samples.
@@ -129,7 +129,7 @@ def lemma52_check(
         S = [np.real(spherical_op(q, theta, 1.0, t * d, rule)) for t in ts]
     data = [(float(t), float(s)) for t, s in zip(ts, S)]
     fit = fit_decay(data, t_range)
-    threshold = -min(beta + n / 2.0 + 1.0, 2.0 * beta + 2.0) - 0.15
+    threshold = -min(beta + theta.dimension / 2.0 + 1.0, 2.0 * beta + 2.0) - 0.15
     margin = fit.exponent - threshold
     verdict = Verdict(
         claim="spherical-operator-lower-bound",

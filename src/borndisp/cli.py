@@ -353,7 +353,7 @@ def _run_lemma52(cfg: dict, out: Path, threads: int):
     ray = cfg["ray"]
     rule = sphere_rule(cfg["n"], cfg.get("rule_level", 4))
     verdict, data = analysis.lemma52_check(
-        q, cfg["n"], cfg["beta"], theta, cfg.get("cone_aperture", 0.5),
+        q, cfg["beta"], theta, cfg.get("cone_aperture", 0.5),
         (ray["t_min"], ray["t_max"]), rule, _cut(cfg),
         direction=ray["direction"], samples=ray["count"],
     )

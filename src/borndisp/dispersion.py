@@ -37,15 +37,13 @@ from .potentials import Potential
 OUTER_NODES = 24
 TAIL_R1 = 4.0
 
-# (radius, node) pairs per block of an array-r spherical_op. A block's
-# arrays (the workspace and a tabulated q_hat read's temporaries) are then
-# 256 KiB each and about 2 MiB together: they stay in a core's L2 cache, and
-# malloc reuses the freed temporaries for the next block. At 2^18 it returned
-# them to the system and faulted them back in (64k minor faults in scan-n3's
-# gain scan, against about 480 here). In a sweep over 2^12..2^18 of the
-# kernel time on qfull-n2, scan-n3 and the criterion-6 gain scan, 2^15 had
-# the lowest median on each: smaller blocks pay the per-block overhead,
-# larger ones the cache misses and the faults.
+# Nodes per block of the two kernels that read q_hat in bulk: (radius, node)
+# pairs of an array-r spherical_op, and (chi, R) nodes per wedge of
+# bipolar_b. A block's arrays (a workspace and the temporaries of a
+# tabulated q_hat read) are then 256 KiB each and about 2 MiB together: they
+# stay in a core's L2 cache, and malloc reuses the freed temporaries for the
+# next block instead of returning them to the system and faulting them back
+# in. Smaller blocks pay the per-block overhead instead.
 BLOCK_POINTS = 2**15
 
 # Radius scale of the bipolar rule: in each wedge the radius R runs over
@@ -124,34 +122,28 @@ def spherical_op(
 
     A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
     array, evaluated in blocks of at most BLOCK_POINTS (radius, node) pairs
-    in one workspace, which ``ewald_nodes`` fills and q_hat overwrites.
-    q_hat is read once per polar row of the rule at the first radius |xi|,
-    which ``ewald_nodes`` gives per row, and once per node at |eta - xi|.
+    in one workspace, which ``ewald_nodes`` fills and q_hat overwrites at
+    both radii |xi| and |eta - xi| of every node.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(radii <= 0):
         raise ValueError(f"r must be positive, got {r}")
     ch = chart(eta, theta)
-    M, row = rule.weights.size, rule.row
-    P = M // row
+    M = rule.weights.size
     step = min(radii.size, max(1, BLOCK_POINTS // M))
-    # The workspace of s_in (step, P), s_out and the weights (step, M)
-    # belongs to this call and serves every block; one buffer, because
-    # malloc keeps a freed chunk of that size for the next call instead of
-    # returning it to the system, as it does with three adjacent smaller ones
-    work = np.split(np.empty(step * (P + 2 * M)), [step * P, step * (P + M)])
+    # The workspace of s_in, s_out and the weights, each (step, M), belongs
+    # to this call and serves every block; one buffer, because malloc keeps
+    # a freed chunk of that size for the next call instead of returning it
+    # to the system, as it does with three adjacent smaller ones
+    work = np.empty((3, step, M))
     sums = np.empty(radii.size)
     for i in range(0, radii.size, step):
         block = radii[i:i + step]
         b = block.size
-        s_in, s_out, weights = ewald_nodes(ch, block, theta, rule, out=(
-            work[0][:b * P].reshape(b, P), work[1][:b * M].reshape(b, M),
-            work[2][:b * M].reshape(b, M)))
-        # q_hat in place, the first radius spread over its row
+        s_in, s_out, weights = ewald_nodes(ch, block, theta, rule, out=tuple(work[:, :b]))
         q.fourier_radial(s_in, out=s_in)
         q.fourier_radial(s_out, out=s_out)
-        rows = s_out.reshape(b, P, row)
-        np.multiply(rows, s_in[:, :, None], out=rows)
+        s_out *= s_in
         sums[i:i + b] = np.vecdot(weights, s_out)
     S = (sums / (ch.k * (1.0 + radii))).astype(complex)
     return complex(S[0]) if np.ndim(r) == 0 else S

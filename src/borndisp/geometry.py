@@ -88,24 +88,17 @@ def in_cone(eta, theta: Direction, a: float) -> bool:
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Quadrature nodes and weights on S^{n-1}, in rows of ``row``
-    consecutive nodes that share the last coordinate (the polar one)."""
+    """Quadrature nodes and weights on S^{n-1}; the last coordinate is the
+    polar one."""
 
     nodes: np.ndarray  # (M, n)
     weights: np.ndarray  # (M,)
     level: int
-    row: int = 1
-
-    def __post_init__(self) -> None:
-        polar = self.nodes[:, -1].reshape(-1, self.row)
-        if np.any(polar != polar[:, :1]):
-            raise ValueError(f"nodes do not share the polar coordinate in rows of {self.row}")
 
 
 def sphere_rule(n: int, level: int) -> SphereRule:
     """n = 2: trapezoid with 2^{level+4} angles. n = 3: Gauss-Legendre in
-    cos(polar) with 2^{level+2} nodes x trapezoid azimuth with 2^{level+3},
-    one row of azimuths per polar node."""
+    cos(polar) with 2^{level+2} nodes x trapezoid azimuth with 2^{level+3}."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if n == 2:
@@ -125,7 +118,7 @@ def sphere_rule(n: int, level: int) -> SphereRule:
         nodes[:, 1] = np.outer(sin_polar, np.sin(phi)).ravel()
         nodes[:, 2] = np.repeat(x, Ma)
         weights = np.repeat(w, Ma) * (2.0 * np.pi / Ma)
-        return SphereRule(nodes, weights, level=level, row=Ma)
+        return SphereRule(nodes, weights, level=level)
     raise ValueError(f"n must be 2 or 3, got {n}")
 
 
@@ -139,9 +132,8 @@ def ewald_nodes(
         s_in  = |xi|^2       = k^2 ((1 - r)^2 + 2r(1 - u)),  u = x_i.pole,
         s_out = |eta - xi|^2 = k^2 ((1 - r)^2 + 2r(1 - v)),  v = x_i.(H theta'),
 
-    and weight w_i (rk)^{n-1}. This form does not cancel at large k. u is
-    the polar coordinate, one value per row of the rule, so s_in is (R, P)
-    for the P = M / rule.row rows; s_out and the weights are (R, M).
+    and weight w_i (rk)^{n-1}, each (R, M) for the rule's M nodes. This
+    form does not cancel at large k. u is the node's polar coordinate.
 
     ``out``, if given, is the (s_in, s_out, weights) triple of arrays to
     write; otherwise they are allocated.
@@ -153,11 +145,10 @@ def ewald_nodes(
         t_prime = t_prime - (2.0 * float(t_prime @ h) / hh) * h
     r = np.asarray(radii, dtype=float)[:, None]
     if out is None:
-        M = rule.weights.size
-        out = np.empty((r.size, M // rule.row)), np.empty((r.size, M)), np.empty((r.size, M))
+        out = tuple(np.empty((r.size, rule.weights.size)) for _ in range(3))
     s_in, s_out, weights = out
     k2, gap, two_r = ch.k**2, (1.0 - r) ** 2, 2.0 * r
-    for s, x in ((s_in, rule.nodes[::rule.row, -1]), (s_out, rule.nodes @ t_prime)):
+    for s, x in ((s_in, rule.nodes[:, -1]), (s_out, rule.nodes @ t_prime)):
         np.multiply(two_r, 1.0 - x, out=s)
         s += gap
         s *= k2

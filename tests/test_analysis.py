@@ -50,7 +50,7 @@ def test_fit_decay_drops_nonpositive():
 
 def test_lemma52_thresholds(gbeta2, theta2, rule2):
     verdict, data = lemma52_check(
-        gbeta2, 2, 1.0, theta2, 0.5, (8.0, 48.0), rule2, CutoffSpec(), samples=16
+        gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), rule2, CutoffSpec(), samples=16
     )
     assert verdict.passed
     assert "threshold -3.1500" in verdict.details
@@ -61,7 +61,7 @@ def test_lemma52_thresholds(gbeta2, theta2, rule2):
 
 def test_lemma52_ray_guard(gbeta2, theta2, rule2):
     with pytest.raises(RayOutsideCone):
-        lemma52_check(gbeta2, 2, 1.0, theta2, 0.9, (8.0, 48.0), rule2,
+        lemma52_check(gbeta2, 1.0, theta2, 0.9, (8.0, 48.0), rule2,
                       CutoffSpec(), direction=[0.3, 1.0])
 
 

@@ -109,8 +109,8 @@ def test_spherical_op_blocks_of_radii(case, block_points, request, monkeypatch):
 @pytest.mark.parametrize("case", ["gauss2", "gbeta2", "gauss3", "gbeta3"])
 @pytest.mark.parametrize("level", [3, 4])
 def test_spherical_op_equals_per_node_product(case, level, request):
-    # q_hat at the first radius is read once per polar row; the sums must
-    # equal those of the explicit product of two (R, M) reads, bit for bit
+    # the in-place reads in the one workspace must give the sums of the
+    # explicit product of two allocating (R, M) reads, bit for bit
     from borndisp.geometry import chart, ewald_nodes
 
     q = request.getfixturevalue(case)
@@ -121,7 +121,6 @@ def test_spherical_op_equals_per_node_product(case, level, request):
     radii = PVParams().rule[0]
     ch = chart(eta, theta)
     s_in, s_out, weights = ewald_nodes(ch, radii, theta, rule)
-    s_in = np.repeat(s_in, rule.row, axis=1)
     sums = np.vecdot(weights, q.fourier_radial(s_in) * q.fourier_radial(s_out))
     expected = (sums / (ch.k * (1.0 + radii))).astype(complex)
     np.testing.assert_array_equal(spherical_op(q, theta, radii, eta, rule), expected)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from borndisp.geometry import (
     Direction,
     NotInHalfSpace,
-    SphereRule,
     chart,
     ewald_nodes,
     in_cone,
@@ -98,15 +97,6 @@ def test_sphere_rule_total_weight(n, level):
     assert np.allclose(np.linalg.norm(rule.nodes, axis=1), 1.0)
 
 
-@pytest.mark.parametrize("n,level,row", [(2, 3, 1), (3, 3, 64), (3, 4, 128)])
-def test_sphere_rule_polar_rows(n, level, row):
-    rule = sphere_rule(n, level)
-    # built, the rule has passed the check that each row shares one polar node
-    assert rule.row == row
-    with pytest.raises(ValueError, match="polar coordinate"):
-        SphereRule(rule.nodes, rule.weights, level, row=2 * row)
-
-
 def test_sphere_rule_degree2_exact():
     rule = sphere_rule(3, 3)
     val = np.dot(rule.weights, rule.nodes[:, 2] ** 2)
@@ -137,9 +127,6 @@ def test_ewald_nodes_squared_radii(n):
             eta = -eta
         ch = chart(eta, theta)
         s_in, s_out, w = ewald_nodes(ch, radii, theta, rule)
-        # s_in comes once per polar row; spread it over the row's nodes
-        assert s_in.shape == (radii.size, rule.weights.size // rule.row)
-        s_in = np.repeat(s_in, rule.row, axis=1)
         assert s_in.shape == s_out.shape == w.shape == (radii.size, rule.weights.size)
         # the explicit points xi = -k theta + r k omega, with omega the rule
         # nodes reflected so that the pole goes to theta

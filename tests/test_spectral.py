@@ -229,11 +229,21 @@ def _spline_reference(prof, rho):
 
 def test_radial_profile_matches_cubic_spline_on_random_knots():
     rng = np.random.default_rng(3)
+    tables = []
     for m in (4, 5, 17, 160):
         radii = np.cumsum(rng.uniform(0.05, 1.0, m))
-        values = rng.normal(size=m)
+        tables.append((radii, rng.normal(size=m)))
+    # a knot gap 1e-9 of the span, off the even spacing of the others
+    squeezed = np.sort(np.concatenate([np.linspace(0.0, 10.0, 30), [5.0, 5.0 + 1e-8]]))
+    tables.append((squeezed, np.cos(squeezed)))
+    for radii, values in tables:
         prof = RadialProfile(radii, values)
-        rho = np.concatenate([rng.uniform(0.0, radii[-1] + 2.0, 4000), radii])
+        rho = np.concatenate([
+            rng.uniform(0.0, radii[-1] + 2.0, 4000), radii,
+            np.nextafter(radii, -np.inf), np.nextafter(radii, np.inf),
+            radii[0] - rng.uniform(0.0, 5.0, 50),    # below the table
+            radii[-1] + rng.uniform(0.0, 50.0, 50),  # past it
+        ])
         ref = _spline_reference(prof, rho)
         assert np.max(np.abs(prof(rho) - ref)) <= 1e-13 * np.max(np.abs(values))
 
@@ -260,30 +270,6 @@ def test_radial_profile_short_tables():
         assert np.max(np.abs(prof(rho) - ref)) <= 1e-13 * np.max(np.abs(values))
     with pytest.raises(ValueError, match="at least 2 radii, got 1"):
         RadialProfile([1.0], [2.0])
-
-
-def test_radial_profile_interval_matches_searchsorted(gbeta3):
-    rng = np.random.default_rng(6)
-    uneven = np.cumsum(rng.uniform(0.05, 1.0, 40))
-    # a gap 1e-9 of the span caps the bucket table, so buckets hold more
-    # than one knot
-    squeezed = np.sort(np.concatenate([np.linspace(0.0, 10.0, 30), [5.0, 5.0 + 1e-8]]))
-    profiles = [gbeta3.fourier_profile, RadialProfile(uneven, np.sin(uneven)),
-                RadialProfile(squeezed, np.cos(squeezed)),
-                RadialProfile([1.0, 3.0], [2.0, -1.0]),
-                RadialProfile([0.5, 1.0, 2.5], [1.0, -2.0, 3.0])]
-    assert profiles[0]._per_bucket == 1 and profiles[2]._per_bucket > 1
-    for prof in profiles:
-        r = prof.radii
-        rho = np.concatenate([
-            r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf),
-            rng.uniform(r[0], r[-1], 20000),
-            r[0] - rng.uniform(0.0, 5.0, 50),   # below the table
-            r[-1] + rng.uniform(0.0, 50.0, 50),  # past it
-        ])
-        dr = np.clip(rho, r[0], r[-1])
-        np.testing.assert_array_equal(prof.interval(dr),
-                                      np.searchsorted(r[1:-1], dr, side="right"))
 
 
 def test_radial_profile_array_read_equals_scalar_reads(gbeta3):
