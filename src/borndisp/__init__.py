@@ -23,7 +23,6 @@ from .dispersion import (
     q_full2_hat,
     q_theta2_hat,
     spherical_op,
-    write_samples_csv,
 )
 from .geometry import (
     Chart,
@@ -40,7 +39,6 @@ from .potentials import (
     GBetaSpec,
     GridTooCoarseError,
     Potential,
-    export_potential,
     gaussian_potential,
     make_gbeta,
 )

@@ -5,7 +5,6 @@ and pass/fail verdicts against the sharp-regularity predictions.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -233,15 +232,3 @@ def _polar_samples(
         for j, d in enumerate(dirs):
             qsq[i, j] = abs(chi[i] * b_theta2(q, theta, ts[i] * d, rule, pv)) ** 2
     return qsq, mu_w
-
-
-def scans_to_json(scans: list[RefinementScan]) -> str:
-    payload = [
-        {
-            "alpha": s.alpha,
-            "levels": [{"extent": T, "norm": v} for T, v in s.levels],
-            "growth_ratios": s.growth_ratios,
-        }
-        for s in scans
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True)

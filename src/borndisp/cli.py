@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import resource
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, analysis, bounds, dispersion, potentials
+from . import __version__, analysis, bounds, dispersion
 from .geometry import Direction, chart, in_cone, in_half_space, sphere_rule
 from .potentials import GBetaSpec, GridTooCoarseError, gaussian_potential, make_gbeta
 from .spectral import make_grid
@@ -100,7 +101,9 @@ _SCHEMA = {
 # The JSON Schema keywords that _validate implements. "type" takes the JSON
 # types below, except that an "integer" (and an integer in an "enum") is a
 # JSON integer only: 3.0 is not one, since a level, a count or a node number
-# given as 3.0 fails part-way through a run.
+# given as 3.0 fails part-way through a run; and a "number" is finite only:
+# json.load reads NaN and Infinity, which pass every comparison below and run
+# to NaN artifacts.
 _KEYWORDS = frozenset({
     "type", "enum", "required", "properties", "additionalProperties", "items",
     "minItems", "maxItems", "minimum", "exclusiveMinimum", "exclusiveMaximum",
@@ -124,6 +127,8 @@ def _validate(value, schema: dict, path: str = "") -> None:
     # bool is an int in Python, never a number in JSON
     if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
         fail(f"{value!r} is not of type '{kind}'")
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"{value!r} is not a finite number")
     if "enum" in schema and not any(type(value) is type(e) and value == e
                                     for e in schema["enum"]):
         fail(f"{value!r} is not one of {schema['enum']}")
@@ -282,9 +287,19 @@ def _cut(cfg: dict) -> dispersion.CutoffSpec:
 
 
 def _write_json(payload, path: Path) -> None:
+    """A JSON artifact: sorted keys, indent 2, a trailing newline."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    """A CSV artifact: the header, then each row's numbers at full precision
+    (%.17g), None as an empty field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else f"{v:.17g}" for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +337,25 @@ def _run_chart_selftest(cfg: dict, out: Path, threads: int):
 
 
 def _run_gbeta(cfg: dict, out: Path, threads: int):
-    q = _potential(cfg)
-    potentials.export_potential(q, out / "gbeta.json", out / "gbeta_profile.csv")
+    q = make_gbeta(_gbeta_spec(cfg))
+    profile = q.fourier_profile
+    _write_json({
+        "label": q.label,
+        "dimension": q.dimension,
+        "support_radius": q.support_radius,
+        # g_beta is real and radial with a nonnegative q_hat
+        "is_real": True,
+        "is_radial": True,
+        "fourier_nonneg": True,
+        "meta": q.meta,
+        "tail_exponent": profile.tail_exponent,
+        "tail_coefficient": profile.tail_coefficient,
+    }, out / "gbeta.json")
+    _write_csv(out / "gbeta_profile.csv", ["radius", "value"],
+               zip(profile.radii, profile.values))
     print(f"gbeta: ghat(0) = {q.meta['ghat_zero']:.6g}, "
           f"min ghat = {q.meta['ghat_min']:.3e}, "
-          f"tail exponent = {q.fourier_profile.tail_exponent:.4f}")
+          f"tail exponent = {profile.tail_exponent:.4f}")
     return 0, ["gbeta.json", "gbeta_profile.csv"]
 
 
@@ -342,7 +371,15 @@ def _run_dispersion_ray(cfg: dict, out: Path, threads: int):
     samples = dispersion.dispersion_batch(
         q, theta, etas, rule, _pv(cfg), _cut(cfg), threads=threads
     )
-    dispersion.write_samples_csv(samples, out / "dispersion_ray.csv")
+    header = [f"eta_{i + 1}" for i in range(cfg["n"])] + [
+        "k", "S_re", "S_im", "P_re", "P_im", "B_re", "B_im", "Q_re", "Q_im"]
+    rows = []
+    for s in samples:
+        row = [*s.eta, s.k]
+        for z in (s.S, s.P, s.B, s.Q):
+            row += [complex(z).real, complex(z).imag]
+        rows.append(row)
+    _write_csv(out / "dispersion_ray.csv", header, rows)
     print(f"dispersion-ray: {len(samples)} samples along {d.tolist()}")
     return 0, ["dispersion_ray.csv"]
 
@@ -357,11 +394,7 @@ def _run_lemma52(cfg: dict, out: Path, threads: int):
         (ray["t_min"], ray["t_max"]), rule, _cut(cfg),
         direction=ray["direction"], samples=ray["count"],
     )
-    with open(out / "lemma52_samples.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in data:
-            writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+    _write_csv(out / "lemma52_samples.csv", ["t", "value"], data)
     _write_json(verdict.to_dict(), out / "lemma52_verdict.json")
     print(f"lemma52: pass = {verdict.passed}, {verdict.details}")
     return (0 if verdict.passed else 2), ["lemma52_samples.csv", "lemma52_verdict.json"]
@@ -374,15 +407,12 @@ def _run_gain_scan(cfg: dict, out: Path, threads: int):
         q, theta, cfg["alphas"], cfg["levels"], _pv(cfg), _cut(cfg),
         rule_level=cfg.get("rule_level", 4),
     )
-    with open(out / "gain_scan.json", "w") as fh:
-        fh.write(analysis.scans_to_json(scans))
-        fh.write("\n")
-    with open(out / "gain_scan.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "extent", "norm"])
-        for s in scans:
-            for T, v in s.levels:
-                writer.writerow([f"{s.alpha:.17g}", f"{T:.17g}", f"{v:.17g}"])
+    _write_json([{"alpha": s.alpha,
+                  "levels": [{"extent": T, "norm": v} for T, v in s.levels],
+                  "growth_ratios": s.growth_ratios} for s in scans],
+                out / "gain_scan.json")
+    _write_csv(out / "gain_scan.csv", ["alpha", "extent", "norm"],
+               ([s.alpha, T, v] for s in scans for T, v in s.levels))
     for s in scans:
         print(f"gain-scan: alpha = {s.alpha}, ratios = "
               + ", ".join(f"{r:.4f}" for r in s.growth_ratios))
@@ -414,15 +444,14 @@ def _run_qfull_radial(cfg: dict, out: Path, threads: int):
 
 def _run_bounds_table(cfg: dict, out: Path, threads: int):
     n = cfg["n"]
-    with open(out / "bounds_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "m", "alpha0", "thm11_max", "thm13_sup",
-                         "alpha_2", "alpha_3", "alpha_4"])
-        for beta in cfg["betas"]:
-            rep = bounds.thm_limits(n, beta)
-            row = [beta, rep.m, rep.alpha0, rep.thm11_max, rep.thm13_sup,
-                   rep.alpha_j.get(2), rep.alpha_j.get(3), rep.alpha_j.get(4)]
-            writer.writerow(["" if v is None else f"{v:.17g}" for v in row])
+    rows = []
+    for beta in cfg["betas"]:
+        rep = bounds.thm_limits(n, beta)
+        rows.append([beta, rep.m, rep.alpha0, rep.thm11_max, rep.thm13_sup,
+                     rep.alpha_j.get(2), rep.alpha_j.get(3), rep.alpha_j.get(4)])
+    header = ["beta", "m", "alpha0", "thm11_max", "thm13_sup",
+              "alpha_2", "alpha_3", "alpha_4"]
+    _write_csv(out / "bounds_table.csv", header, rows)
     print(f"bounds-table: n = {n}, {len(cfg['betas'])} beta values")
     return 0, ["bounds_table.csv"]
 
@@ -449,7 +478,7 @@ def _run_oracle_fixtures(cfg: dict, out: Path, threads: int):
     for t in (3.0, 5.0, 8.0):
         val = oracle.brute_b_theta2(q, theta, np.array([t, 0.0]))
         fixtures["brute_b"][f"eta_{t:g}e1"] = {"re": val.real, "im": val.imag}
-    oracle.dump_fixtures(fixtures, out / "oracle_fixtures.json")
+    _write_json(fixtures, out / "oracle_fixtures.json")
     print("oracle-fixtures: wrote oracle_fixtures.json")
     return 0, ["oracle_fixtures.json"]
 

@@ -21,14 +21,13 @@ batch evaluation is deterministic regardless of worker count.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Direction, SphereRule, chart, ewald_nodes, in_half_space
+from .geometry import SPHERE_AREA, Direction, SphereRule, chart, ewald_nodes, in_half_space
 from .potentials import Potential
 
 # Gauss-Legendre nodes on each of the three outer pieces of the PV integral,
@@ -362,14 +361,12 @@ def q_full2_hat(
     chi = float(cutoff_chi(eta, cut))
     if chi == 0.0:
         return 0.0 + 0.0j
-    n = eta.shape[0]
-    sphere_area = 2.0 * np.pi if n == 2 else 4.0 * np.pi
     total = 0.0 + 0.0j
     for node, weight in zip(theta_rule.nodes, theta_rule.weights):
         theta = Direction(node)
         if in_half_space(eta, theta):
             total += weight * b_theta2(q, theta, eta, rule, pv)
-    return chi * 2.0 / sphere_area * total
+    return chi * 2.0 / SPHERE_AREA[eta.shape[0]] * total
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +398,3 @@ def dispersion_batch(
         return [sample(e) for e in etas]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(sample, etas))
-
-
-def write_samples_csv(samples: list[DispersionSample], path) -> None:
-    if not samples:
-        raise ValueError("no samples to write")
-    n = samples[0].eta.shape[0]
-    cols = [f"eta_{i + 1}" for i in range(n)] + [
-        "k", "S_re", "S_im", "P_re", "P_im", "B_re", "B_im", "Q_re", "Q_im",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for s in samples:
-            row = [f"{v:.17g}" for v in s.eta]
-            row.append(f"{s.k:.17g}")
-            for z in (s.S, s.P, s.B, s.Q):
-                row.append(f"{complex(z).real:.17g}")
-                row.append(f"{complex(z).imag:.17g}")
-            writer.writerow(row)

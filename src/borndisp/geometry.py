@@ -96,6 +96,11 @@ class SphereRule:
     level: int
 
 
+# |S^{n-1}|, the area of the unit sphere, for the dimensions sphere_rule
+# serves
+SPHERE_AREA = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
+
 def sphere_rule(n: int, level: int) -> SphereRule:
     """n = 2: trapezoid with 2^{level+4} angles. n = 3: Gauss-Legendre in
     cos(polar) with 2^{level+2} nodes x trapezoid azimuth with 2^{level+3}."""

@@ -10,13 +10,12 @@ machinery of the dispersion module so agreement is an end-to-end test.
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
 from scipy import integrate, interpolate
 
-from .geometry import Direction, SphereRule, chart
+from .geometry import SPHERE_AREA, Direction, SphereRule, chart
 from .potentials import Potential
 from .spectral import Domain, TransformDirection, fourier
 
@@ -198,8 +197,6 @@ def gaussian_b_theta2(a: float, theta: Direction, eta) -> complex:
 # ---------------------------------------------------------------------------
 # Trace constant (sphere trace inequality with constant 1)
 
-_SPHERE_AREA = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
-
 
 def trace_ratio(f, rho: float, rule: SphereRule | None = None) -> float:
     """Ratio of the sphere-trace integral to the full W^{1,2} energy:
@@ -213,7 +210,7 @@ def trace_ratio(f, rho: float, rule: SphereRule | None = None) -> float:
     """
     if isinstance(f, Potential):
         n = f.dimension
-        area = _SPHERE_AREA[n]
+        area = SPHERE_AREA[n]
         fval = float(np.abs(f.spatial_eval(np.array([rho] + [0.0] * (n - 1)))) ** 2)
         numer = fval * area * rho ** (n - 1)
 
@@ -265,7 +262,7 @@ def sphere_kernel_bound(
     x = np.asarray(x, dtype=float)
     e = (n - 1) - 2.0 * lam
     R = float(np.linalg.norm(x))
-    area = _SPHERE_AREA[n]
+    area = SPHERE_AREA[n]
     if e == 0.0:
         return area * rho ** (n - 1) / rho ** (2.0 * lam)
     if R == 0.0:
@@ -304,10 +301,3 @@ def sphere_kernel_bound(
         val = 2.0 * rho * panel_integral(fn, np.pi, 0.0, sing_at_hi=True)
         val = abs(val)
     return float(val / rho ** (2.0 * lam))
-
-
-def dump_fixtures(fixtures: dict, path) -> None:
-    """Oracle results as JSON so library tests can consume frozen values."""
-    with open(path, "w") as fh:
-        json.dump(fixtures, fh, indent=2, sort_keys=True)
-        fh.write("\n")

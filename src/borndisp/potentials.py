@@ -9,8 +9,6 @@ evaluators reduce x or xi to s once.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -225,30 +223,3 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
             "grid": {"n": n, "N": grid.samples_per_axis, "L": grid.half_extent},
         },
     )
-
-
-def export_potential(q: Potential, json_path, csv_path=None) -> None:
-    """JSON descriptor plus, for a tabulated q_hat, its radial profile as a
-    radius,value CSV."""
-    desc = {
-        "label": q.label,
-        "dimension": q.dimension,
-        "support_radius": None if np.isinf(q.support_radius) else q.support_radius,
-        # every potential is real and radial with a nonnegative q_hat
-        "is_real": True,
-        "is_radial": True,
-        "fourier_nonneg": True,
-        "meta": {k: v for k, v in q.meta.items() if not isinstance(v, np.ndarray)},
-    }
-    if q.fourier_profile is not None:
-        desc["tail_exponent"] = q.fourier_profile.tail_exponent
-        desc["tail_coefficient"] = q.fourier_profile.tail_coefficient
-    with open(json_path, "w") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if csv_path is not None and q.fourier_profile is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["radius", "value"])
-            for r, v in zip(q.fourier_profile.radii, q.fourier_profile.values):
-                writer.writerow([f"{r:.17g}", f"{v:.17g}"])

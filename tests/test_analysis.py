@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from borndisp.analysis import (
     fit_decay,
     gain_scan,
     lemma52_check,
-    scans_to_json,
 )
 from borndisp.dispersion import CutoffSpec, PVParams
 from borndisp.geometry import Direction
@@ -74,9 +71,6 @@ def test_gain_scan_alpha_monotone(gauss2, theta2):
         assert np.all(np.diff(by_alpha) >= 0)
     # alpha = 0 saturates for a Schwartz-class potential
     assert scans[0].growth_ratios[-1] <= 1.1
-    payload = json.loads(scans_to_json(scans))
-    assert len(payload) == 3
-    assert payload[0]["levels"][0]["extent"] == 6.0
 
 
 def test_gain_scan_rejects_level_below_radial_step(gauss2, theta2):

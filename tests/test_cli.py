@@ -1,9 +1,12 @@
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import borndisp
@@ -167,6 +170,25 @@ def test_integral_float_rejected_in_integer_field(tmp_path, capsys, config, fiel
     # JSON Schema counts 3.0 as an integer; numpy does not, so each of these
     # would pass validation and fail part-way through the run
     assert run(_write(tmp_path, "f.json", config(tmp_path))) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, field, token", [
+    (lambda p: {"experiment": "gbeta", "n": 2, "beta": math.nan,
+                "grid": {"N": 128, "L": 8.0}, "out_dir": str(p / "out")},
+     "'beta'", "NaN"),
+    (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 3,
+                                   "t_max": math.inf, "count": 6}),
+     "'ray/t_max'", "Infinity"),
+    (lambda p: _ray_config(p, theta=[-math.inf, 0]), "'theta/0'", "-Infinity"),
+], ids=["beta", "ray_t_max", "theta_0"])
+def test_non_finite_number_rejected(tmp_path, capsys, config, field, token):
+    # json.load reads NaN and the infinities, and each passes every bound:
+    # unchecked, they run to exit 0 with NaN or inf in the artifacts
+    cfg = _write(tmp_path, "n.json", config(tmp_path))
+    assert token in Path(cfg).read_text()
+    assert run(cfg) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -361,6 +383,21 @@ def test_bounds_table(tmp_path):
     assert len(lines) == 4
 
 
+def test_oracle_fixtures(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "o.json", {"experiment": "oracle-fixtures",
+                                      "out_dir": str(out)})
+    assert run(cfg) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["oracle_fixtures.json"]
+    fixtures = json.loads((out / "oracle_fixtures.json").read_text())
+    e1 = 0.21938393439552029  # E_1(1)
+    assert fixtures["exp1_at_1"] == pytest.approx(e1, abs=1e-12)
+    # PV integral_0^inf exp(-(1 - r)^2) / (1 - r) dr = -E_1(1) / 2
+    assert fixtures["pv_gaussian_shift"] == pytest.approx(-e1 / 2, abs=1e-9)
+    assert set(fixtures["brute_b"]) == {"eta_3e1", "eta_5e1", "eta_8e1"}
+
+
 def test_lemma52_experiment_and_determinism(tmp_path):
     outs = []
     for i in (1, 2):
@@ -423,6 +460,39 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert run(cfg) == 0
     assert (override / "bounds_table.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_artifact_formats(tmp_path):
+    from borndisp.cli import _write_csv, _write_json
+
+    _write_json({"b": [1, 0.5], "a": {"y": None, "x": 0.1}}, tmp_path / "a.json")
+    assert (tmp_path / "a.json").read_bytes() == (
+        b'{\n  "a": {\n    "x": 0.1,\n    "y": null\n  },\n'
+        b'  "b": [\n    1,\n    0.5\n  ]\n}\n')
+    _write_csv(tmp_path / "a.csv", ["x", "y"], [[0.1, None], [3, np.float64(2 / 3)]])
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"x,y\r\n0.10000000000000001,\r\n3,0.66666666666666663\r\n")
+
+
+def test_only_cli_knows_the_artifact_formats():
+    # only cli imports csv or json or sets the %.17g number format, so the
+    # artifact formats stay one module's decision
+    package = Path(borndisp.__file__).parent
+    knowers = set()
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("csv", "json") for name in names):
+                knowers.add(path.stem)
+        if ".17g" in text:
+            knowers.add(path.stem)
+    assert knowers == {"cli"}
 
 
 def _schema_keywords(schema: dict):
@@ -516,7 +586,9 @@ def _integral_float_field(cfg, path: str) -> bool:
 def test_validate_agrees_with_jsonschema():
     # the same verdict as jsonschema on mutated configs, naming a field that
     # jsonschema names too; the only difference allowed is an integral float
-    # in an integer field, which _validate refuses
+    # in an integer field, which _validate refuses. jsonschema also accepts
+    # NaN and the infinities in a number field, which _validate refuses, but
+    # the corpus holds none, so they decide no verdict here
     import copy
     import random
     import re

@@ -13,7 +13,6 @@ from borndisp.dispersion import (
     q_full2_hat,
     q_theta2_hat,
     spherical_op,
-    write_samples_csv,
 )
 from borndisp.geometry import Direction, sphere_rule
 
@@ -239,24 +238,35 @@ def test_quadrature_level_convergence(gauss2, theta2):
     assert abs(vals[0] - vals[1]) < 1e-4 * abs(vals[1])
 
 
-def test_batch_thread_independence(gauss2, theta2, rule2, tmp_path):
+def test_batch_thread_independence(gauss2, theta2, rule2):
     pv, cut = PVParams(), CutoffSpec()
     etas = [np.array([t, 0.3 * t]) for t in (3.0, 4.0, 5.0, 6.0)]
     one = dispersion_batch(gauss2, theta2, etas, rule2, pv, cut, threads=1)
     four = dispersion_batch(gauss2, theta2, etas, rule2, pv, cut, threads=4)
-    p1, p4 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_samples_csv(one, p1)
-    write_samples_csv(four, p4)
-    assert p1.read_bytes() == p4.read_bytes()
+    for name in ("eta", "k", "S", "P", "B", "Q"):
+        np.testing.assert_array_equal([getattr(s, name) for s in one],
+                                      [getattr(s, name) for s in four])
 
 
-def test_csv_schema(gauss2, theta2, rule2, tmp_path):
-    samples = dispersion_batch(gauss2, theta2, [np.array([4.0, 0.0])],
-                               rule2, PVParams(), CutoffSpec())
-    path = tmp_path / "s.csv"
-    write_samples_csv(samples, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "eta_1,eta_2,k,S_re,S_im,P_re,P_im,B_re,B_im,Q_re,Q_im"
+def test_csv_schema(tmp_path):
+    import json
+
+    from borndisp.cli import run
+
+    columns = "k,S_re,S_im,P_re,P_im,B_re,B_im,Q_re,Q_im"
+    for n, etas in ((2, "eta_1,eta_2"), (3, "eta_1,eta_2,eta_3")):
+        out = tmp_path / f"out{n}"
+        axis = [1] + [0] * (n - 1)
+        cfg = tmp_path / f"r{n}.json"
+        cfg.write_text(json.dumps({
+            "experiment": "dispersion-ray", "n": n, "a": 0.5,
+            "theta": [-x for x in axis],
+            "ray": {"direction": axis, "t_min": 3, "t_max": 5, "count": 2},
+            "rule_level": 1, "out_dir": str(out),
+        }))
+        assert run(str(cfg)) == 0
+        header = (out / "dispersion_ray.csv").read_text().splitlines()[0]
+        assert header == f"{etas},{columns}"
 
 
 # ---------------------------------------------------------------------------

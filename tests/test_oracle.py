@@ -131,11 +131,3 @@ def test_sphere_kernel_on_sphere_stable():
         for lev in (3, 4)
     ]
     assert abs(vals2[1] - vals2[0]) <= 0.02 * vals2[0]
-
-
-def test_dump_fixtures(tmp_path):
-    import json
-
-    path = tmp_path / "fx.json"
-    oracle.dump_fixtures({"a": 1.5}, path)
-    assert json.loads(path.read_text()) == {"a": 1.5}

@@ -9,7 +9,6 @@ from borndisp.potentials import (
     GridTooCoarseError,
     _inner_shells,
     _shell_average,
-    export_potential,
     gaussian_potential,
     make_gbeta,
     standard_mollifier,
@@ -223,13 +222,20 @@ def test_gbeta_sobolev_refinement_trend():
     assert growing > 1.1
 
 
-def test_export_potential(tmp_path, gbeta3):
-    jpath = tmp_path / "q.json"
-    cpath = tmp_path / "q.csv"
-    export_potential(gbeta3, jpath, cpath)
-    desc = json.loads(jpath.read_text())
+def test_gbeta_artifacts(tmp_path):
+    # the gbeta3 fixture's potential, written by the CLI
+    from borndisp.cli import run
+
+    out = tmp_path / "out"
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({
+        "experiment": "gbeta", "n": 3, "beta": 1.0, "bump_radius": 2.0,
+        "grid": {"N": 128, "L": 16.0}, "out_dir": str(out),
+    }))
+    assert run(str(cfg)) == 0
+    desc = json.loads((out / "gbeta.json").read_text())
     assert desc["is_radial"] and desc["fourier_nonneg"]
     assert desc["meta"]["beta"] == 1.0
-    lines = cpath.read_text().strip().splitlines()
+    lines = (out / "gbeta_profile.csv").read_text().strip().splitlines()
     assert lines[0] == "radius,value"
     assert len(lines) > 50
