@@ -11,7 +11,7 @@ import numpy as np
 
 from borndisp import Direction, bounds, gaussian_potential, make_grid
 from borndisp.analysis import gain_scan
-from borndisp.dispersion import CutoffSpec, PVParams
+from borndisp.dispersion import CutoffSpec
 
 print("bound calculators, n = 3")
 print("-" * 56)
@@ -28,8 +28,8 @@ print("\nm threshold by dimension:",
 # g_beta version).  Growth ratios near 1 mean the weighted norm converged.
 q = gaussian_potential(0.5, make_grid(2, 128, 16.0))
 theta = Direction(np.array([-1.0, 0.0]))
-scans = gain_scan(q, theta, [0.0, 2.0], [6.0, 12.0, 24.0], PVParams(),
-                  CutoffSpec(), rule_level=3)
+scans = gain_scan(q, theta, [0.0, 2.0], [6.0, 12.0, 24.0], CutoffSpec(),
+                  rule_level=3)
 print("\ngain scan (Gaussian, weights <eta>^alpha, extents 6/12/24)")
 for s in scans:
     ratios = ", ".join(f"{r:.4f}" for r in s.growth_ratios)

@@ -10,14 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (
-    CutoffSpec,
-    PVParams,
-    b_theta2,
-    bipolar_b,
-    spherical_op,
-)
-from .geometry import Direction, SphereRule, chart, in_cone, sphere_rule
+from .dispersion import CutoffSpec, bipolar_b
+from .geometry import Direction, chart, in_cone
 from .potentials import Potential
 
 log = logging.getLogger(__name__)
@@ -98,7 +92,7 @@ def lemma52_check(
     theta: Direction,
     a: float,
     t_range: tuple[float, float],
-    rule: SphereRule,
+    level: int,
     cut: CutoffSpec,
     direction=None,
     samples: int = 16,
@@ -108,9 +102,9 @@ def lemma52_check(
     Samples S_{theta,1}(q)(t d) along a ray d in D_theta and passes iff the
     fitted decay exponent is >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15,
     with n = theta.dimension.
-    In n = 3, S_{theta,1} = Im B / pi is the middle wedge of ``bipolar_b``
-    at the rule's level, for every sample in one call. Returns the verdict
-    and the raw (t, S) samples.
+    S_{theta,1} = Im B / pi comes from ``bipolar_b`` at the level with
+    ``sphere_only``, for every sample in one call. Returns the verdict and
+    the raw (t, S) samples.
     """
     d = -theta.components if direction is None else np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
@@ -119,13 +113,10 @@ def lemma52_check(
     if t_range[0] <= 2.0 * cut.C0:
         log.warning("t_min %.3g is inside the cutoff transition band", t_range[0])
     ts = np.geomspace(t_range[0], t_range[1], samples)
-    if theta.dimension == 3:
-        etas = ts[:, None] * d
-        ks = [chart(eta, theta).k for eta in etas]
-        S = bipolar_b(q, np.linalg.norm(etas, axis=1), ks, rule.level,
-                      sphere_only=True).imag / np.pi
-    else:
-        S = [np.real(spherical_op(q, theta, 1.0, t * d, rule)) for t in ts]
+    etas = ts[:, None] * d
+    ks = [chart(eta, theta).k for eta in etas]
+    S = bipolar_b(q, np.linalg.norm(etas, axis=1), ks, level,
+                  sphere_only=True).imag / np.pi
     data = [(float(t), float(s)) for t, s in zip(ts, S)]
     fit = fit_decay(data, t_range)
     threshold = -min(beta + theta.dimension / 2.0 + 1.0, 2.0 * beta + 2.0) - 0.15
@@ -142,20 +133,11 @@ def lemma52_check(
     return verdict, data
 
 
-def _perp_unit(theta: Direction) -> np.ndarray:
-    """Deterministic unit vector orthogonal to theta."""
-    v = np.zeros_like(theta.components)
-    v[int(np.argmin(np.abs(theta.components)))] = 1.0
-    v = v - (v @ theta.components) * theta.components
-    return v / np.linalg.norm(v)
-
-
 def gain_scan(
     q: Potential,
     theta: Direction,
     alphas,
     levels,
-    pv: PVParams,
     cut: CutoffSpec,
     rule_level: int = 4,
 ) -> list[RefinementScan]:
@@ -176,7 +158,7 @@ def gain_scan(
         )
     T_max = levels[-1]
     ts = np.arange(RADIAL_STEP, T_max + 0.5 * RADIAL_STEP, RADIAL_STEP)
-    qsq, mu_w = _polar_samples(q, theta, ts, pv, cut, rule_level)
+    qsq, mu_w = _polar_samples(q, theta, ts, cut, rule_level)
 
     scans = []
     for alpha in alphas:
@@ -199,7 +181,6 @@ def _polar_samples(
     q: Potential,
     theta: Direction,
     ts: np.ndarray,
-    pv: PVParams,
     cut: CutoffSpec,
     rule_level: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,27 +189,23 @@ def _polar_samples(
     direction) array, and the directions' weights.
 
     The cutoff is taken at the radius t itself, so a row with t <= C0 is
-    exactly 0 and evaluates no B. In n = 3 every other point goes to one
-    ``bipolar_b`` call: d = -mu theta + sqrt(1 - mu^2) e_perp gives
-    |eta| = t and k = t / (2 mu).
+    exactly 0 and evaluates no B. Every other point goes to one
+    ``bipolar_b`` call: a direction at the angle a from -theta gives
+    |eta| = t and k = t / (2 cos a). In n = 3 the nodes are Gauss-Legendre
+    in mu = cos a on (0, 1), under the hemisphere measure 2 pi dmu; in
+    n = 2 they are Gauss-Legendre in a on (-pi/2, pi/2).
     """
     x, w = np.polynomial.legendre.leggauss(POLAR_NODES)
+    if theta.dimension == 3:
+        mus = 0.5 * (x + 1.0)
+        mu_w = 0.5 * w * (2.0 * np.pi)
+    else:
+        mus = np.cos(0.5 * np.pi * x)
+        mu_w = 0.5 * np.pi * w
     chi = cut.radial(ts)
     live = np.flatnonzero(chi)
     qsq = np.zeros((ts.size, POLAR_NODES))
-    if theta.dimension == 3:
-        mus = 0.5 * (x + 1.0)  # mu = -cos(angle to theta) in (0, 1)
-        mu_w = 0.5 * w * (2.0 * np.pi)  # hemisphere measure 2 pi d(mu)
-        e = np.repeat(ts[live], POLAR_NODES)
-        B = bipolar_b(q, e, e / (2.0 * np.tile(mus, live.size)), rule_level)
-        qsq[live] = np.abs(chi[live, None] * B.reshape(live.size, POLAR_NODES)) ** 2
-        return qsq, mu_w
-    phis = 0.5 * np.pi * x  # angle from -theta in (-pi/2, pi/2)
-    mu_w = 0.5 * np.pi * w
-    e_perp = _perp_unit(theta)
-    dirs = [-np.cos(p) * theta.components + np.sin(p) * e_perp for p in phis]
-    rule = sphere_rule(2, rule_level)
-    for i in live:
-        for j, d in enumerate(dirs):
-            qsq[i, j] = abs(chi[i] * b_theta2(q, theta, ts[i] * d, rule, pv)) ** 2
+    e = np.repeat(ts[live], POLAR_NODES)
+    B = bipolar_b(q, e, e / (2.0 * np.tile(mus, live.size)), rule_level)
+    qsq[live] = np.abs(chi[live, None] * B.reshape(live.size, POLAR_NODES)) ** 2
     return qsq, mu_w

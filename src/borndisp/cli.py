@@ -66,14 +66,6 @@ _SCHEMA = {
         },
         "rule_level": {"type": "integer", "minimum": 1},
         "theta_rule_level": {"type": "integer", "minimum": 1},
-        "pv": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "delta": {"type": "number"},
-                "inner_nodes": {"type": "integer"},
-            },
-        },
         "ray": {
             "type": "object",
             "required": ["direction", "t_min", "t_max", "count"],
@@ -101,9 +93,10 @@ _SCHEMA = {
 # The JSON Schema keywords that _validate implements. "type" takes the JSON
 # types below, except that an "integer" (and an integer in an "enum") is a
 # JSON integer only: 3.0 is not one, since a level, a count or a node number
-# given as 3.0 fails part-way through a run; and a "number" is finite only:
-# json.load reads NaN and Infinity, which pass every comparison below and run
-# to NaN artifacts.
+# given as 3.0 fails part-way through a run; and a "number" must convert to
+# a finite float: json.load reads NaN and Infinity, which pass every
+# comparison below and run to NaN artifacts, and integers past float range,
+# which fail part-way through a run.
 _KEYWORDS = frozenset({
     "type", "enum", "required", "properties", "additionalProperties", "items",
     "minItems", "maxItems", "minimum", "exclusiveMinimum", "exclusiveMaximum",
@@ -129,6 +122,11 @@ def _validate(value, schema: dict, path: str = "") -> None:
         fail(f"{value!r} is not of type '{kind}'")
     if isinstance(value, float) and not math.isfinite(value):
         fail(f"{value!r} is not a finite number")
+    if kind == "number" and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            fail("the integer does not fit a float")
     if "enum" in schema and not any(type(value) is type(e) and value == e
                                     for e in schema["enum"]):
         fail(f"{value!r} is not one of {schema['enum']}")
@@ -181,7 +179,7 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}")
     _validate(cfg, _SCHEMA)
     for field in _REQUIRED.get(cfg["experiment"], []):
@@ -228,20 +226,6 @@ def _check_runtime_constraints(cfg: dict) -> None:
             "invalid config at field 'levels': every level must be at least "
             f"the radial step {analysis.RADIAL_STEP:g}, got {min(cfg['levels']):g}"
         )
-    # in n = 3, B comes from the bipolar rule, which has no principal value
-    # over r
-    if "pv" in cfg and cfg.get("n") == 3:
-        raise ConfigError(
-            "invalid config at field 'pv': n = 3 takes no principal-value "
-            "settings (B comes from the bipolar rule of rule_level)"
-        )
-    # the defaults are valid, and a PVParams builds its quadrature rule (and
-    # loads numpy.polynomial), so only a configured 'pv' is built here
-    if "pv" in cfg:
-        try:
-            _pv(cfg)
-        except ValueError as exc:
-            raise ConfigError(f"invalid config at field 'pv': {exc}")
     if cfg["experiment"] in _POTENTIAL_EXPERIMENTS and "beta" in cfg:
         try:
             _gbeta_spec(cfg)
@@ -276,10 +260,6 @@ def _potential(cfg: dict):
     if "beta" in cfg:
         return make_gbeta(_gbeta_spec(cfg))
     return gaussian_potential(cfg.get("a", 0.5), _grid(cfg))
-
-
-def _pv(cfg: dict) -> dispersion.PVParams:
-    return dispersion.PVParams(**cfg.get("pv", {}))
 
 
 def _cut(cfg: dict) -> dispersion.CutoffSpec:
@@ -367,9 +347,8 @@ def _run_dispersion_ray(cfg: dict, out: Path, threads: int):
     d = d / np.linalg.norm(d)
     ts = np.geomspace(ray["t_min"], ray["t_max"], ray["count"])
     etas = [t * d for t in ts]
-    rule = sphere_rule(cfg["n"], cfg.get("rule_level", 4))
     samples = dispersion.dispersion_batch(
-        q, theta, etas, rule, _pv(cfg), _cut(cfg), threads=threads
+        q, theta, etas, cfg.get("rule_level", 4), _cut(cfg), threads=threads
     )
     header = [f"eta_{i + 1}" for i in range(cfg["n"])] + [
         "k", "S_re", "S_im", "P_re", "P_im", "B_re", "B_im", "Q_re", "Q_im"]
@@ -388,10 +367,9 @@ def _run_lemma52(cfg: dict, out: Path, threads: int):
     theta = _theta(cfg)
     q = _potential(cfg)
     ray = cfg["ray"]
-    rule = sphere_rule(cfg["n"], cfg.get("rule_level", 4))
     verdict, data = analysis.lemma52_check(
         q, cfg["beta"], theta, cfg.get("cone_aperture", 0.5),
-        (ray["t_min"], ray["t_max"]), rule, _cut(cfg),
+        (ray["t_min"], ray["t_max"]), cfg.get("rule_level", 4), _cut(cfg),
         direction=ray["direction"], samples=ray["count"],
     )
     _write_csv(out / "lemma52_samples.csv", ["t", "value"], data)
@@ -404,7 +382,7 @@ def _run_gain_scan(cfg: dict, out: Path, threads: int):
     theta = _theta(cfg)
     q = _potential(cfg)
     scans = analysis.gain_scan(
-        q, theta, cfg["alphas"], cfg["levels"], _pv(cfg), _cut(cfg),
+        q, theta, cfg["alphas"], cfg["levels"], _cut(cfg),
         rule_level=cfg.get("rule_level", 4),
     )
     _write_json([{"alpha": s.alpha,
@@ -422,16 +400,15 @@ def _run_gain_scan(cfg: dict, out: Path, threads: int):
 def _run_qfull_radial(cfg: dict, out: Path, threads: int):
     n = cfg["n"]
     q = _potential(cfg)
-    rule = sphere_rule(n, cfg.get("rule_level", 4))
     theta_rule = sphere_rule(n, cfg.get("theta_rule_level", 5))
-    pv, cut = _pv(cfg), _cut(cfg)
+    level, cut = cfg.get("rule_level", 4), _cut(cfg)
     t = cfg["eta_norm"]
     rows = []
     for ang in cfg["angles_deg"]:
         rad = np.deg2rad(ang)
         eta = np.zeros(n)
         eta[0], eta[1] = t * np.cos(rad), t * np.sin(rad)
-        val = dispersion.q_full2_hat(q, eta, theta_rule, rule, pv, cut)
+        val = dispersion.q_full2_hat(q, eta, theta_rule, level, cut)
         rows.append({"angle_deg": ang, "re": val.real, "im": val.imag,
                      "abs": abs(val)})
     mags = [r["abs"] for r in rows]

@@ -4,15 +4,12 @@ the spherical operator S_{theta,r}, the principal-value operator P_theta,
 B_{theta,2}, the cutoff combination Q_{theta,2}, and the full-data average
 Q_{F,2}.
 
-In n = 2, B = i pi S_{theta,1} + P_theta. S_{theta,r} takes one radius or a
-vector of radii. P_theta is a fixed Gauss-Legendre rule over (0, infinity),
-tail included, so each principal value costs one vectorized S evaluation on
-that rule's radii.
-
-In n = 3, B comes from the bipolar identity (``bipolar_b``): for radial q it
-is a 2-d integral of q_hat(rho1) q_hat(rho2) against a closed-form azimuth
-kernel, with no sphere rule and no principal value over r. The sphere rule
-and the PV rule stay as its independent reference.
+B = i pi S_{theta,1} + P_theta comes from the bipolar identity
+(``bipolar_b``) in n = 2 and 3: for radial q it is a 2-d integral of
+q_hat(rho1) q_hat(rho2) against a closed-form azimuth kernel. S_{theta,r}
+(one radius or a vector of radii) and the PV rule over r (a fixed
+Gauss-Legendre rule over (0, infinity), tail included) stay as its
+independent reference.
 
 All operators are pure; quadrature reductions use a fixed summation order so
 batch evaluation is deterministic regardless of worker count.
@@ -36,20 +33,26 @@ from .potentials import Potential
 OUTER_NODES = 24
 TAIL_R1 = 4.0
 
-# Nodes per block of the two kernels that read q_hat in bulk: (radius, node)
-# pairs of an array-r spherical_op, and (chi, R) nodes per wedge of
-# bipolar_b. A block's arrays (a workspace and the temporaries of a
-# tabulated q_hat read) are then 256 KiB each and about 2 MiB together: they
-# stay in a core's L2 cache, and malloc reuses the freed temporaries for the
-# next block instead of returning them to the system and faulting them back
-# in. Smaller blocks pay the per-block overhead instead.
+# q_hat reads per block of bipolar_b: (chi, R) nodes per wedge in n = 3,
+# and at least one point's nodes in n = 2. A block's arrays (its nodes and
+# the temporaries of a tabulated q_hat read) are then 256 KiB each and about
+# 2 MiB together: they stay in a core's L2 cache, and malloc reuses the freed
+# temporaries for the next block instead of returning them to the system and
+# faulting them back in. Smaller blocks pay the per-block overhead instead.
+# The reference spherical_op takes blocks of radii of the same size.
 BLOCK_POINTS = 2**15
 
-# Radius scale of the bipolar rule: in each wedge the radius R runs over
+# Radius scale of the bipolar rule: for each chi the radius R runs over
 # (0, 1/sin chi) through R = R0 w / (1 - w + w R0 sin chi), w in (0, 1), so
-# that w = 1/2 falls near R0 while sin chi is small. The rule has
-# 2^(level + 2) nodes in chi per wedge and twice as many in w.
+# that w = 1/2 falls near R0 while sin chi is small. At a level L the rule
+# has 2^(L + 3) nodes in w (see ``bipolar_b`` for chi).
 BIPOLAR_R0 = 4.0
+
+# The n = 2 rule splits chi in (0, pi/2) at 5 pi/16, above the pole
+# chi_ <= pi/4 (see ``_mirror_b``). On the N = 256 lattice g_beta, level 4
+# is then within 7e-6 of level 8 at |eta| = 24 for k from backscatter to
+# 2400; a split at 3 pi/8 leaves 1.8e-5 near k = 20.
+_CHI_SPLIT = 0.3125 * math.pi
 
 
 @dataclass(frozen=True)
@@ -121,29 +124,18 @@ def spherical_op(
 
     A scalar r gives a complex; a 1-d array of R radii gives an (R,) complex
     array, evaluated in blocks of at most BLOCK_POINTS (radius, node) pairs
-    in one workspace, which ``ewald_nodes`` fills and q_hat overwrites at
-    both radii |xi| and |eta - xi| of every node.
+    (at least one radius), each read at the radii |xi| and |eta - xi| of its
+    nodes from ``ewald_nodes``.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(radii <= 0):
         raise ValueError(f"r must be positive, got {r}")
     ch = chart(eta, theta)
-    M = rule.weights.size
-    step = min(radii.size, max(1, BLOCK_POINTS // M))
-    # The workspace of s_in, s_out and the weights, each (step, M), belongs
-    # to this call and serves every block; one buffer, because malloc keeps
-    # a freed chunk of that size for the next call instead of returning it
-    # to the system, as it does with three adjacent smaller ones
-    work = np.empty((3, step, M))
+    step = min(radii.size, max(1, BLOCK_POINTS // rule.weights.size))
     sums = np.empty(radii.size)
     for i in range(0, radii.size, step):
-        block = radii[i:i + step]
-        b = block.size
-        s_in, s_out, weights = ewald_nodes(ch, block, theta, rule, out=tuple(work[:, :b]))
-        q.fourier_radial(s_in, out=s_in)
-        q.fourier_radial(s_out, out=s_out)
-        s_out *= s_in
-        sums[i:i + b] = np.vecdot(weights, s_out)
+        s_in, s_out, weights = ewald_nodes(ch, radii[i:i + step], theta, rule)
+        sums[i:i + step] = np.vecdot(weights, q.fourier_radial(s_in) * q.fourier_radial(s_out))
     S = (sums / (ch.k * (1.0 + radii))).astype(complex)
     return complex(S[0]) if np.ndim(r) == 0 else S
 
@@ -170,6 +162,16 @@ def _half_angle_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(m)
     half = 0.25 * np.pi * (x + 1.0)
     rule = np.sin(half) ** 2, np.cos(half) ** 2, 0.5 * np.pi * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of m-point Gauss-Legendre on (0, 1), read-only."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    rule = 0.5 * (x + 1.0), 0.5 * w
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -220,15 +222,15 @@ def _wedges(e: np.ndarray, k: np.ndarray, m: int, sphere_only: bool):
 
 
 def _radial_sums(q: Potential, half_e: np.ndarray, cos_chi: np.ndarray,
-                 sin_chi: np.ndarray, m: int) -> np.ndarray:
+                 sin_chi: np.ndarray, m: int, n: int) -> np.ndarray:
     """The integral over R in (0, 1/sin chi) of
-    q_hat(rho1^2) q_hat(rho2^2) R / (x y) at each (point, chi) node, with
-    u = R cos chi, v = R sin chi, x = sqrt(1 + u), y = sqrt(1 - v),
+    q_hat(rho1^2) q_hat(rho2^2) R^(n - 2) / (x y) at each (point, chi) node,
+    with u = R cos chi, v = R sin chi, x = sqrt(1 + u), y = sqrt(1 - v),
     rho1 = e (x + y) / 2 and rho2 = e (u + v) / (2 (x + y)) = e (x - y) / 2.
 
     R = R0 w / d with d = 1 - w + w R0 sin chi gives 1 - v = (1 - w) / d
     and dR = R0 dw / d^2. On the half-angle rule 1 - w = cos^2(t/2), so the
-    1/y end singularity cancels: R / (x y) dR = R R0 sin(t/2) / (x d^1.5) dt.
+    1/y end singularity cancels: dR / (x y) = R0 sin(t/2) / (x d^1.5) dt.
     """
     w, om, wt = _half_angle_rule(2 * m)
     scaled = BIPOLAR_R0 * w
@@ -249,94 +251,146 @@ def _radial_sums(q: Potential, half_e: np.ndarray, cos_chi: np.ndarray,
     np.sqrt(d, out=xy)
     xy *= d
     xy *= x
-    R /= xy
-    f *= R
+    if n == 3:
+        R /= xy
+        f *= R
+    else:
+        f /= xy
     return np.vecdot(f, BIPOLAR_R0 * wt * np.sqrt(w))
 
 
+def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
+              sphere_only: bool) -> np.ndarray:
+    """``bipolar_b`` in n = 2 for a block of points. With
+    E(chi) = (cos chi + sin chi) I(chi) / (2 sqrt(sin chi cos chi)) and
+    D(chi) = sin chi - cos chi + 2 tan psi sqrt(sin chi cos chi), whose one
+    zero is chi_ = atan(1/lambda),
+
+        B = p.v. integral_0^{pi/2} [E(chi) - E(pi/2 - chi)] / D(chi) dchi
+            + i pi [E(chi_) + E(pi/2 - chi_)] / D'(chi_).
+
+    D is formed as (sqrt sin chi - sqrt(cos chi / lambda)) F(chi), with
+    F = sqrt sin chi + sqrt(lambda cos chi) > 0. On (0, 5 pi/16), chi = t^2
+    and the pole t0 = sqrt(chi_) is subtracted from
+    G = 2t (t - t0) [E(chi) - E(pi/2 - chi)] / D, which takes chi - chi_
+    as (t - t0)(t + t0). On (5 pi/16, pi/2), pi/2 - chi = u^2 and
+    u = t0 sinh z, since F has a zero at u ~ -t0. Each piece has m/2
+    Gauss-Legendre nodes.
+    """
+    per_point = []
+    for ei, ki in zip(e.tolist(), k.tolist()):
+        te = math.sqrt(max(2.0 * ki - ei, 0.0) * (2.0 * ki + ei))  # e tan psi
+        root = (te + 2.0 * ki) / ei  # sqrt(lambda) = sec psi + tan psi
+        chi0 = math.atan(1.0 / (root * root))
+        per_point.append((root, math.sqrt(chi0), math.cos(chi0), math.sin(chi0)))
+    root, t0, c0, s0 = (np.array(c)[:, None] for c in zip(*per_point))
+    # G(t0) / (E(chi_) - E(pi/2 - chi_)) = 1 / D'(chi_)
+    h0 = (c0 + s0) * c0 / (root * np.sqrt(s0) * (np.sqrt(s0) + root * np.sqrt(c0)))
+    if sphere_only:
+        cos_chi, sin_chi = c0, s0
+    else:
+        x, w = _legendre_rule(m // 2)
+        split = math.sqrt(_CHI_SPLIT)
+        t = split * x
+        chi = t * t
+        c1, s1 = np.cos(chi), np.sin(chi)
+        h1 = (c1 + s1) * c0 * (np.sqrt(s1 / c1) + 1.0 / root) / (
+            np.sqrt(_sinc(chi)) * (t + t0) * _sinc((t - t0) * (t + t0))
+            * (np.sqrt(s1) + root * np.sqrt(c1)))
+        z_max = np.arcsinh(math.sqrt(0.5 * math.pi - _CHI_SPLIT) / t0)
+        z = z_max * x
+        u2 = np.square(t0 * np.sinh(z))
+        c2, s2 = np.sin(u2), np.cos(u2)
+        h2 = (c2 + s2) * t0 * np.cosh(z) * z_max * w / (
+            np.sqrt(_sinc(u2) * s2) * (np.sqrt(s2) - np.sqrt(c2) / root)
+            * (np.sqrt(s2) + root * np.sqrt(c2)))
+        cos_chi = np.concatenate([np.broadcast_to(c1, h1.shape), c2, c0], axis=1)
+        sin_chi = np.concatenate([np.broadcast_to(s1, h1.shape), s2, s0], axis=1)
+    j = cos_chi.shape[1]
+    I = _radial_sums(q, 0.5 * e[:, None, None], np.concatenate([cos_chi, sin_chi], axis=1),
+                     np.concatenate([sin_chi, cos_chi], axis=1), m, 2)
+    direct, mirror = I[:, :j], I[:, j:]
+    pi_s = np.pi * h0[:, 0] * (direct[:, -1] + mirror[:, -1])
+    if sphere_only:
+        return 1j * pi_s
+    diff = direct - mirror
+    g0 = h0 * diff[:, -1:]
+    mc = t.size
+    p = (np.vecdot((h1 * diff[:, :mc] - g0) / (t - t0), split * w)
+         + g0[:, 0] * np.log((split - t0[:, 0]) / t0[:, 0])
+         + np.vecdot(h2, diff[:, mc:2 * mc]))
+    return p + 1j * pi_s
+
+
 def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.ndarray:
-    """B_{theta,2}(q)(eta) in n = 3 for radial q, at points given by
-    e = |eta| and the chart's k (0 < e <= 2k), from the bipolar identity.
+    """B_{theta,2}(q)(eta) for radial q in n = q.dimension = 2 or 3, at
+    points given by e = |eta| and the chart's k (0 < e <= 2k), from the
+    bipolar identity.
 
     With rho1 = |xi|, rho2 = |eta - xi| and the azimuth about eta,
-    k^2 - |xi + k theta|^2 = A + C cos phi, and the azimuth integral of
-    1/(A + C cos phi - i0) is closed-form. In the coordinates
+    k^2 - |xi + k theta|^2 = A + C cos phi. In the coordinates
     u = x^2 - 1 = R cos chi, v = 1 - y^2 = R sin chi, with
-    x = (rho1 + rho2)/e and y = |rho1 - rho2|/e,
+    x = (rho1 + rho2)/e and y = |rho1 - rho2|/e, B is an integral over
+    chi in (0, pi/2) of a closed-form azimuth kernel times the R integral
+    I(chi) of ``_radial_sums``. In n = 3,
 
-        B = (pi e / 2) sum_wedges sigma integral dchi (cos chi + sin chi) / h(chi)
-            integral_0^{1/sin chi} q_hat(rho1^2) q_hat(rho2^2) R / (x y) dR,
+        B = (pi e / 2) sum_wedges sigma integral dchi (cos chi + sin chi) / h(chi) I(chi)
 
     over the wedges [0, chi_], [chi_, pi/2 - chi_], [pi/2 - chi_, pi/2] with
-    sigma = -1, i, +1 (see ``_wedges``). The middle wedge is i pi S_{theta,1},
-    the outer two P_theta; ``sphere_only`` evaluates the middle one alone.
-    q_hat is read only at its own radii, 2 (3 m) (2 m) times per point for
-    m = 2^(level + 2) (m per wedge in chi, 2m in R).
+    sigma = -1, i, +1 (see ``_wedges``). In n = 2 the azimuth is two mirror
+    points, whose poles at chi_ and pi/2 - chi_ fold onto one (see
+    ``_mirror_b``). The imaginary part is pi S_{theta,1}, the real part
+    P_theta; ``sphere_only`` evaluates i pi S_{theta,1} alone.
 
+    For m = 2^(level + 2), every R integral has 2m nodes; chi has m nodes
+    per wedge in n = 3, and m/2 on each of the two pieces of n = 2.
     e and k are scalars or 1-d arrays; the points go in blocks of at most
-    BLOCK_POINTS nodes per wedge. A point's value does not depend on the
-    block that holds it. Returns a 1-d complex array, one value per point.
+    BLOCK_POINTS q_hat reads per wedge (n = 3) or of one point (n = 2),
+    and a point's value does not depend on its block. Returns a 1-d
+    complex array, one value per point.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     k = np.broadcast_to(np.asarray(k, dtype=float), e.shape)
     if np.any(e <= 0.0):
         raise ValueError("|eta| must be positive")
     m = 2 ** (level + 2)
-    step = max(1, BLOCK_POINTS // (2 * m * m))
+    n2 = q.dimension == 2
+    step = max(1, BLOCK_POINTS // (4 * m * (m + 1) if n2 else 2 * m * m))
     out = np.empty(e.size, dtype=complex)
     for i in range(0, e.size, step):
         eb, kb = e[i:i + step], k[i:i + step]
+        if n2:
+            out[i:i + step] = _mirror_b(q, eb, kb, m, sphere_only)
+            continue
         total = np.zeros(eb.size, dtype=complex)
         for sign, cos_chi, sin_chi, weight in _wedges(eb, kb, m, sphere_only):
             total += sign * np.vecdot(_radial_sums(q, 0.5 * eb[:, None, None],
-                                                   cos_chi, sin_chi, m), weight)
+                                                   cos_chi, sin_chi, m, 3), weight)
         out[i:i + step] = 0.5 * np.pi * eb * total
     return out
 
 
-def _sphere_and_pv(
-    q: Potential, theta: Direction, eta: np.ndarray, rule: SphereRule, pv: PVParams
-) -> tuple[complex, complex, complex, float]:
-    """(S_{theta,1}(q)(eta), P_theta(q)(eta), B_{theta,2} = i pi S + P, k)
-    from the sphere rule and the PV rule; raises NotInHalfSpace off
-    H_theta."""
-    k = chart(eta, theta).k
-    S = spherical_op(q, theta, 1.0, eta, rule)
-    P = principal_value_op(lambda r: spherical_op(q, theta, r, eta, rule), pv)
-    return S, P, 1j * np.pi * S + P, k
-
-
 def _b_parts(
-    q: Potential, theta: Direction, eta: np.ndarray, rule: SphereRule, pv: PVParams
+    q: Potential, theta: Direction, eta: np.ndarray, level: int
 ) -> tuple[complex, complex, complex, float]:
-    """(S_{theta,1}, P_theta, B_{theta,2}, k) at eta in H_theta: in n = 2
-    from the sphere rule and the PV rule, in n = 3 from ``bipolar_b`` at
-    the rule's level, with S = Im B / pi and P = Re B."""
-    if theta.dimension == 2:
-        return _sphere_and_pv(q, theta, eta, rule, pv)
+    """(S_{theta,1}, P_theta, B_{theta,2}, k) at eta in H_theta, from
+    ``bipolar_b`` at the level, with S = Im B / pi and P = Re B."""
     k = chart(eta, theta).k
-    B = complex(bipolar_b(q, float(np.linalg.norm(eta)), k, rule.level)[0])
+    B = complex(bipolar_b(q, float(np.linalg.norm(eta)), k, level)[0])
     return complex(B.imag / np.pi), complex(B.real), B, k
 
 
-def b_theta2(
-    q: Potential, theta: Direction, eta, rule: SphereRule, pv: PVParams
-) -> complex:
-    """B_{theta,2}(q)(eta) = i pi S_{theta,1} + P_theta on H_theta, else 0.
-    In n = 3 the rule sets only the level of ``bipolar_b`` and pv is unused."""
+def b_theta2(q: Potential, theta: Direction, eta, level: int) -> complex:
+    """B_{theta,2}(q)(eta) = i pi S_{theta,1} + P_theta on H_theta, else 0,
+    from the bipolar rule at the level."""
     eta = np.asarray(eta, dtype=float)
     if not in_half_space(eta, theta):
         return 0.0 + 0.0j
-    return _b_parts(q, theta, eta, rule, pv)[2]
+    return _b_parts(q, theta, eta, level)[2]
 
 
 def q_theta2_hat(
-    q: Potential,
-    theta: Direction,
-    eta,
-    rule: SphereRule,
-    pv: PVParams,
-    cut: CutoffSpec,
+    q: Potential, theta: Direction, eta, level: int, cut: CutoffSpec
 ) -> complex:
     """chi(eta) [B_{theta,2} + B_{-theta,2}](eta); at most one summand is
     nonzero, so only the half space that holds eta is evaluated."""
@@ -344,16 +398,11 @@ def q_theta2_hat(
     chi = float(cutoff_chi(eta, cut))
     if chi == 0.0:
         return 0.0 + 0.0j
-    return chi * b_theta2(q, theta if in_half_space(eta, theta) else -theta, eta, rule, pv)
+    return chi * b_theta2(q, theta if in_half_space(eta, theta) else -theta, eta, level)
 
 
 def q_full2_hat(
-    q: Potential,
-    eta,
-    theta_rule: SphereRule,
-    rule: SphereRule,
-    pv: PVParams,
-    cut: CutoffSpec,
+    q: Potential, eta, theta_rule: SphereRule, level: int, cut: CutoffSpec
 ) -> complex:
     """Q_{F,2}_hat(eta): average 2/|S^{n-1}| of B_{theta,2}(eta) over the
     hemisphere eta.theta < 0, under the cutoff."""
@@ -365,7 +414,7 @@ def q_full2_hat(
     for node, weight in zip(theta_rule.nodes, theta_rule.weights):
         theta = Direction(node)
         if in_half_space(eta, theta):
-            total += weight * b_theta2(q, theta, eta, rule, pv)
+            total += weight * b_theta2(q, theta, eta, level)
     return chi * 2.0 / SPHERE_AREA[eta.shape[0]] * total
 
 
@@ -374,13 +423,7 @@ def q_full2_hat(
 
 
 def dispersion_batch(
-    q: Potential,
-    theta: Direction,
-    etas,
-    rule: SphereRule,
-    pv: PVParams,
-    cut: CutoffSpec,
-    threads: int = 1,
+    q: Potential, theta: Direction, etas, level: int, cut: CutoffSpec, threads: int = 1
 ) -> list[DispersionSample]:
     """Evaluate S, P, B, Q at each eta, on the half space of theta or of
     -theta that contains it. Per-eta results are independent, so the output
@@ -390,7 +433,7 @@ def dispersion_batch(
         side = theta if in_half_space(eta, theta) else -theta
         if not in_half_space(eta, side):
             return DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan)
-        S, P, B, k = _b_parts(q, side, eta, rule, pv)
+        S, P, B, k = _b_parts(q, side, eta, level)
         return DispersionSample(eta, S, P, B, complex(cutoff_chi(eta, cut)) * B, k)
 
     etas = [np.asarray(e, dtype=float) for e in etas]

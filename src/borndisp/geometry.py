@@ -128,7 +128,7 @@ def sphere_rule(n: int, level: int) -> SphereRule:
 
 
 def ewald_nodes(
-    ch: Chart, radii: np.ndarray, theta: Direction, rule: SphereRule, out=None
+    ch: Chart, radii: np.ndarray, theta: Direction, rule: SphereRule
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s_in, s_out, weights) of the sphere rule pushed forward to
     Gamma_r(-2k theta) for R radii: node xi = -k theta + rk H x_i, with H the
@@ -139,9 +139,6 @@ def ewald_nodes(
 
     and weight w_i (rk)^{n-1}, each (R, M) for the rule's M nodes. This
     form does not cancel at large k. u is the node's polar coordinate.
-
-    ``out``, if given, is the (s_in, s_out, weights) triple of arrays to
-    write; otherwise they are allocated.
     """
     n = theta.dimension
     t_prime, h = ch.theta_prime.components, np.eye(n)[-1] - theta.components
@@ -149,15 +146,9 @@ def ewald_nodes(
     if hh >= 1e-28:
         t_prime = t_prime - (2.0 * float(t_prime @ h) / hh) * h
     r = np.asarray(radii, dtype=float)[:, None]
-    if out is None:
-        out = tuple(np.empty((r.size, rule.weights.size)) for _ in range(3))
-    s_in, s_out, weights = out
     k2, gap, two_r = ch.k**2, (1.0 - r) ** 2, 2.0 * r
-    for s, x in ((s_in, rule.nodes[:, -1]), (s_out, rule.nodes @ t_prime)):
-        np.multiply(two_r, 1.0 - x, out=s)
-        s += gap
-        s *= k2
+    s_in, s_out = ((two_r * (1.0 - x) + gap) * k2
+                   for x in (rule.nodes[:, -1], rule.nodes @ t_prime))
     # v = x_i.(H theta') can round above 1
     np.maximum(s_out, 0.0, out=s_out)
-    np.multiply(rule.weights, (r * ch.k) ** (n - 1), out=weights)
-    return s_in, s_out, weights
+    return s_in, s_out, rule.weights * (r * ch.k) ** (n - 1)

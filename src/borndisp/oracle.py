@@ -145,6 +145,7 @@ def gaussian_s(a: float, theta: Direction, eta, r):
     tends to the sphere area 4 pi at kappa = 0 (theta' = -theta). The
     exponent is formed as (1 - r)^2 + r (2 - c), with
     2 - c = |eta|^2 / (k^2 (2 + c)), which does not cancel at large k.
+    S is 0 wherever the exponential underflows.
     """
     n = theta.dimension
     k, e2, c = _gaussian_chart(theta, eta)
@@ -159,7 +160,11 @@ def gaussian_s(a: float, theta: Direction, eta, r):
         bessel = 2.0 * np.pi * ive(0, kappa)
     exponent = -(k * k / (2.0 * a)) * ((1.0 - r) ** 2 + r * e2 / (k * k * (2.0 + c)))
     amp = (np.pi / a) ** n
-    return amp * (r * k) ** (n - 1) / (k * (1.0 + r)) * bessel * np.exp(exponent)
+    decay = np.exp(exponent)
+    # ive(0, kappa) is NaN past kappa ~ 2e9, which the far tail reaches at
+    # large k; there the exponential has long underflowed to 0
+    return np.where(decay > 0.0,
+                    amp * (r * k) ** (n - 1) / (k * (1.0 + r)) * bessel * decay, 0.0)
 
 
 def gaussian_b_theta2(a: float, theta: Direction, eta) -> complex:

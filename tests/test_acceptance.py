@@ -66,20 +66,19 @@ def test_criterion_02_gbeta_decay(gbeta3):
             f"min ghat {gbeta3.meta['ghat_min']:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_03_operator_oracle(gauss2, theta2, rule2, gauss3, theta3, rule3):
+def test_criterion_03_operator_oracle(gauss2, theta2, gauss3, theta3):
     start = time.monotonic()
-    pv = PVParams()
     worst = 0.0
     for t in (3.0, 5.0, 8.0):
         eta = np.array([t, 0.0])
         ref = oracle.brute_b_theta2(gauss2, theta2, eta)
-        lib = b_theta2(gauss2, theta2, eta, rule2, pv)
+        lib = b_theta2(gauss2, theta2, eta, 4)
         worst = max(worst, abs(lib - ref) / abs(ref))
     worst3 = 0.0
     for t in (3.0, 5.0, 8.0):
         eta = np.array([t, 1.0, 0.5])
         ref = oracle.gaussian_b_theta2(0.5, theta3, eta)
-        lib = b_theta2(gauss3, theta3, eta, rule3, pv)
+        lib = b_theta2(gauss3, theta3, eta, 4)
         worst3 = max(worst3, abs(lib - ref) / abs(ref))
     elapsed = time.monotonic() - start
     ok = worst <= 0.05 and worst3 <= 0.05 and elapsed < 300.0
@@ -100,11 +99,11 @@ def test_criterion_04_pv_machinery():
             f"value {value.real:.9f} vs -E1(1)/2 = {target:.9f}, err {err:.2e}")
 
 
-def test_criterion_05_ray_decay_threshold(gbeta3, theta3, rule3, gbeta2, theta2, rule2):
+def test_criterion_05_ray_decay_threshold(gbeta3, theta3, gbeta2, theta2):
     start = time.monotonic()
-    v3, _ = lemma52_check(gbeta3, 1.0, theta3, 0.5, (8.0, 48.0), rule3,
+    v3, _ = lemma52_check(gbeta3, 1.0, theta3, 0.5, (8.0, 48.0), 4,
                           CutoffSpec(), samples=16)
-    v2, _ = lemma52_check(gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), rule2,
+    v2, _ = lemma52_check(gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), 4,
                           CutoffSpec(), samples=16)
     elapsed = time.monotonic() - start
     ok = v3.passed and v2.passed and elapsed < 600.0
@@ -213,14 +212,14 @@ def test_criterion_09_bound_calculators():
     _report(9, "bound calculators", ok, f"max deviation {worst:.1e}")
 
 
-def test_criterion_10_qfull_radiality(gauss2, rule2):
+def test_criterion_10_qfull_radiality(gauss2):
     start = time.monotonic()
-    pv, cut = PVParams(), CutoffSpec()
+    cut = CutoffSpec()
     theta_rule = sphere_rule(2, 5)
-    v0 = q_full2_hat(gauss2, np.array([4.0, 0.0]), theta_rule, rule2, pv, cut)
+    v0 = q_full2_hat(gauss2, np.array([4.0, 0.0]), theta_rule, 4, cut)
     a = np.deg2rad(73.0)
     v1 = q_full2_hat(gauss2, 4.0 * np.array([np.cos(a), np.sin(a)]),
-                     theta_rule, rule2, pv, cut)
+                     theta_rule, 4, cut)
     rel = abs(abs(v0) - abs(v1)) / abs(v0)
     elapsed = time.monotonic() - start
     ok = rel <= 1e-4

@@ -7,7 +7,7 @@ from borndisp.analysis import (
     gain_scan,
     lemma52_check,
 )
-from borndisp.dispersion import CutoffSpec, PVParams
+from borndisp.dispersion import CutoffSpec
 from borndisp.geometry import Direction
 
 
@@ -45,9 +45,9 @@ def test_fit_decay_drops_nonpositive():
     assert fit.sample_count == 19
 
 
-def test_lemma52_thresholds(gbeta2, theta2, rule2):
+def test_lemma52_thresholds(gbeta2, theta2):
     verdict, data = lemma52_check(
-        gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), rule2, CutoffSpec(), samples=16
+        gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), 4, CutoffSpec(), samples=16
     )
     assert verdict.passed
     assert "threshold -3.1500" in verdict.details
@@ -56,15 +56,15 @@ def test_lemma52_thresholds(gbeta2, theta2, rule2):
     assert d["pass"] is True and d["margin"] > 0
 
 
-def test_lemma52_ray_guard(gbeta2, theta2, rule2):
+def test_lemma52_ray_guard(gbeta2, theta2):
     with pytest.raises(RayOutsideCone):
-        lemma52_check(gbeta2, 1.0, theta2, 0.9, (8.0, 48.0), rule2,
+        lemma52_check(gbeta2, 1.0, theta2, 0.9, (8.0, 48.0), 4,
                       CutoffSpec(), direction=[0.3, 1.0])
 
 
 def test_gain_scan_alpha_monotone(gauss2, theta2):
     scans = gain_scan(gauss2, theta2, [0.0, 1.0, 2.0], [6.0, 12.0, 24.0],
-                      PVParams(), CutoffSpec(), rule_level=3)
+                      CutoffSpec(), rule_level=3)
     # at each extent the weighted norm is nondecreasing in alpha
     for lev in range(3):
         by_alpha = [s.levels[lev][1] for s in scans]
@@ -76,8 +76,7 @@ def test_gain_scan_alpha_monotone(gauss2, theta2):
 def test_gain_scan_rejects_level_below_radial_step(gauss2, theta2):
     # a level below the first sampled radius has no partial sum of its own
     with pytest.raises(ValueError, match="level 1 "):
-        gain_scan(gauss2, theta2, [0.0], [1.0, 4.0, 8.0], PVParams(),
-                  CutoffSpec())
+        gain_scan(gauss2, theta2, [0.0], [1.0, 4.0, 8.0], CutoffSpec())
 
 
 @pytest.mark.parametrize("case", ["gauss2", "gauss3"])
@@ -89,20 +88,16 @@ def test_gain_scan_cutoff_edge_row_is_zero(case, request, monkeypatch):
     q = request.getfixturevalue(case)
     n = q.dimension
     seen = []
+    bipolar_b = analysis.bipolar_b
 
-    def recording(fn, radii):
-        def wrapped(q, *args, **kwargs):
-            seen.append(radii(args))
-            return fn(q, *args, **kwargs)
-        return wrapped
+    def recording(q, e, *args, **kwargs):
+        seen.append(np.atleast_1d(e))
+        return bipolar_b(q, e, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "bipolar_b", recording(
-        analysis.bipolar_b, lambda args: np.atleast_1d(args[0])))
-    monkeypatch.setattr(analysis, "b_theta2", recording(
-        analysis.b_theta2, lambda args: np.atleast_1d(np.linalg.norm(args[1]))))
+    monkeypatch.setattr(analysis, "bipolar_b", recording)
     theta = Direction.normalized([0.3, -1.0, 0.4][:n])
     ts = np.array([1.0, 2.0, 4.0])
-    qsq, _ = analysis._polar_samples(q, theta, ts, PVParams(), CutoffSpec(C0=2.0), 3)
+    qsq, _ = analysis._polar_samples(q, theta, ts, CutoffSpec(C0=2.0), 3)
     assert np.all(qsq[:2] == 0.0) and np.all(qsq[2] > 0.0)
     radii = np.concatenate(seen)
     assert radii.size == analysis.POLAR_NODES and np.all(radii > 3.9)

@@ -91,50 +91,23 @@ def test_lemma52_needs_eight_ray_samples(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_pv_delta_out_of_range(tmp_path, capsys):
-    cfg = _write(tmp_path, "p.json", _ray_config(tmp_path, pv={"delta": 1.5}))
-    assert run(cfg) == 1
-    err = capsys.readouterr().err
-    assert "'pv'" in err and "delta" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_pv_rule_built_only_where_configured_or_used(tmp_path, monkeypatch):
-    # a PVParams builds its quadrature rule; the defaults need no check, so
-    # a run builds one only to check a configured 'pv' and to evaluate
-    from borndisp import dispersion
-
-    built = []
-
-    class Recording(dispersion.PVParams):
-        def __post_init__(self):
-            built.append((self.delta, self.inner_nodes))
-            super().__post_init__()
-
-    monkeypatch.setattr(dispersion, "PVParams", Recording)
-    gbeta = _write(tmp_path, "g.json", {
-        "experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0},
-        "out_dir": str(tmp_path / "g"),
-    })
-    assert main([gbeta]) == 0 and built == []
-    assert main([_write(tmp_path, "r.json", _ray_config(tmp_path))]) == 0
-    assert built == [(0.5, 64)]
-    pv = {"delta": 0.4}
-    assert main([_write(tmp_path, "p.json", _ray_config(tmp_path, pv=pv))]) == 0
-    assert built == [(0.5, 64), (0.4, 64), (0.4, 64)]
-
-
 def test_removed_pv_fields_rejected(tmp_path, capsys):
-    cfg = _write(tmp_path, "r.json", _ray_config(tmp_path, pv={"r_max": 8.0}))
-    assert run(cfg) == 1
-    err = capsys.readouterr().err
-    assert "'pv'" in err and "r_max" in err
+    # B comes from the bipolar rule in every dimension, so the settings of
+    # the r principal value set nothing: 'pv' is an unexpected key, whatever
+    # it holds
+    for n in (2, 3):
+        for pv in ({}, {"delta": 0.5}, {"delta": 1.5}, {"inner_nodes": 8.0},
+                   {"r_max": 8.0}):
+            ray = {"direction": [1] + [0] * (n - 1), "t_min": 3, "t_max": 8, "count": 6}
+            cfg = _ray_config(tmp_path, n=n, theta=[-1] + [0] * (n - 1), ray=ray, pv=pv)
+            assert run(_write(tmp_path, "p.json", cfg)) == 1
+            assert "unexpected key 'pv'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment", ["dispersion-ray", "gain-scan"])
 def test_pv_rejected_in_n3(tmp_path, capsys, experiment):
-    # n = 3 evaluates B by the bipolar rule, which the pv settings do not reach
+    # every experiment that evaluates B refuses the pv settings, here in n = 3
     cfg = {"experiment": experiment, "n": 3, "a": 0.5, "theta": [-1, 0, 0],
            "pv": {"delta": 0.5}, "out_dir": str(tmp_path / "out")}
     if experiment == "gain-scan":
@@ -143,8 +116,7 @@ def test_pv_rejected_in_n3(tmp_path, capsys, experiment):
     else:
         cfg["ray"] = {"direction": [1, 0, 0], "t_min": 3, "t_max": 8, "count": 3}
     assert run(_write(tmp_path, "p.json", cfg)) == 1
-    err = capsys.readouterr().err
-    assert "'pv'" in err and "n = 3" in err
+    assert "unexpected key 'pv'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -161,11 +133,10 @@ def _qfull_config(tmp_path, **overrides):
     (lambda p: _qfull_config(p, theta_rule_level=3.0), "'theta_rule_level'"),
     (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 3, "t_max": 8,
                                    "count": 3.0}), "'ray/count'"),
-    (lambda p: _ray_config(p, pv={"inner_nodes": 8.0}), "'pv/inner_nodes'"),
     (lambda p: _qfull_config(p, n=2.0), "'n'"),
     (lambda p: {"experiment": "chart-selftest", "n": 2, "seed": 3.0,
                 "out_dir": str(p / "out")}, "'seed'"),
-], ids=["rule_level", "theta_rule_level", "ray_count", "pv_inner_nodes", "n", "seed"])
+], ids=["rule_level", "theta_rule_level", "ray_count", "n", "seed"])
 def test_integral_float_rejected_in_integer_field(tmp_path, capsys, config, field):
     # JSON Schema counts 3.0 as an integer; numpy does not, so each of these
     # would pass validation and fail part-way through the run
@@ -182,14 +153,28 @@ def test_integral_float_rejected_in_integer_field(tmp_path, capsys, config, fiel
                                    "t_max": math.inf, "count": 6}),
      "'ray/t_max'", "Infinity"),
     (lambda p: _ray_config(p, theta=[-math.inf, 0]), "'theta/0'", "-Infinity"),
-], ids=["beta", "ray_t_max", "theta_0"])
+    (lambda p: {"experiment": "bounds-table", "n": 3, "betas": [1.0, 10**400],
+                "out_dir": str(p / "out")}, "'betas/1'", "1" + "0" * 400),
+], ids=["beta", "ray_t_max", "theta_0", "betas_1"])
 def test_non_finite_number_rejected(tmp_path, capsys, config, field, token):
     # json.load reads NaN and the infinities, and each passes every bound:
-    # unchecked, they run to exit 0 with NaN or inf in the artifacts
+    # unchecked, they run to exit 0 with NaN or inf in the artifacts. An
+    # integer past float range fails part-way through the run instead
     cfg = _write(tmp_path, "n.json", config(tmp_path))
     assert token in Path(cfg).read_text()
     assert run(cfg) == 1
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_past_the_parser_limit_rejected(tmp_path, capsys):
+    # json.load refuses an integer of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    cfg = tmp_path / "b.json"
+    cfg.write_text('{"experiment": "bounds-table", "n": 3, "betas": [1' + "0" * 5000
+                   + '], "out_dir": "%s"}' % (tmp_path / "out"))
+    assert run(str(cfg)) == 1
+    assert "not valid JSON" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -518,7 +503,7 @@ def _base_configs() -> list:
         {"experiment": "gbeta", "n": 3, "beta": 1.0, "bump_radius": 2.0,
          "grid": {"N": 128, "L": 16.0}, "out_dir": "o"},
         {"experiment": "dispersion-ray", "n": 2, "a": 0.5, "theta": [-1, 0], "ray": ray,
-         "rule_level": 4, "pv": {"delta": 0.5, "inner_nodes": 64}, "C0": 2.0,
+         "rule_level": 4, "C0": 2.0,
          "out_dir": "o"},
         {"experiment": "lemma52", "n": 2, "beta": 1.0, "grid": {"N": 256, "L": 16.0},
          "theta": [-1, 0], "ray": dict(ray, count=16), "cone_aperture": 0.5,
@@ -540,7 +525,10 @@ _ODD_VALUES = ("x", "", None, True, False, 0, 1, 2, 3, 7, 8, 64, -1, 2.0, 3.0, 8
 def _mutate(cfg, rng) -> None:
     """One random edit of cfg in place: a value replaced, a key removed, a key
     added (unknown or from the schema), or an item added to or taken from an
-    array."""
+    array. A value put in is a copy, so that no later edit reaches
+    _ODD_VALUES or puts a container inside itself."""
+    import copy
+
     from borndisp import cli
 
     containers = [(cfg, cli._SCHEMA)]
@@ -557,15 +545,15 @@ def _mutate(cfg, rng) -> None:
     keys = list(node) if isinstance(node, dict) else list(range(len(node)))
     edit = rng.choice(["replace", "replace", "remove", "add"])
     if edit == "replace" and keys:
-        node[rng.choice(keys)] = rng.choice(_ODD_VALUES)
+        node[rng.choice(keys)] = copy.deepcopy(rng.choice(_ODD_VALUES))
     elif edit == "remove" and keys:
         node.pop(rng.choice(keys))
     elif isinstance(node, dict):
         known = list(schema.get("properties", {}))
         key = rng.choice(known + ["extra"]) if known else "extra"
-        node[key] = rng.choice(_ODD_VALUES)
+        node[key] = copy.deepcopy(rng.choice(_ODD_VALUES))
     else:
-        node.append(rng.choice(_ODD_VALUES))
+        node.append(copy.deepcopy(rng.choice(_ODD_VALUES)))
 
 
 def _integral_float_field(cfg, path: str) -> bool:
@@ -587,8 +575,9 @@ def test_validate_agrees_with_jsonschema():
     # the same verdict as jsonschema on mutated configs, naming a field that
     # jsonschema names too; the only difference allowed is an integral float
     # in an integer field, which _validate refuses. jsonschema also accepts
-    # NaN and the infinities in a number field, which _validate refuses, but
-    # the corpus holds none, so they decide no verdict here
+    # NaN, the infinities and integers past float range in a number field,
+    # which _validate refuses, but the corpus holds none, so they decide no
+    # verdict here
     import copy
     import random
     import re

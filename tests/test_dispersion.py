@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borndisp.dispersion import (
     BLOCK_POINTS,
@@ -170,11 +172,10 @@ def test_pv_power_law_to_infinity():
 
 
 def test_b_theta2_structure(gauss2, theta2, rule2):
-    pv = PVParams()
     # outside the half space: exactly zero
-    assert b_theta2(gauss2, theta2, np.array([-3.0, 0.0]), rule2, pv) == 0.0
+    assert b_theta2(gauss2, theta2, np.array([-3.0, 0.0]), 4) == 0.0
     eta = np.array([4.0, 0.0])
-    B = b_theta2(gauss2, theta2, eta, rule2, pv)
+    B = b_theta2(gauss2, theta2, eta, 4)
     S = spherical_op(gauss2, theta2, 1.0, eta, rule2)
     # no cancellation: imag(B) = pi S >= 0 and real(B) = P
     assert B.imag == pytest.approx(np.pi * S.real, rel=1e-12)
@@ -182,16 +183,25 @@ def test_b_theta2_structure(gauss2, theta2, rule2):
 
 
 def test_b_theta2_grazing_theta_node(gauss2):
-    from borndisp.oracle import brute_b_theta2
+    from borndisp.geometry import chart
+    from borndisp.oracle import brute_b_theta2, gaussian_b_theta2
 
-    # a level-3 theta-rule node 1.40625 degrees off the hyperplane
-    # eta.theta = 0, where k = 81.5: the PV window must resolve S there
-    theta = Direction(sphere_rule(2, 3).nodes[33])
-    a = np.deg2rad(1.40625)
-    eta = 4.0 * np.array([np.cos(a), np.sin(a)])
-    ref = brute_b_theta2(gauss2, theta, eta)
-    B = b_theta2(gauss2, theta, eta, sphere_rule(2, 6), PVParams())
-    assert abs(B - ref) <= 1e-9 * abs(ref)
+    # for each of qfull-n2's two base angles, the level-3 theta-rule node
+    # nearest the hyperplane eta.theta = 0: 1.40625 degrees off it for the
+    # first (k = 81.5), 0.125 degrees for the second (k = 917). The CLI's
+    # default rule level, 4, must reach the closed form at both
+    nodes = sphere_rule(2, 3).nodes
+    for angle, node, k in ((1.40625, 33, 81.5), (73.0, 58, 917.0)):
+        theta = Direction(nodes[node])
+        a = np.deg2rad(angle)
+        eta = 4.0 * np.array([np.cos(a), np.sin(a)])
+        assert chart(eta, theta).k == pytest.approx(k, rel=1e-3)
+        B = b_theta2(gauss2, theta, eta, 4)
+        ref = gaussian_b_theta2(0.5, theta, eta)
+        assert abs(B - ref) <= 1e-9 * abs(ref)
+        if k < 100:  # where the brute-force circle rule resolves the sphere
+            brute = brute_b_theta2(gauss2, theta, eta)
+            assert abs(B - brute) <= 1e-9 * abs(brute)
 
 
 def test_b_theta2_zero_on_rounded_hyperplane(gauss2):
@@ -202,31 +212,31 @@ def test_b_theta2_zero_on_rounded_hyperplane(gauss2):
     eta = np.array([4.0, 0.0])
     assert float(eta @ theta.components) < 0
     for level in (4, 5, 6):
-        assert b_theta2(gauss2, theta, eta, sphere_rule(2, level), PVParams()) == 0
+        assert b_theta2(gauss2, theta, eta, level) == 0
 
 
-def test_q_theta2_hat_cutoff_and_halves(gauss2, theta2, rule2):
-    pv, cut = PVParams(), CutoffSpec(C0=2.0)
-    assert q_theta2_hat(gauss2, theta2, np.array([1.0, 0.0]), rule2, pv, cut) == 0.0
+def test_q_theta2_hat_cutoff_and_halves(gauss2, theta2):
+    cut = CutoffSpec(C0=2.0)
+    assert q_theta2_hat(gauss2, theta2, np.array([1.0, 0.0]), 4, cut) == 0.0
     eta = np.array([5.0, 0.0])
-    q_val = q_theta2_hat(gauss2, theta2, eta, rule2, pv, cut)
-    b_val = b_theta2(gauss2, theta2, eta, rule2, pv)
+    q_val = q_theta2_hat(gauss2, theta2, eta, 4, cut)
+    b_val = b_theta2(gauss2, theta2, eta, 4)
     assert q_val == pytest.approx(b_val, rel=1e-12)  # chi = 1, other half zero
 
 
-def test_q_theta2_hat_reflection_symmetry(gauss2, theta2, rule2):
-    pv, cut = PVParams(), CutoffSpec(C0=2.0)
+def test_q_theta2_hat_reflection_symmetry(gauss2, theta2):
+    cut = CutoffSpec(C0=2.0)
     eta = np.array([3.0, 4.0])
-    a = q_theta2_hat(gauss2, theta2, eta, rule2, pv, cut)
-    b = q_theta2_hat(gauss2, theta2, -eta, rule2, pv, cut)
+    a = q_theta2_hat(gauss2, theta2, eta, 4, cut)
+    b = q_theta2_hat(gauss2, theta2, -eta, 4, cut)
     assert abs(abs(a) - abs(b)) <= 1e-6 * abs(a)
 
 
-def test_q_full2_theta_refinement(gauss2, rule2):
-    pv, cut = PVParams(), CutoffSpec(C0=1.5)
+def test_q_full2_theta_refinement(gauss2):
+    cut = CutoffSpec(C0=1.5)
     eta = np.array([4.0, 0.0])
-    coarse = q_full2_hat(gauss2, eta, sphere_rule(2, 5), rule2, pv, cut)
-    fine = q_full2_hat(gauss2, eta, sphere_rule(2, 6), rule2, pv, cut)
+    coarse = q_full2_hat(gauss2, eta, sphere_rule(2, 5), 4, cut)
+    fine = q_full2_hat(gauss2, eta, sphere_rule(2, 6), 4, cut)
     assert abs(coarse - fine) <= 1e-4 * abs(fine)
     assert fine.imag > 0
 
@@ -238,11 +248,11 @@ def test_quadrature_level_convergence(gauss2, theta2):
     assert abs(vals[0] - vals[1]) < 1e-4 * abs(vals[1])
 
 
-def test_batch_thread_independence(gauss2, theta2, rule2):
-    pv, cut = PVParams(), CutoffSpec()
+def test_batch_thread_independence(gauss2, theta2):
+    cut = CutoffSpec()
     etas = [np.array([t, 0.3 * t]) for t in (3.0, 4.0, 5.0, 6.0)]
-    one = dispersion_batch(gauss2, theta2, etas, rule2, pv, cut, threads=1)
-    four = dispersion_batch(gauss2, theta2, etas, rule2, pv, cut, threads=4)
+    one = dispersion_batch(gauss2, theta2, etas, 4, cut, threads=1)
+    four = dispersion_batch(gauss2, theta2, etas, 4, cut, threads=4)
     for name in ("eta", "k", "S", "P", "B", "Q"):
         np.testing.assert_array_equal([getattr(s, name) for s in one],
                                       [getattr(s, name) for s in four])
@@ -270,28 +280,34 @@ def test_csv_schema(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The bipolar rule (n = 3)
+# The bipolar rule
 
 
-def _eta_at(e, k):
+def _eta_at(e, k, n=3):
     """The point of H_theta, theta = -e_1, with |eta| = e and chart k."""
     c = e / (2.0 * k)
-    return np.array([e * c, e * np.sqrt(1.0 - c * c), 0.0])
+    return np.array([e * c, e * np.sqrt(1.0 - c * c), 0.0][:n])
 
 
-def test_bipolar_b_matches_gaussian_oracle(gauss3, theta3):
-    # the 1e-9 gate at level 4 over k in [2, 2500]; |eta| <= 12 keeps
-    # S_{theta,1} ~ exp(-|eta|^2 / 8a) far above underflow
+def test_bipolar_b_matches_gaussian_oracle(gauss2, theta2, gauss3, theta3):
+    # the 1e-9 gate at level 4 over k from backscatter (k = |eta|/2) to
+    # 2500; |eta| <= 12 keeps S_{theta,1} ~ exp(-|eta|^2 / 8a) far above
+    # underflow. n = 2 takes |eta| in {4, 8} and passes qfull-n2's grazing
+    # node k = 917
     from borndisp.oracle import gaussian_b_theta2
 
+    cases = [(gauss3, theta3, (1.0, 4.0, 12.0), np.geomspace(2.0, 2500.0, 7))]
+    cases += [(gauss2, theta2, (4.0, 8.0), (2.0, 2.6, 3.0, 30.0, 120.0, 500.0,
+                                            917.0, 2500.0))]
     worst = 0.0
-    for k in np.geomspace(2.0, 2500.0, 7):
-        for e in (1.0, 4.0, 12.0):
-            if e > 2.0 * k:
-                continue
-            ref = gaussian_b_theta2(0.5, theta3, _eta_at(e, k))
-            B = bipolar_b(gauss3, e, k, 4)[0]
-            worst = max(worst, abs(B - ref) / abs(ref))
+    for q, theta, es, ks in cases:
+        for k in ks:
+            for e in es:
+                if e > 2.0 * k:
+                    continue
+                ref = gaussian_b_theta2(0.5, theta, _eta_at(e, k, theta.dimension))
+                B = bipolar_b(q, e, k, 4)[0]
+                worst = max(worst, abs(B - ref) / abs(ref))
     assert worst <= 1e-9
 
 
@@ -307,24 +323,33 @@ def test_bipolar_b_closed_middle_wedge(gauss3, theta3):
                                            rel=1e-13)
 
 
-def test_bipolar_b_lattice_self_convergence(gbeta3):
+def test_bipolar_b_lattice_self_convergence(gbeta3, gbeta2):
     # the lattice q_hat is a spline with a value-only tail join, so the rule
-    # converges algebraically; level 4 stays within 1e-5 of level 6
-    e = np.array([8.0, 24.0, 48.0, 96.0, 4.0])
-    k = np.array([4.5, 120.0, 600.0, 2400.0, 1000.0])
-    fine = bipolar_b(gbeta3, e, k, 6)
-    assert np.all(np.abs(bipolar_b(gbeta3, e, k, 4) - fine) <= 1e-5 * np.abs(fine))
+    # converges algebraically; level 4 stays within 1e-5 of level 6. n = 2
+    # (N = 256) takes |eta| in {4, 24} and k from backscatter to 2400
+    e3 = np.array([8.0, 24.0, 48.0, 96.0, 4.0])
+    k3 = np.array([4.5, 120.0, 600.0, 2400.0, 1000.0])
+    e2 = np.repeat([4.0, 24.0], 12)
+    k2 = np.concatenate([np.geomspace(0.5 * x, 2400.0, 12) for x in (4.0, 24.0)])
+    for q, e, k in ((gbeta3, e3, k3), (gbeta2, e2, k2)):
+        fine = bipolar_b(q, e, k, 6)
+        assert np.all(np.abs(bipolar_b(q, e, k, 4) - fine) <= 1e-5 * np.abs(fine))
 
 
 @pytest.mark.parametrize("e, k", [(4.0, 3.0), (6.0, 12.0), (4.0, 30.0)])
-def test_bipolar_b_agrees_with_sphere_and_pv(gauss3, theta3, e, k):
-    from borndisp.dispersion import _sphere_and_pv
+def test_bipolar_b_agrees_with_sphere_and_pv(gauss2, gauss3, theta2, theta3, e, k):
+    # the reference route: i pi S_{theta,1} + P_theta from the sphere rule
+    # and the PV rule, in n = 3 and in n = 2
+    for q, theta in ((gauss3, theta3), (gauss2, theta2)):
+        n = theta.dimension
+        eta, rule = _eta_at(e, k, n), sphere_rule(n, 6)
+        S = spherical_op(q, theta, 1.0, eta, rule)
+        P = principal_value_op(lambda r: spherical_op(q, theta, r, eta, rule), PVParams())
+        ref = 1j * np.pi * S + P
+        assert abs(bipolar_b(q, e, k, 6)[0] - ref) <= 1e-8 * abs(ref)
 
-    ref = _sphere_and_pv(gauss3, theta3, _eta_at(e, k), sphere_rule(3, 6), PVParams())[2]
-    assert abs(bipolar_b(gauss3, e, k, 6)[0] - ref) <= 1e-8 * abs(ref)
 
-
-@pytest.mark.parametrize("case", ["gauss3", "gbeta3"])
+@pytest.mark.parametrize("case", ["gauss3", "gbeta3", "gauss2", "gbeta2"])
 def test_bipolar_b_block_independence(case, request, monkeypatch):
     # a point's B is the same bits alone, in any block and at any place in it
     from borndisp import dispersion
@@ -339,24 +364,62 @@ def test_bipolar_b_block_independence(case, request, monkeypatch):
         np.testing.assert_array_equal(bipolar_b(q, e[3:], k[3:], 3), alone[3:])
 
 
-def test_bipolar_b_sphere_only(gbeta3, theta3):
-    # the middle wedge alone is i pi S_{theta,1}, bit for bit the imaginary
-    # part of B, and agrees with the sphere rule
+def test_bipolar_b_sphere_only(gbeta3, theta3, gbeta2, theta2):
+    # i pi S_{theta,1} alone is bit for bit the imaginary part of B, and
+    # agrees with the sphere rule
     e, k = np.array([8.0, 8.0]), np.array([6.0, 20.0])
-    B = bipolar_b(gbeta3, e, k, 4)
-    S = bipolar_b(gbeta3, e, k, 4, sphere_only=True)
-    np.testing.assert_array_equal(S.real, 0.0)
-    np.testing.assert_array_equal(S.imag, B.imag)
-    for i in range(2):
-        ref = spherical_op(gbeta3, theta3, 1.0, _eta_at(e[i], k[i]), sphere_rule(3, 6))
-        assert S[i].imag / np.pi == pytest.approx(ref.real, rel=1e-5)
+    for q, theta in ((gbeta3, theta3), (gbeta2, theta2)):
+        n = theta.dimension
+        B = bipolar_b(q, e, k, 4)
+        S = bipolar_b(q, e, k, 4, sphere_only=True)
+        np.testing.assert_array_equal(S.real, 0.0)
+        np.testing.assert_array_equal(S.imag, B.imag)
+        for i in range(2):
+            ref = spherical_op(q, theta, 1.0, _eta_at(e[i], k[i], n), sphere_rule(n, 6))
+            assert S[i].imag / np.pi == pytest.approx(ref.real, rel=1e-5)
 
 
-def test_n3_batch_parts(gauss3, theta3, rule3):
+def test_n3_batch_parts(gauss3, theta3):
     # in n = 3, S = Im B / pi and P = Re B, from one bipolar value
     etas = [_eta_at(4.0, 3.0), -_eta_at(5.0, 8.0)]
-    for s in dispersion_batch(gauss3, theta3, etas, rule3, PVParams(), CutoffSpec()):
+    for s in dispersion_batch(gauss3, theta3, etas, 4, CutoffSpec()):
         assert s.B == complex(s.P.real, np.pi * s.S.real)
         assert s.Q == cutoff_chi(s.eta, CutoffSpec()) * s.B
-        assert s.B == b_theta2(gauss3, theta3 if s.eta[0] > 0 else -theta3, s.eta,
-                               rule3, PVParams())
+        assert s.B == b_theta2(gauss3, theta3 if s.eta[0] > 0 else -theta3, s.eta, 4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]),
+       angles=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+       e=st.floats(0.5, 20.0), cos_a=st.floats(0.005, 1.0))
+def test_b_theta2_rotation_covariance(n, angles, e, cos_a):
+    # B_{R theta}(R eta) = B_theta(eta) for a rotation R: B depends on eta
+    # only through |eta| and the chart's k. cos_a, the cosine of the angle
+    # between eta and -theta, keeps k = e / (2 cos_a) up to 2000. The n = 3
+    # wedges read e tan psi = sqrt((2k - e)(2k + e)), and within about 1e-6
+    # of backscatter (cos_a = 1) their value moves linearly with it, so the
+    # rounding of k moves B there by up to about 1e-8
+    from borndisp.potentials import gaussian_potential
+    from borndisp.spectral import make_grid
+
+    q = gaussian_potential(0.5, make_grid(n, 8, 16.0))
+    theta = Direction(-np.eye(n)[0])
+    eta = _eta_at(e, e / (2.0 * cos_a), n)
+    rot = _rotation(n, angles)
+    B = b_theta2(q, theta, eta, 3)
+    B_rot = b_theta2(q, Direction(rot @ theta.components), rot @ eta, 3)
+    tol = 3e-8 if n == 3 and cos_a > 1.0 - 1e-6 else 1e-10
+    assert abs(B_rot - B) <= tol * abs(B)
+
+
+def _rotation(n, angles):
+    """A rotation of R^n from the angles: one plane rotation in n = 2,
+    three Euler-angle rotations in n = 3."""
+    def plane(i, j, a):
+        r = np.eye(n)
+        r[[i, i, j, j], [i, j, i, j]] = np.cos(a), -np.sin(a), np.sin(a), np.cos(a)
+        return r
+
+    if n == 2:
+        return plane(0, 1, angles[0])
+    return plane(0, 1, angles[0]) @ plane(1, 2, angles[1]) @ plane(0, 1, angles[2])

@@ -3,7 +3,7 @@ import pytest
 from scipy import special
 
 from borndisp import oracle
-from borndisp.dispersion import PVParams, b_theta2
+from borndisp.dispersion import b_theta2
 from borndisp.geometry import sphere_rule
 from borndisp.potentials import gaussian_potential
 from borndisp.spectral import field_from_function, make_grid
@@ -29,12 +29,11 @@ def test_pv_1d_gaussian_identity():
     assert val == pytest.approx(-0.5 * oracle.exp1_series(1.0), abs=1e-9)
 
 
-def test_brute_b_agrees_with_dispersion(gauss2, theta2, rule2):
-    pv = PVParams()
+def test_brute_b_agrees_with_dispersion(gauss2, theta2):
     for t in (3.0, 5.0, 8.0):
         eta = np.array([t, 0.0])
         ref = oracle.brute_b_theta2(gauss2, theta2, eta)
-        lib = b_theta2(gauss2, theta2, eta, rule2, pv)
+        lib = b_theta2(gauss2, theta2, eta, 4)
         assert abs(lib - ref) <= 0.05 * abs(ref)
 
 
@@ -73,6 +72,21 @@ def test_gaussian_s_matches_spherical_op(n):
     eta = -4.0 * theta.components
     assert oracle.gaussian_s(0.5, theta, eta, 1.0) == pytest.approx(
         spherical_op(q, theta, 1.0, eta, rule).real, rel=1e-12)
+
+
+def test_gaussian_b_theta2_n2_at_large_k(gauss2, theta2):
+    # from k ~ 600 in n = 2 the PV's far tail reaches kappa ~ 2e9, where
+    # ive(0, kappa) is NaN; S is 0 there. The brute-force reference needs a
+    # fine circle rule to resolve the short arc of the sphere that q_hat
+    # reaches, and its PV window limits its real part
+    for k in (917.0, 2400.0):
+        c = 4.0 / (2.0 * k)
+        eta = 4.0 * np.array([c, np.sqrt(1.0 - c * c)])
+        ref = oracle.gaussian_b_theta2(0.5, theta2, eta)
+        brute = oracle.brute_b_theta2(gauss2, theta2, eta, resolution=2**15)
+        assert np.isfinite(ref)
+        assert ref.imag == pytest.approx(brute.imag, rel=1e-12)
+        assert abs(ref - brute) <= 1e-5 * abs(ref)
 
 
 def test_brute_b_requires_analytic(gbeta2, theta2):
