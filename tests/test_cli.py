@@ -91,6 +91,42 @@ def test_lemma52_needs_eight_ray_samples(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_pv_delta_out_of_range(tmp_path, capsys):
+    # the whole 'pv' object is refused before any of its fields is read, so
+    # a delta outside (0, 1) never reaches PVParams
+    cfg = _write(tmp_path, "p.json", _ray_config(tmp_path, pv={"delta": 1.5}))
+    assert run(cfg) == 1
+    assert "unexpected key 'pv'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pv_rule_built_only_where_configured_or_used(tmp_path, monkeypatch):
+    # a PVParams builds its quadrature rule; B comes from the bipolar rule
+    # and 'pv' is refused, so no run of the CLI builds one
+    from borndisp import dispersion
+
+    built = []
+    post_init = dispersion.PVParams.__post_init__
+
+    def recording(self):
+        built.append((self.delta, self.inner_nodes))
+        post_init(self)
+
+    monkeypatch.setattr(dispersion.PVParams, "__post_init__", recording)
+    dispersion.PVParams(delta=0.3)
+    assert built == [(0.3, 64)]
+    built.clear()
+    gbeta = _write(tmp_path, "g.json", {
+        "experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0},
+        "out_dir": str(tmp_path / "g"),
+    })
+    assert main([gbeta]) == 0
+    assert main([_write(tmp_path, "r.json", _ray_config(tmp_path))]) == 0
+    pv = {"delta": 0.4}
+    assert main([_write(tmp_path, "p.json", _ray_config(tmp_path, pv=pv))]) == 1
+    assert built == []
+
+
 def test_removed_pv_fields_rejected(tmp_path, capsys):
     # B comes from the bipolar rule in every dimension, so the settings of
     # the r principal value set nothing: 'pv' is an unexpected key, whatever
@@ -133,13 +169,15 @@ def _qfull_config(tmp_path, **overrides):
     (lambda p: _qfull_config(p, theta_rule_level=3.0), "'theta_rule_level'"),
     (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 3, "t_max": 8,
                                    "count": 3.0}), "'ray/count'"),
+    (lambda p: _ray_config(p, pv={"inner_nodes": 8.0}), "unexpected key 'pv'"),
     (lambda p: _qfull_config(p, n=2.0), "'n'"),
     (lambda p: {"experiment": "chart-selftest", "n": 2, "seed": 3.0,
                 "out_dir": str(p / "out")}, "'seed'"),
-], ids=["rule_level", "theta_rule_level", "ray_count", "n", "seed"])
+], ids=["rule_level", "theta_rule_level", "ray_count", "pv_inner_nodes", "n", "seed"])
 def test_integral_float_rejected_in_integer_field(tmp_path, capsys, config, field):
     # JSON Schema counts 3.0 as an integer; numpy does not, so each of these
-    # would pass validation and fail part-way through the run
+    # would pass validation and fail part-way through the run. The pv object
+    # that held inner_nodes is now refused as a whole
     assert run(_write(tmp_path, "f.json", config(tmp_path))) == 1
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
