@@ -21,7 +21,6 @@ from .dispersion import (
     dispersion_batch,
     principal_value_op,
     q_full2_hat,
-    q_theta2_hat,
     spherical_op,
 )
 from .geometry import (

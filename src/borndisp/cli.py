@@ -220,12 +220,23 @@ def _check_runtime_constraints(cfg: dict) -> None:
         ):
             if bad:
                 raise ConfigError(f"invalid config at field '{where}': {why}")
-    # the gain scan samples |Q| from one radial step outwards
-    if cfg["experiment"] == "gain-scan" and min(cfg["levels"]) < analysis.RADIAL_STEP:
-        raise ConfigError(
-            "invalid config at field 'levels': every level must be at least "
-            f"the radial step {analysis.RADIAL_STEP:g}, got {min(cfg['levels']):g}"
-        )
+    # the gain scan samples |Q| from one radial step outwards, and |Q| is 0
+    # up to C0: a level below the first sample past C0 has norm 0, and the
+    # growth ratio after it divides by that 0
+    if cfg["experiment"] == "gain-scan":
+        low, step, c0 = min(cfg["levels"]), analysis.RADIAL_STEP, _cut(cfg).C0
+        if low < step:
+            raise ConfigError(
+                "invalid config at field 'levels': every level must be at least "
+                f"the radial step {step:g}, got {low:g}"
+            )
+        first = (math.floor(c0 / step) + 1) * step
+        if low < first:
+            raise ConfigError(
+                f"invalid config at field 'levels': |Q| is 0 up to C0 = {c0:g}, so "
+                f"every level must reach {first:g}, the first sampled radius past "
+                f"C0, got {low:g}"
+            )
     if cfg["experiment"] in _POTENTIAL_EXPERIMENTS and "beta" in cfg:
         try:
             _gbeta_spec(cfg)

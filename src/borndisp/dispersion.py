@@ -221,11 +221,12 @@ def _wedges(e: np.ndarray, k: np.ndarray, m: int, sphere_only: bool):
         yield sign, cos_chi, sin_chi, weight * (cos_chi + sin_chi)
 
 
-def _radial_sums(q: Potential, half_e: np.ndarray, cos_chi: np.ndarray,
-                 sin_chi: np.ndarray, m: int, n: int) -> np.ndarray:
+def _radial_sums(read, half_e, cos_chi: np.ndarray, sin_chi: np.ndarray,
+                 m: int, n: int) -> np.ndarray:
     """The integral over R in (0, 1/sin chi) of
     q_hat(rho1^2) q_hat(rho2^2) R^(n - 2) / (x y) at each (point, chi) node,
-    with u = R cos chi, v = R sin chi, x = sqrt(1 + u), y = sqrt(1 - v),
+    with q_hat the reader ``read`` (a ``Potential.fourier_radial``),
+    u = R cos chi, v = R sin chi, x = sqrt(1 + u), y = sqrt(1 - v),
     rho1 = e (x + y) / 2 and rho2 = e (u + v) / (2 (x + y)) = e (x - y) / 2.
 
     R = R0 w / d with d = 1 - w + w R0 sin chi gives 1 - v = (1 - w) / d
@@ -246,8 +247,8 @@ def _radial_sums(q: Potential, half_e: np.ndarray, cos_chi: np.ndarray,
     s1 = np.square(half_e * xy)
     np.divide(u, xy, out=u)
     s2 = np.square(half_e * u, out=u)
-    f = q.fourier_radial(s1, out=s1)
-    f *= q.fourier_radial(s2, out=s2)
+    f = read(s1, out=s1)
+    f *= read(s2, out=s2)
     np.sqrt(d, out=xy)
     xy *= d
     xy *= x
@@ -257,6 +258,37 @@ def _radial_sums(q: Potential, half_e: np.ndarray, cos_chi: np.ndarray,
     else:
         f /= xy
     return np.vecdot(f, BIPOLAR_R0 * wt * np.sqrt(w))
+
+
+@functools.lru_cache(maxsize=8)
+def _low_chi_rule(m: int) -> tuple[np.ndarray, ...]:
+    """The nodes t of n = 2's first chi piece, (0, _CHI_SPLIT) under
+    chi = t^2 with m/2 Gauss-Legendre nodes, and the arrays of chi alone
+    that its weights read: (t, cos chi, sin chi, cos chi + sin chi,
+    sqrt(sin chi / cos chi), sqrt(sinc chi), sqrt(sin chi), sqrt(cos chi)).
+    They depend on no point, so they are shared and read-only."""
+    t = math.sqrt(_CHI_SPLIT) * _legendre_rule(m // 2)[0]
+    chi = t * t
+    c, s = np.cos(chi), np.sin(chi)
+    rule = (t, c, s, c + s, np.sqrt(s / c), np.sqrt(_sinc(chi)), np.sqrt(s), np.sqrt(c))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+@functools.lru_cache(maxsize=256)
+def _low_chi_diff(read, e: float, m: int) -> np.ndarray:
+    """I(chi) - I(pi/2 - chi) at the nodes of n = 2's first chi piece
+    (``_low_chi_rule``), for the reader ``read`` at |eta| = e. The nodes do
+    not depend on k, so every point at this |eta| shares these 2 x m/2 R
+    integrals; the array is shared, so it is read-only. The key holds the
+    reader: a tabulated reader hashes by identity and a Gaussian one by
+    value, and neither changes once its Potential is built."""
+    c, s = _low_chi_rule(m)[1:3]
+    I = _radial_sums(read, 0.5 * e, np.concatenate([c, s]), np.concatenate([s, c]), m, 2)
+    diff = I[:c.size] - I[c.size:]
+    diff.flags.writeable = False
+    return diff
 
 
 def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
@@ -276,6 +308,10 @@ def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
     as (t - t0)(t + t0). On (5 pi/16, pi/2), pi/2 - chi = u^2 and
     u = t0 sinh z, since F has a zero at u ~ -t0. Each piece has m/2
     Gauss-Legendre nodes.
+
+    The first piece's nodes do not depend on k, so its R integrals come
+    once per |eta| from ``_low_chi_diff``; a point reads only its second
+    piece and its pole, m/2 + 1 chi nodes, at chi and at pi/2 - chi.
     """
     per_point = []
     for ei, ki in zip(e.tolist(), k.tolist()):
@@ -290,13 +326,10 @@ def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
         cos_chi, sin_chi = c0, s0
     else:
         x, w = _legendre_rule(m // 2)
+        t, _, _, cs1, tan1, sinc1, sqrt_s1, sqrt_c1 = _low_chi_rule(m)
         split = math.sqrt(_CHI_SPLIT)
-        t = split * x
-        chi = t * t
-        c1, s1 = np.cos(chi), np.sin(chi)
-        h1 = (c1 + s1) * c0 * (np.sqrt(s1 / c1) + 1.0 / root) / (
-            np.sqrt(_sinc(chi)) * (t + t0) * _sinc((t - t0) * (t + t0))
-            * (np.sqrt(s1) + root * np.sqrt(c1)))
+        h1 = cs1 * c0 * (tan1 + 1.0 / root) / (
+            sinc1 * (t + t0) * _sinc((t - t0) * (t + t0)) * (sqrt_s1 + root * sqrt_c1))
         z_max = np.arcsinh(math.sqrt(0.5 * math.pi - _CHI_SPLIT) / t0)
         z = z_max * x
         u2 = np.square(t0 * np.sinh(z))
@@ -304,10 +337,11 @@ def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
         h2 = (c2 + s2) * t0 * np.cosh(z) * z_max * w / (
             np.sqrt(_sinc(u2) * s2) * (np.sqrt(s2) - np.sqrt(c2) / root)
             * (np.sqrt(s2) + root * np.sqrt(c2)))
-        cos_chi = np.concatenate([np.broadcast_to(c1, h1.shape), c2, c0], axis=1)
-        sin_chi = np.concatenate([np.broadcast_to(s1, h1.shape), s2, s0], axis=1)
+        cos_chi = np.concatenate([c2, c0], axis=1)
+        sin_chi = np.concatenate([s2, s0], axis=1)
     j = cos_chi.shape[1]
-    I = _radial_sums(q, 0.5 * e[:, None, None], np.concatenate([cos_chi, sin_chi], axis=1),
+    I = _radial_sums(q.fourier_radial, 0.5 * e[:, None, None],
+                     np.concatenate([cos_chi, sin_chi], axis=1),
                      np.concatenate([sin_chi, cos_chi], axis=1), m, 2)
     direct, mirror = I[:, :j], I[:, j:]
     pi_s = np.pi * h0[:, 0] * (direct[:, -1] + mirror[:, -1])
@@ -315,10 +349,10 @@ def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
         return 1j * pi_s
     diff = direct - mirror
     g0 = h0 * diff[:, -1:]
-    mc = t.size
-    p = (np.vecdot((h1 * diff[:, :mc] - g0) / (t - t0), split * w)
+    diff1 = np.array([_low_chi_diff(q.fourier_radial, ei, m) for ei in e.tolist()])
+    p = (np.vecdot((h1 * diff1 - g0) / (t - t0), split * w)
          + g0[:, 0] * np.log((split - t0[:, 0]) / t0[:, 0])
-         + np.vecdot(h2, diff[:, mc:2 * mc]))
+         + np.vecdot(h2, diff[:, :-1]))
     return p + 1j * pi_s
 
 
@@ -343,10 +377,15 @@ def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.n
     P_theta; ``sphere_only`` evaluates i pi S_{theta,1} alone.
 
     For m = 2^(level + 2), every R integral has 2m nodes; chi has m nodes
-    per wedge in n = 3, and m/2 on each of the two pieces of n = 2.
+    per wedge in n = 3, and m/2 on each of the two pieces of n = 2. The
+    first n = 2 piece does not depend on k, so its R integrals are computed
+    once per (q_hat reader, |eta|, level) and cached: a point then reads
+    q_hat at 2 x (m/2 + 1) x 2m nodes, and each new |eta| at 2 x m/2 x 2m
+    more, two reads per node.
     e and k are scalars or 1-d arrays; the points go in blocks of at most
-    BLOCK_POINTS q_hat reads per wedge (n = 3) or of one point (n = 2),
-    and a point's value does not depend on its block. Returns a 1-d
+    BLOCK_POINTS (chi, R) nodes per wedge (n = 3) or per block (n = 2, its
+    points' own nodes), and of at least one point; a point's value does
+    not depend on its block. Returns a 1-d
     complex array, one value per point.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
@@ -355,7 +394,7 @@ def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.n
         raise ValueError("|eta| must be positive")
     m = 2 ** (level + 2)
     n2 = q.dimension == 2
-    step = max(1, BLOCK_POINTS // (4 * m * (m + 1) if n2 else 2 * m * m))
+    step = max(1, BLOCK_POINTS // (2 * m * (m + 2) if n2 else 2 * m * m))
     out = np.empty(e.size, dtype=complex)
     for i in range(0, e.size, step):
         eb, kb = e[i:i + step], k[i:i + step]
@@ -364,8 +403,8 @@ def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.n
             continue
         total = np.zeros(eb.size, dtype=complex)
         for sign, cos_chi, sin_chi, weight in _wedges(eb, kb, m, sphere_only):
-            total += sign * np.vecdot(_radial_sums(q, 0.5 * eb[:, None, None],
-                                                   cos_chi, sin_chi, m, 3), weight)
+            I = _radial_sums(q.fourier_radial, 0.5 * eb[:, None, None], cos_chi, sin_chi, m, 3)
+            total += sign * np.vecdot(I, weight)
         out[i:i + step] = 0.5 * np.pi * eb * total
     return out
 
@@ -387,18 +426,6 @@ def b_theta2(q: Potential, theta: Direction, eta, level: int) -> complex:
     if not in_half_space(eta, theta):
         return 0.0 + 0.0j
     return _b_parts(q, theta, eta, level)[2]
-
-
-def q_theta2_hat(
-    q: Potential, theta: Direction, eta, level: int, cut: CutoffSpec
-) -> complex:
-    """chi(eta) [B_{theta,2} + B_{-theta,2}](eta); at most one summand is
-    nonzero, so only the half space that holds eta is evaluated."""
-    eta = np.asarray(eta, dtype=float)
-    chi = float(cutoff_chi(eta, cut))
-    if chi == 0.0:
-        return 0.0 + 0.0j
-    return chi * b_theta2(q, theta if in_half_space(eta, theta) else -theta, eta, level)
 
 
 def q_full2_hat(

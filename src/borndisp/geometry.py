@@ -60,11 +60,15 @@ class Chart:
     theta_prime: Direction
 
 
+# 8 eps: the slack of in_half_space per unit |eta|
+_HALF_SPACE_SLACK = 8.0 * np.finfo(float).eps
+
+
 def in_half_space(eta, theta: Direction) -> bool:
     """The one test of eta in H_theta: eta.theta < -8 eps |eta|. Within
     rounding of the hyperplane eta.theta = 0 a point is in neither half."""
     eta = np.asarray(eta, dtype=float)
-    slack = 8.0 * np.finfo(float).eps * float(np.linalg.norm(eta))
+    slack = _HALF_SPACE_SLACK * float(np.linalg.norm(eta))
     return float(eta @ theta.components) < -slack
 
 

@@ -45,9 +45,10 @@ class _GaussianHat:
         return out if out.ndim else out[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Tabulated:
-    """A radial profile read at rho = sqrt(s)."""
+    """A radial profile read at rho = sqrt(s). It compares and hashes by
+    identity, so a cache may be keyed on it (see ``Potential``)."""
 
     profile: RadialProfile
 
@@ -64,6 +65,10 @@ class Potential:
     ``out``, which may be s itself, it writes q_hat there.
     ``spatial_radial`` maps s = |x|^2 to q inside ``support_radius``. The
     point evaluators are vectorized over arrays of shape (..., n).
+
+    A reader is not mutated once its Potential is built (``make_gbeta``
+    fits the tail before it wraps the profile): the n = 2 B rule caches
+    R integrals keyed on ``fourier_radial``.
     """
 
     label: str

@@ -285,6 +285,25 @@ def test_gain_scan_level_below_radial_step(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("levels, C0", [
+    ([2.0, 4.0, 6.0], None), ([3.0, 4.0, 6.0], None), ([4.0, 6.0, 8.0], 4.0),
+])
+def test_gain_scan_level_without_a_sample_past_C0(tmp_path, capsys, levels, C0):
+    # |Q| is 0 up to C0, so such a level has norm 0 and the next growth
+    # ratio divided by it: refused at load, naming the field, before any
+    # synthesis
+    cfg = {"experiment": "gain-scan", "n": 2, "beta": 1.0,
+           "grid": {"N": 256, "L": 16.0}, "theta": [-1, 0], "alphas": [1.7],
+           "levels": levels, "out_dir": str(tmp_path / "out")}
+    if C0 is not None:
+        cfg["C0"] = C0
+    assert run(_write(tmp_path, "g.json", cfg)) == 1
+    err = capsys.readouterr().err
+    assert "invalid config at field 'levels'" in err
+    assert f"C0 = {C0 or 2.0:g}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_qfull_radial_needs_an_angle(tmp_path, capsys):
     cfg = _write(tmp_path, "q.json", {
         "experiment": "qfull-radial", "n": 2, "eta_norm": 4.0,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,11 @@ from borndisp.dispersion import (
     dispersion_batch,
     principal_value_op,
     q_full2_hat,
-    q_theta2_hat,
     spherical_op,
 )
-from borndisp.geometry import Direction, sphere_rule
+from borndisp.geometry import Direction, in_half_space, sphere_rule
+from borndisp.potentials import GBetaSpec, gaussian_potential, make_gbeta
+from borndisp.spectral import make_grid
 
 
 def test_cutoff_profile():
@@ -215,21 +218,13 @@ def test_b_theta2_zero_on_rounded_hyperplane(gauss2):
         assert b_theta2(gauss2, theta, eta, level) == 0
 
 
-def test_q_theta2_hat_cutoff_and_halves(gauss2, theta2):
-    cut = CutoffSpec(C0=2.0)
-    assert q_theta2_hat(gauss2, theta2, np.array([1.0, 0.0]), 4, cut) == 0.0
-    eta = np.array([5.0, 0.0])
-    q_val = q_theta2_hat(gauss2, theta2, eta, 4, cut)
-    b_val = b_theta2(gauss2, theta2, eta, 4)
-    assert q_val == pytest.approx(b_val, rel=1e-12)  # chi = 1, other half zero
-
-
-def test_q_theta2_hat_reflection_symmetry(gauss2, theta2):
-    cut = CutoffSpec(C0=2.0)
-    eta = np.array([3.0, 4.0])
-    a = q_theta2_hat(gauss2, theta2, eta, 4, cut)
-    b = q_theta2_hat(gauss2, theta2, -eta, 4, cut)
-    assert abs(abs(a) - abs(b)) <= 1e-6 * abs(a)
+def test_b_theta2_reflection_symmetry(gauss2, theta2):
+    # B_theta(eta) = B_{-theta}(-eta): negation keeps eta.theta, |eta| and
+    # the chart's k to the bit
+    for eta in (np.array([3.0, 4.0]), np.array([5.0, 0.5])):
+        B = b_theta2(gauss2, theta2, eta, 4)
+        assert B != 0
+        assert b_theta2(gauss2, -theta2, -eta, 4) == B
 
 
 def test_q_full2_theta_refinement(gauss2):
@@ -241,6 +236,95 @@ def test_q_full2_theta_refinement(gauss2):
     assert fine.imag > 0
 
 
+def _qfull_n2_eta(deg):
+    """eta at |eta| = 4 and the given angle, as qfull-radial forms it."""
+    rad = np.deg2rad(deg)
+    return np.array([4.0 * np.cos(rad), 4.0 * np.sin(rad)])
+
+
+def test_q_full2_hat_qfull_n2_value():
+    # qfull-n2's seed-11 config (a = 0.5, theta rule level 3, rule level 4,
+    # C0 = 2) at 49.21875 degrees, to the bit, with the shared R integrals
+    # computed afresh and then read from the cache
+    from borndisp import dispersion
+
+    q = gaussian_potential(0.5, make_grid(2, 8, 16.0))
+    eta = _qfull_n2_eta(49.21875)
+    dispersion._low_chi_diff.cache_clear()
+    for _ in range(2):
+        val = q_full2_hat(q, eta, sphere_rule(2, 3), 4, CutoffSpec())
+        assert val == complex(0.45939162018265617, 0.284008407211323)
+
+
+def test_q_full2_hat_q_hat_traffic():
+    # one Q_F value at level 4 reads q_hat at 2 x 33 x 128 (chi, R) nodes
+    # per hemisphere point and at 2 x 32 x 128 once for its |eta|, two
+    # reads per node: 1,097,728 reads for 64 points, where computing the
+    # k-independent chi piece per point would make 2,129,920
+    q = gaussian_potential(0.5, make_grid(2, 8, 16.0))
+    reads = [0]
+
+    def counting(s, out=None):
+        reads[0] += np.size(s)
+        return q.fourier_radial(s, out=out)
+
+    rule, eta = sphere_rule(2, 3), _qfull_n2_eta(118.0)
+    val = q_full2_hat(dataclasses.replace(q, fourier_radial=counting), eta, rule, 4,
+                      CutoffSpec())
+    points = sum(in_half_space(eta, Direction(node)) for node in rule.nodes)
+    assert points == 64
+    assert reads[0] == points * 2 * 33 * 128 * 2 + 2 * 32 * 128 * 2 == 1_097_728
+    assert val == q_full2_hat(q, eta, rule, 4, CutoffSpec())
+
+
+def _b_without_cache(q, e, k, level):
+    """bipolar_b point by point, with the shared R integrals cleared before
+    each point."""
+    from borndisp import dispersion
+
+    out = []
+    for ei, ki in zip(e, k):
+        dispersion._low_chi_diff.cache_clear()
+        out.append(bipolar_b(q, ei, ki, level)[0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("case", ["gauss2", "gbeta2"])
+def test_bipolar_b_n2_cache_is_bit_identical(case, level, request):
+    # reading the shared R integrals of a |eta| gives the bits of computing
+    # them afresh, at repeated and distinct |eta|, in one call (level 3
+    # puts all points in one block, level 4 one point per block) and point
+    # by point
+    from borndisp import dispersion
+
+    q = request.getfixturevalue(case)
+    e = np.array([4.0, 4.0, 4.0, 7.5, 24.0, 7.5, 4.0])
+    k = np.array([2.0, 3.0, 917.0, 4.0, 30.0, 2400.0, 81.5])
+    fresh = _b_without_cache(q, e, k, level)
+    dispersion._low_chi_diff.cache_clear()
+    np.testing.assert_array_equal(bipolar_b(q, e, k, level), fresh)
+    assert dispersion._low_chi_diff.cache_info().currsize == 3
+    np.testing.assert_array_equal([bipolar_b(q, a, b, level)[0] for a, b in zip(e, k)],
+                                  fresh)
+
+
+def test_bipolar_b_n2_cache_keys_on_the_reader(gauss2, gbeta2, grid2):
+    # potentials at one |eta| never share R integrals: Gaussians with
+    # different a, and two g_beta tables, each keep their own bits
+    from borndisp import dispersion
+
+    qs = [gauss2, gaussian_potential(0.7, grid2), gbeta2,
+          make_gbeta(GBetaSpec(beta=2.0, bump_radius=2.0, grid=grid2))]
+    e, k = np.array([6.0]), np.array([5.0])
+    fresh = [_b_without_cache(q, e, k, 4)[0] for q in qs]
+    assert len(set(fresh)) == len(qs)
+    dispersion._low_chi_diff.cache_clear()
+    for q, want in zip(qs, fresh):
+        assert bipolar_b(q, e, k, 4)[0] == want
+    assert dispersion._low_chi_diff.cache_info().currsize == len(qs)
+
+
 def test_quadrature_level_convergence(gauss2, theta2):
     eta = np.array([5.0, 0.0])
     vals = [spherical_op(gauss2, theta2, 1.0, eta, sphere_rule(2, lev))
@@ -249,10 +333,26 @@ def test_quadrature_level_convergence(gauss2, theta2):
 
 
 def test_batch_thread_independence(gauss2, theta2):
+    # four workers on two cores fill the shared n = 2 R integrals of each
+    # |eta| concurrently, from an empty cache and with a short switch
+    # interval; every value keeps the bits of the serial run
+    import sys
+
+    from borndisp import dispersion
+
     cut = CutoffSpec()
     etas = [np.array([t, 0.3 * t]) for t in (3.0, 4.0, 5.0, 6.0)]
+    etas += [t * np.array([np.cos(a), np.sin(a)]) for t in (4.5, 7.0)
+             for a in np.linspace(-1.2, 1.2, 6)]
+    dispersion._low_chi_diff.cache_clear()
     one = dispersion_batch(gauss2, theta2, etas, 4, cut, threads=1)
-    four = dispersion_batch(gauss2, theta2, etas, 4, cut, threads=4)
+    dispersion._low_chi_diff.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = dispersion_batch(gauss2, theta2, etas, 4, cut, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     for name in ("eta", "k", "S", "P", "B", "Q"):
         np.testing.assert_array_equal([getattr(s, name) for s in one],
                                       [getattr(s, name) for s in four])
