@@ -133,6 +133,8 @@ class GBetaSpec:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if 2.0 * self.bump_radius > self.grid.half_extent / 2.0:
             raise ValueError("bump support must fit the grid with margin")
+        if not self.bump_radius > 0:
+            raise ValueError(f"bump_radius must be positive, got {self.bump_radius}")
         # The lattice represents radial frequencies out to the corner radius;
         # truncation of G_beta_hat (peak 1) happens there.
         tail = bessel_weight_radius(self.grid.corner_radius,
@@ -141,6 +143,15 @@ class GBetaSpec:
             raise GridTooCoarseError(
                 f"G_beta_hat at the lattice corner radius is {tail:.2e} of the "
                 f"peak (> 1e-3); refine the grid for beta = {self.beta}"
+            )
+        # a bump that no sample but the origin sees is a lattice delta, whose
+        # transform is flat
+        h = self.grid.spacing
+        if not standard_mollifier(h, self.bump_radius) > 0.0:
+            raise ValueError(
+                f"bump_radius = {self.bump_radius} is not resolved by the lattice "
+                f"spacing h = {h:g}: the mollifier is zero at every sample but the "
+                f"origin; widen the bump or refine the grid"
             )
 
 
@@ -157,24 +168,6 @@ def _shell_average(radius_grid: np.ndarray, values: np.ndarray,
     return mean_r, mean_v
 
 
-def _inner_shells(radius_grid: np.ndarray, values: np.ndarray,
-                  weights: np.ndarray, spacing: float, cut: float):
-    """``_shell_average`` with shells of width ``spacing`` on an orthant block
-    of radii m * spacing, keeping the shells of mean radius <= cut.
-
-    Only the corner sub-block [0, cut/spacing + 3)^n is binned: a kept shell
-    has index at most cut/spacing, while a point outside the sub-block has an
-    index of at least cut/spacing + 3 on some axis, so its shell is at least
-    two further out. Within a shell, ``bincount`` adds the points in the
-    order of the whole block, so the result is bit-equal to binning the
-    whole block."""
-    corner = (slice(0, int(cut / spacing) + 3),) * radius_grid.ndim
-    radii, means = _shell_average(radius_grid[corner], values[corner],
-                                  weights[corner], spacing)
-    keep = radii <= cut
-    return radii[keep], means[keep]
-
-
 def make_gbeta(spec: GBetaSpec) -> Potential:
     """g_beta = phi * G_beta synthesized on the grid.
 
@@ -187,42 +180,56 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     Every array is radial, hence even under index negation, so each one is
     held as its first-orthant block (N/2 + 1 samples per axis), each
     transform is a DCT-I, and the shell averages weight an orthant point by
-    the number of lattice points it stands for. The result equals the
-    full-lattice synthesis up to rounding.
+    the number of lattice points it stands for.
 
-    The spatial profile keeps the shells out to 2 * bump_radius + 2h and
-    bins only the corner sub-block of the orthant that holds their points
-    (``_inner_shells``).
+    The space side lives on corners of the orthant. The mollifier psi is
+    nonzero only at indices below b_psi on each axis, so the lattice phi,
+    the inverse DFT of psi_hat^2, is the cyclic self-convolution of psi and
+    vanishes past index 2 (b_psi - 1); the guard 2 bump_radius <= L/2 keeps
+    that convolution from wrapping. So psi_hat reads only the b_psi^n corner,
+    phi, G and g are computed only on the corner of b = max(2 b_psi - 1,
+    cut/h + 3) samples per axis, and g_beta_hat reads g from there. The
+    spatial profile keeps the shells of mean radius up to cut =
+    2 bump_radius + 2h; a point outside the corner has an index of at least
+    cut/h + 3 on some axis, so its shell is further out, and the kept shells
+    are binned from the same points in the same order as on the whole
+    orthant. The transforms drop only exact-zero terms and outputs that
+    nothing reads; the result equals the full-lattice synthesis up to
+    rounding.
     """
-    grid, n, beta = spec.grid, spec.grid.dimension, spec.beta
+    grid, n, beta, bump = spec.grid, spec.grid.dimension, spec.beta, spec.bump_radius
+    h, m = grid.spacing, grid.samples_per_axis // 2 + 1
     freq_r = grid.orthant_freq_radius()
-    space_r = grid.orthant_space_radius()
-    mult = grid.orthant_multiplicity()
+    b_psi = 1 + int(np.flatnonzero(standard_mollifier(h * np.arange(m), bump))[-1])
+    cut = 2.0 * bump + 2.0 * h
+    b = min(m, max(2 * b_psi - 1, int(cut / h) + 3))
 
-    G = orthant_inverse(grid, bessel_weight_radius(freq_r, -(n / 2.0 + beta)))
-    psi_hat = orthant_forward(grid, standard_mollifier(space_r, spec.bump_radius))
-    phi = orthant_inverse(grid, psi_hat**2)
+    G = orthant_inverse(grid, bessel_weight_radius(freq_r, -(n / 2.0 + beta)), b)
+    psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(b_psi), bump))
+    phi = orthant_inverse(grid, psi_hat**2, b)
     g = phi * G
     ghat = orthant_forward(grid, g)
 
-    radii, values = _shell_average(freq_r, ghat, mult, grid.freq_spacing)
+    radii, values = _shell_average(freq_r, ghat, grid.orthant_multiplicity(),
+                                   grid.freq_spacing)
     # the outermost corner shells are undersampled
     keep = radii <= 0.98 * grid.corner_radius
     profile = RadialProfile(radii[keep], values[keep])
     profile.fit_tail()
 
-    sp_radii, sp_values = _inner_shells(space_r, g, mult, grid.spacing,
-                                        2.0 * spec.bump_radius + 2.0 * grid.spacing)
-    spatial_prof = RadialProfile(sp_radii, sp_values)
+    sp_radii, sp_values = _shell_average(grid.orthant_space_radius(b), g,
+                                         grid.orthant_multiplicity(b), h)
+    sp_keep = sp_radii <= cut
+    spatial_prof = RadialProfile(sp_radii[sp_keep], sp_values[sp_keep])
     return Potential(
         label=f"gbeta(n={n},beta={beta})",
         dimension=n,
         fourier_radial=_Tabulated(profile),
         spatial_radial=_Tabulated(spatial_prof),
-        support_radius=2.0 * spec.bump_radius,
+        support_radius=2.0 * bump,
         meta={
             "beta": beta,
-            "bump_radius": spec.bump_radius,
+            "bump_radius": bump,
             "ghat_min": float(ghat.min()),
             "ghat_zero": float(profile(0.0)),
             "grid": {"n": n, "N": grid.samples_per_axis, "L": grid.half_extent},

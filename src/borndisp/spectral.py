@@ -14,8 +14,10 @@ An array that is even under index negation (every radial array on the
 lattice) is fixed by its first-orthant block, samples 0..N/2 on each axis, and
 its length-N DFT on each axis is the DCT-I of that block. ``orthant_forward``
 and ``orthant_inverse`` transform such blocks; ``fourier`` transforms a
-general complex ``Field``. The DCT-I is one product per axis with the dense
-m x m DCT-I matrix, done by numpy's BLAS.
+general complex ``Field``. The DCT-I is one product per axis with a
+rectangular slice of the m x m DCT-I matrix, done by numpy's BLAS: the
+columns of the samples given (a corner block, zero beyond it) and the rows of
+the outputs asked for.
 
 A ``RadialProfile`` is read by the not-a-knot cubic spline through its
 samples, built and evaluated here in numpy.
@@ -98,20 +100,22 @@ class Grid:
     def freq_radius(self) -> np.ndarray:
         return self._radius(self.freq_axis())
 
-    def orthant_space_radius(self) -> np.ndarray:
-        """|x| on the first-orthant block: x = m h for m = 0..N/2 per axis."""
-        return self._radius(self.spacing * np.arange(self.samples_per_axis // 2 + 1))
+    def orthant_space_radius(self, size: int | None = None) -> np.ndarray:
+        """|x| on the first-orthant block, x = m h for m = 0..N/2 per axis, or
+        on its corner of ``size`` samples per axis."""
+        return self._radius(self.spacing * np.arange(self.samples_per_axis // 2 + 1)[:size])
 
     def orthant_freq_radius(self) -> np.ndarray:
         """|xi| on the first-orthant block: xi = m dxi for m = 0..N/2 per axis."""
         return self._radius(self.freq_spacing * np.arange(self.samples_per_axis // 2 + 1))
 
-    def orthant_multiplicity(self) -> np.ndarray:
+    def orthant_multiplicity(self, size: int | None = None) -> np.ndarray:
         """Number of lattice points each orthant point stands for under index
-        negation: per axis 1 at m = 0 and m = N/2, 2 otherwise."""
+        negation, per axis 1 at m = 0 and m = N/2 and 2 otherwise; on the
+        corner of ``size`` samples per axis when given."""
         w = np.full(self.samples_per_axis // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
-        return functools.reduce(np.multiply.outer, [w] * self.dimension)
+        return functools.reduce(np.multiply.outer, [w[:size]] * self.dimension)
 
     def space_points(self) -> np.ndarray:
         """All lattice points as an array of shape (N^n, n)."""
@@ -161,41 +165,50 @@ def fourier(field: Field, direction: TransformDirection) -> Field:
     return Field(field.grid, out, Domain.SPACE)
 
 
-def _dct1(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-I on every axis of a 2-D or 3-D block with all axes
-    of length m:
+def _dct1(x: np.ndarray, m: int, size: int | None = None) -> np.ndarray:
+    """Unnormalized DCT-I of length m on every axis of a 2-D or 3-D block:
 
         y_k = x_0 + (-1)^k x_{m-1} + 2 sum_{j=1}^{m-2} x_j cos(pi j k / (m - 1)),
 
     the length 2m - 2 DFT of the even extension x_0..x_{m-1}..x_1.
 
-    Each axis is one product with the m x m matrix C[k, j] = c_j
-    cos(pi j k / (m - 1)), c_j = 1 at j = 0 and j = m - 1 and 2 otherwise:
-    the last axis as rows times C^T, the middle one of three as a stack of
-    C times matrices, the first as C times the block's columns. The angle is
+    The block holds x_j for j < b <= m on each axis and stands for zeros at
+    b <= j < m; the result holds y_k for k < size (default m). Each axis is
+    one product with the size x b slice C[k, j] = c_j cos(pi j k / (m - 1))
+    of the DCT-I matrix, c_j = 1 at j = 0 and j = m - 1 and 2 otherwise: the
+    last axis as rows times C^T, the middle one of three as a stack of C
+    times matrices, the first as C times the block's columns. The angle is
     reduced as the integer j k mod 2m - 2 before the cosine, so every entry
     is accurate to rounding."""
     y = np.asarray(x, dtype=float)
-    shape, m = y.shape, y.shape[0]
-    jk = np.multiply.outer(np.arange(m), np.arange(m)) % (2 * m - 2)
+    ndim, b, k = y.ndim, y.shape[0], m if size is None else size
+    if y.shape != (b,) * ndim or not 1 <= b <= m or not 1 <= k <= m:
+        raise ValueError(f"need a cubic block of at most {m} samples per axis and "
+                         f"1..{m} outputs, got shape {y.shape} and {k} outputs")
+    jk = np.multiply.outer(np.arange(k), np.arange(b)) % (2 * m - 2)
     C = np.cos(np.pi * jk / (m - 1))
-    C[:, 1:-1] *= 2.0
-    y = (y.reshape(-1, m) @ C.T).reshape(shape)
-    if y.ndim == 3:
-        y = np.matmul(C, y)
-    return (C @ y.reshape(m, -1)).reshape(shape)
+    C[:, 1:m - 1] *= 2.0
+    y = y.reshape(-1, b) @ C.T
+    if ndim == 3:
+        y = np.matmul(C, y.reshape(b, b, k))
+    return (C @ y.reshape(b, -1)).reshape((k,) * ndim)
 
 
-def orthant_forward(grid: Grid, x: np.ndarray) -> np.ndarray:
+def orthant_forward(grid: Grid, x: np.ndarray, size: int | None = None) -> np.ndarray:
     """Scaled forward transform of an even real array given by its
-    first-orthant block; equals that block of ``fourier`` on the full lattice."""
-    return _dct1(x) * grid.spacing**grid.dimension
+    first-orthant block, or by a corner of it outside which the array is
+    zero; equals that block, or its corner of ``size`` samples per axis, of
+    ``fourier`` on the full lattice."""
+    return _dct1(x, grid.samples_per_axis // 2 + 1, size) * grid.spacing**grid.dimension
 
 
-def orthant_inverse(grid: Grid, x_hat: np.ndarray) -> np.ndarray:
+def orthant_inverse(grid: Grid, x_hat: np.ndarray, size: int | None = None) -> np.ndarray:
     """Scaled inverse transform of an even real array given by its
-    first-orthant block; equals that block of ``fourier`` on the full lattice."""
-    return _dct1(x_hat) / (grid.samples_per_axis * grid.spacing) ** grid.dimension
+    first-orthant block, or by a corner of it outside which the array is
+    zero; equals that block, or its corner of ``size`` samples per axis, of
+    ``fourier`` on the full lattice."""
+    return (_dct1(x_hat, grid.samples_per_axis // 2 + 1, size)
+            / (grid.samples_per_axis * grid.spacing) ** grid.dimension)
 
 
 def bessel_weight_radius(rho, alpha: float) -> np.ndarray:

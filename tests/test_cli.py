@@ -318,10 +318,15 @@ def test_qfull_radial_needs_an_angle(tmp_path, capsys):
     ({"grid": {"N": 129, "L": 16.0}}, "'grid/N'"),
     ({"grid": {"N": 32, "L": 16.0}}, "'grid/N'"),
     ({"bump_radius": 5.0}, "'bump_radius'"),
-], ids=["odd_N", "too_coarse", "bump_too_wide"])
+    ({"bump_radius": 0.05}, "'bump_radius': bump_radius = 0.05 is not resolved by "
+                            "the lattice spacing h = 0.25"),
+    ({"bump_radius": 0.25}, "'bump_radius': bump_radius = 0.25 is not resolved by "
+                            "the lattice spacing h = 0.25"),
+], ids=["odd_N", "too_coarse", "bump_too_wide", "bump_below_h", "bump_at_h"])
 def test_gbeta_grid_checked_at_load(tmp_path, capsys, overrides, field):
     # odd N, a lattice too coarse for G_beta_hat, a bump that does not fit
-    # the default grid (L = 16)
+    # the default grid (L = 16), and bumps that no sample of its spacing
+    # h = 0.25 resolves, where g_beta_hat would be flat
     cfg = _write(tmp_path, "g.json", {
         "experiment": "dispersion-ray", "n": 3, "beta": 1.0, "theta": [-1, 0, 0],
         "ray": {"direction": [1, 0, 0], "t_min": 3, "t_max": 8, "count": 2},

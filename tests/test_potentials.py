@@ -7,8 +7,6 @@ import pytest
 from borndisp.potentials import (
     GBetaSpec,
     GridTooCoarseError,
-    _inner_shells,
-    _shell_average,
     gaussian_potential,
     make_gbeta,
     standard_mollifier,
@@ -22,6 +20,8 @@ from borndisp.spectral import (
     bessel_weight_radius,
     fourier,
     make_grid,
+    orthant_forward,
+    orthant_inverse,
     sobolev_norm,
 )
 
@@ -65,6 +65,31 @@ def test_bump_radius_guard(grid2):
     # the bump phi = psi * psi has support 2 bump_radius, which must fit the grid
     with pytest.raises(ValueError):
         GBetaSpec(beta=1.0, bump_radius=5.0, grid=grid2)
+
+
+@pytest.mark.parametrize("bump", [0.05, 0.25])
+def test_bump_below_lattice_spacing_refused(bump):
+    # at h = 0.25 the mollifier keeps only its origin sample, and a lattice
+    # delta has a flat transform; a bump just past h is resolved
+    grid = make_grid(3, 128, 16.0)
+    with pytest.raises(ValueError, match="h = 0.25"):
+        GBetaSpec(beta=1.0, bump_radius=bump, grid=grid)
+    GBetaSpec(beta=1.0, bump_radius=0.3, grid=grid)
+
+
+@pytest.mark.parametrize("n, N, L, bump", [(3, 128, 16.0, 2.0), (3, 96, 16.0, 4.0),
+                                           (2, 256, 16.0, 2.3)])
+def test_phi_vanishes_outside_its_support_box(n, N, L, bump):
+    # make_gbeta computes phi = psi * psi only on the corner of 2 b_psi - 1
+    # samples per axis; the full-orthant phi is rounding noise outside it
+    grid = make_grid(n, N, L)
+    m = N // 2 + 1
+    b_psi = 1 + np.flatnonzero(standard_mollifier(grid.spacing * np.arange(m), bump))[-1]
+    psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(), bump))
+    phi = orthant_inverse(grid, psi_hat**2)
+    outside = np.ones(phi.shape, dtype=bool)
+    outside[(slice(0, 2 * b_psi - 1),) * n] = False
+    assert np.max(np.abs(phi[outside])) <= 1e-15 * np.max(np.abs(phi))
 
 
 def test_gbeta_flags_and_positivity(gbeta3):
@@ -134,9 +159,16 @@ def _full_lattice_gbeta(spec):
     return profile, RadialProfile(sp_radii[sp_keep], sp_values[sp_keep]), ghat.min()
 
 
-@pytest.mark.parametrize("n, N", [(2, 256), (3, 96)])
-def test_gbeta_matches_full_lattice_synthesis(n, N):
-    spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(n, N, 16.0))
+# the bump at the guard limit 2 bump = L/2 gives the largest support box;
+# at bump 2.3 the spatial cut 2 bump + 2h is no multiple of h
+@pytest.mark.parametrize("n, N, L, bump", [
+    pytest.param(2, 256, 16.0, 2.0, id="2-256"),
+    pytest.param(3, 96, 16.0, 2.0, id="3-96"),
+    pytest.param(3, 96, 16.0, 4.0, id="3-96-16.0-4.0"),
+    pytest.param(2, 256, 16.0, 2.3, id="2-256-16.0-2.3"),
+])
+def test_gbeta_matches_full_lattice_synthesis(n, N, L, bump):
+    spec = GBetaSpec(beta=1.0, bump_radius=bump, grid=make_grid(n, N, L))
     ref, ref_spatial, ref_min = _full_lattice_gbeta(spec)
     q = make_gbeta(spec)
     prof, spatial = q.fourier_profile, q.spatial_radial.profile
@@ -156,25 +188,10 @@ def test_gbeta_matches_full_lattice_synthesis(n, N):
     close(spatial.values, ref_spatial.values)
 
 
-@pytest.mark.parametrize("n, N, L, bump", [(3, 128, 16.0, 2.0), (3, 192, 24.0, 2.0),
-                                           (3, 96, 16.0, 4.0), (2, 256, 16.0, 2.3)])
-def test_inner_shells_equal_whole_block_shells(n, N, L, bump):
-    # binning the corner sub-block gives the kept shells of the whole block
-    # bit for bit; cut / h is an integer in the first three cases
-    grid = make_grid(n, N, L)
-    r, mult = grid.orthant_space_radius(), grid.orthant_multiplicity()
-    values = np.random.default_rng(N).normal(size=r.shape)
-    cut = 2.0 * bump + 2.0 * grid.spacing
-    radii, means = _inner_shells(r, values, mult, grid.spacing, cut)
-    ref_radii, ref_means = _shell_average(r, values, mult, grid.spacing)
-    keep = ref_radii <= cut
-    np.testing.assert_array_equal(radii, ref_radii[keep])
-    np.testing.assert_array_equal(means, ref_means[keep])
-
-
 def test_gbeta_memory():
     # the four transforms on the (N/2 + 1)^3 orthant, not on N^3 complex
-    # arrays, and no even extension or complex output inside the DCT-I
+    # arrays, no even extension or complex output inside the DCT-I, and
+    # phi, G and g only on the corner that holds phi's support
     spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(3, 128, 16.0))
     tracemalloc.start()
     try:
@@ -182,7 +199,7 @@ def test_gbeta_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 26e6
+    assert peak < 16e6
 
 
 def test_gbeta_tail_agrees_with_doubled_grid(gbeta3, gbeta3_fine):

@@ -104,16 +104,43 @@ def _longdouble_dct1(x):
     return y
 
 
-@pytest.mark.parametrize("n, m", [(3, 65), (2, 129)])
-def test_orthant_transforms_match_longdouble_dct1(n, m):
+# b_in samples per axis in, b_out out: the whole block (m -> m), a corner
+# with zeros beyond it (b < m -> m) and the first outputs only (m -> b), at
+# odd and even m
+@pytest.mark.parametrize("n, m, b_in, b_out", [
+    pytest.param(3, 65, 65, 65, id="3-65"),
+    pytest.param(2, 129, 129, 129, id="2-129"),
+    pytest.param(3, 65, 12, 65, id="3-65-in12"),
+    pytest.param(3, 64, 29, 64, id="3-64-in29"),
+    pytest.param(2, 129, 40, 129, id="2-129-in40"),
+    pytest.param(2, 128, 17, 128, id="2-128-in17"),
+    pytest.param(3, 65, 65, 29, id="3-65-out29"),
+    pytest.param(3, 64, 64, 12, id="3-64-out12"),
+    pytest.param(2, 129, 129, 33, id="2-129-out33"),
+    pytest.param(2, 128, 128, 40, id="2-128-out40"),
+])
+def test_orthant_transforms_match_longdouble_dct1(n, m, b_in, b_out):
     grid = make_grid(n, 2 * (m - 1), 16.0)
-    x = np.random.default_rng(m + n).normal(size=(m,) * n)
-    ref = _longdouble_dct1(x)
+    x = np.zeros((m,) * n)
+    corner = (slice(0, b_in),) * n
+    x[corner] = np.random.default_rng(m + n).normal(size=(b_in,) * n)
+    ref = _longdouble_dct1(x)[(slice(0, b_out),) * n]
     scale = np.max(np.abs(ref))
-    fwd = orthant_forward(grid, x) / grid.spacing**n
+    fwd = orthant_forward(grid, x[corner], b_out) / grid.spacing**n
+    assert fwd.shape == ref.shape
     assert np.max(np.abs(fwd - ref)) <= 1e-14 * scale
-    inv = orthant_inverse(grid, x) * (grid.samples_per_axis * grid.spacing) ** n
+    inv = orthant_inverse(grid, x[corner], b_out) * (grid.samples_per_axis * grid.spacing) ** n
+    assert inv.shape == ref.shape
     assert np.max(np.abs(inv - ref)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("shape, size", [((66,) * 3, None), ((10, 12), None),
+                                         ((10,) * 2, 66), ((10,) * 2, 0)])
+def test_orthant_transforms_refuse_blocks_past_the_orthant(shape, size):
+    # N = 128: the orthant has m = 65 samples per axis
+    grid = make_grid(len(shape), 128, 16.0)
+    with pytest.raises(ValueError):
+        orthant_forward(grid, np.ones(shape), size)
 
 
 @pytest.mark.parametrize("n, N, L", [(2, 256, 16.0), (3, 48, 16.0), (3, 18, 4.0)])
@@ -131,6 +158,12 @@ def test_radius_equals_meshgrid_formula(n, N, L):
                                   meshgrid_radius(grid.spacing * orthant))
     np.testing.assert_array_equal(grid.orthant_freq_radius(),
                                   meshgrid_radius(grid.freq_spacing * orthant))
+    # a corner of the orthant has the values of the whole block there
+    corner = (slice(0, 5),) * n
+    np.testing.assert_array_equal(grid.orthant_space_radius(5),
+                                  grid.orthant_space_radius()[corner])
+    np.testing.assert_array_equal(grid.orthant_multiplicity(5),
+                                  grid.orthant_multiplicity()[corner])
 
 
 def test_impulse_has_flat_spectrum():
