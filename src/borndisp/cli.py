@@ -1,9 +1,10 @@
 """
 Experiment runner: JSON config in, CSV/JSON artifacts plus a run manifest out.
 
-Exit codes: 0 success, 2 a verdict failed, 1 configuration or runtime error.
-Outputs are deterministic for a fixed config (no wall-clock data outside the
-manifest); BORN_DISPERSION_OUT overrides the configured output directory.
+Exit codes: 0 success, 2 a verdict failed, 1 a usage, configuration or
+runtime error. Outputs are deterministic for a fixed config (no wall-clock
+data outside the manifest); BORN_DISPERSION_OUT overrides the configured
+output directory.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ _SCHEMA = {
         },
         "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "levels": {"type": "array", "items": {"type": "number"}, "minItems": 3},
-        "betas": {"type": "array", "items": {"type": "number"}},
+        "betas": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "cone_aperture": {"type": "number", "exclusiveMinimum": 0,
                           "exclusiveMaximum": 1},
         "eta_norm": {"type": "number", "exclusiveMinimum": 0},
@@ -237,6 +238,15 @@ def _check_runtime_constraints(cfg: dict) -> None:
                 f"every level must reach {first:g}, the first sampled radius past "
                 f"C0, got {low:g}"
             )
+    # Q_F carries the cutoff, which is 0 up to C0: every value at such an
+    # eta_norm is 0, and their relative spread reads a perfect 0
+    if cfg["experiment"] == "qfull-radial":
+        t, c0 = cfg["eta_norm"], _cut(cfg).C0
+        if t <= c0:
+            raise ConfigError(
+                f"invalid config at field 'eta_norm': Q_F is 0 up to C0 = {c0:g}, so "
+                f"eta_norm must exceed C0, got {t:g}"
+            )
     if cfg["experiment"] in _POTENTIAL_EXPERIMENTS and "beta" in cfg:
         try:
             _gbeta_spec(cfg)
@@ -297,7 +307,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 # Experiments. Each returns (exit_code, list of output filenames).
 
 
-def _run_chart_selftest(cfg: dict, out: Path, threads: int):
+def _run_chart_selftest(cfg: dict, out: Path):
     rng = np.random.default_rng(cfg.get("seed", 0))
     worst_recon, worst_unit = 0.0, 0.0
     for n in ([cfg["n"]] if "n" in cfg else [2, 3]):
@@ -327,7 +337,7 @@ def _run_chart_selftest(cfg: dict, out: Path, threads: int):
     return 0, ["chart_selftest.json"]
 
 
-def _run_gbeta(cfg: dict, out: Path, threads: int):
+def _run_gbeta(cfg: dict, out: Path):
     q = make_gbeta(_gbeta_spec(cfg))
     profile = q.fourier_profile
     _write_json({
@@ -350,7 +360,7 @@ def _run_gbeta(cfg: dict, out: Path, threads: int):
     return 0, ["gbeta.json", "gbeta_profile.csv"]
 
 
-def _run_dispersion_ray(cfg: dict, out: Path, threads: int):
+def _run_dispersion_ray(cfg: dict, out: Path):
     theta = _theta(cfg)
     q = _potential(cfg)
     ray = cfg["ray"]
@@ -358,9 +368,7 @@ def _run_dispersion_ray(cfg: dict, out: Path, threads: int):
     d = d / np.linalg.norm(d)
     ts = np.geomspace(ray["t_min"], ray["t_max"], ray["count"])
     etas = [t * d for t in ts]
-    samples = dispersion.dispersion_batch(
-        q, theta, etas, cfg.get("rule_level", 4), _cut(cfg), threads=threads
-    )
+    samples = dispersion.dispersion_batch(q, theta, etas, cfg.get("rule_level", 4), _cut(cfg))
     header = [f"eta_{i + 1}" for i in range(cfg["n"])] + [
         "k", "S_re", "S_im", "P_re", "P_im", "B_re", "B_im", "Q_re", "Q_im"]
     rows = []
@@ -374,7 +382,7 @@ def _run_dispersion_ray(cfg: dict, out: Path, threads: int):
     return 0, ["dispersion_ray.csv"]
 
 
-def _run_lemma52(cfg: dict, out: Path, threads: int):
+def _run_lemma52(cfg: dict, out: Path):
     theta = _theta(cfg)
     q = _potential(cfg)
     ray = cfg["ray"]
@@ -389,7 +397,7 @@ def _run_lemma52(cfg: dict, out: Path, threads: int):
     return (0 if verdict.passed else 2), ["lemma52_samples.csv", "lemma52_verdict.json"]
 
 
-def _run_gain_scan(cfg: dict, out: Path, threads: int):
+def _run_gain_scan(cfg: dict, out: Path):
     theta = _theta(cfg)
     q = _potential(cfg)
     scans = analysis.gain_scan(
@@ -408,7 +416,7 @@ def _run_gain_scan(cfg: dict, out: Path, threads: int):
     return 0, ["gain_scan.json", "gain_scan.csv"]
 
 
-def _run_qfull_radial(cfg: dict, out: Path, threads: int):
+def _run_qfull_radial(cfg: dict, out: Path):
     n = cfg["n"]
     q = _potential(cfg)
     theta_rule = sphere_rule(n, cfg.get("theta_rule_level", 5))
@@ -430,7 +438,7 @@ def _run_qfull_radial(cfg: dict, out: Path, threads: int):
     return 0, ["qfull_radial.json"]
 
 
-def _run_bounds_table(cfg: dict, out: Path, threads: int):
+def _run_bounds_table(cfg: dict, out: Path):
     n = cfg["n"]
     rows = []
     for beta in cfg["betas"]:
@@ -444,7 +452,7 @@ def _run_bounds_table(cfg: dict, out: Path, threads: int):
     return 0, ["bounds_table.csv"]
 
 
-def _run_oracle_fixtures(cfg: dict, out: Path, threads: int):
+def _run_oracle_fixtures(cfg: dict, out: Path):
     # imported here: oracle pulls in scipy.integrate, which no other
     # experiment needs
     from . import oracle
@@ -483,10 +491,7 @@ _RUNNERS = {
 }
 
 
-def run(config_path, threads: int = 1) -> int:
-    if threads < 1:
-        print(f"error: --threads must be at least 1, got {threads}", file=sys.stderr)
-        return 1
+def run(config_path) -> int:
     try:
         cfg = _load_config(config_path)
     except ConfigError as exc:
@@ -497,7 +502,7 @@ def run(config_path, threads: int = 1) -> int:
         digest = hashlib.sha256(fh.read()).hexdigest()
     start = time.monotonic()
     try:
-        code, artifacts = _RUNNERS[cfg["experiment"]](cfg, out, threads)
+        code, artifacts = _RUNNERS[cfg["experiment"]](cfg, out)
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         log.exception("experiment failed")
         print(f"error: {exc}", file=sys.stderr)
@@ -510,7 +515,6 @@ def run(config_path, threads: int = 1) -> int:
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "elapsed_seconds": time.monotonic() - start,
-        "threads": threads,
         "artifacts": artifacts,
         "exit_code": code,
         # ru_maxrss is in KiB on Linux
@@ -528,15 +532,16 @@ def main(argv=None) -> int:
                     "JSON config.",
     )
     parser.add_argument("config", help="path to the experiment config (JSON)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for batch evaluation (default 1)")
     parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a failed verdict here
+        return 1 if exc.code else 0
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return run(args.config, threads=args.threads)
+    return run(args.config)
 
 
 if __name__ == "__main__":

@@ -11,13 +11,12 @@ q_hat(rho1) q_hat(rho2) against a closed-form azimuth kernel. S_{theta,r}
 Gauss-Legendre rule over (0, infinity), tail included) stay as its
 independent reference.
 
-All operators are pure; quadrature reductions use a fixed summation order so
-batch evaluation is deterministic regardless of worker count.
+All operators are pure; quadrature reductions use a fixed summation order, so
+a point's value does not depend on the batch or block that holds it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 from dataclasses import dataclass, field
@@ -409,23 +408,13 @@ def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.n
     return out
 
 
-def _b_parts(
-    q: Potential, theta: Direction, eta: np.ndarray, level: int
-) -> tuple[complex, complex, complex, float]:
-    """(S_{theta,1}, P_theta, B_{theta,2}, k) at eta in H_theta, from
-    ``bipolar_b`` at the level, with S = Im B / pi and P = Re B."""
-    k = chart(eta, theta).k
-    B = complex(bipolar_b(q, float(np.linalg.norm(eta)), k, level)[0])
-    return complex(B.imag / np.pi), complex(B.real), B, k
-
-
 def b_theta2(q: Potential, theta: Direction, eta, level: int) -> complex:
     """B_{theta,2}(q)(eta) = i pi S_{theta,1} + P_theta on H_theta, else 0,
     from the bipolar rule at the level."""
     eta = np.asarray(eta, dtype=float)
     if not in_half_space(eta, theta):
         return 0.0 + 0.0j
-    return _b_parts(q, theta, eta, level)[2]
+    return complex(bipolar_b(q, float(np.linalg.norm(eta)), chart(eta, theta).k, level)[0])
 
 
 def q_full2_hat(
@@ -450,21 +439,19 @@ def q_full2_hat(
 
 
 def dispersion_batch(
-    q: Potential, theta: Direction, etas, level: int, cut: CutoffSpec, threads: int = 1
+    q: Potential, theta: Direction, etas, level: int, cut: CutoffSpec
 ) -> list[DispersionSample]:
     """Evaluate S, P, B, Q at each eta, on the half space of theta or of
-    -theta that contains it. Per-eta results are independent, so the output
-    is identical for any thread count."""
-
-    def sample(eta: np.ndarray) -> DispersionSample:
-        side = theta if in_half_space(eta, theta) else -theta
-        if not in_half_space(eta, side):
-            return DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan)
-        S, P, B, k = _b_parts(q, side, eta, level)
-        return DispersionSample(eta, S, P, B, complex(cutoff_chi(eta, cut)) * B, k)
-
+    -theta that contains it, with S = Im B / pi and P = Re B from one
+    ``bipolar_b`` call over those points. A point in neither half space
+    gets k = NaN and zeros."""
     etas = [np.asarray(e, dtype=float) for e in etas]
-    if threads <= 1:
-        return [sample(e) for e in etas]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(sample, etas))
+    sides = [theta if in_half_space(eta, theta) else -theta for eta in etas]
+    live = [i for i, eta in enumerate(etas) if in_half_space(eta, sides[i])]
+    ks = [chart(etas[i], sides[i]).k for i in live]
+    Bs = bipolar_b(q, [float(np.linalg.norm(etas[i])) for i in live], ks, level)
+    samples = [DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan) for eta in etas]
+    for i, k, B in zip(live, ks, Bs.tolist()):
+        samples[i] = DispersionSample(etas[i], complex(B.imag / np.pi), complex(B.real), B,
+                                      complex(cutoff_chi(etas[i], cut)) * B, k)
+    return samples

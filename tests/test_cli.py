@@ -314,6 +314,31 @@ def test_qfull_radial_needs_an_angle(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("eta_norm, C0", [(1.5, None), (2.0, None), (3.0, 3.0)])
+def test_qfull_radial_eta_norm_inside_the_cutoff(tmp_path, capsys, eta_norm, C0):
+    # the cutoff is 0 up to C0, so every value would be 0 and the relative
+    # spread a perfect 0: refused at load, naming the field
+    cfg = _qfull_config(tmp_path, eta_norm=eta_norm)
+    if C0 is not None:
+        cfg["C0"] = C0
+    assert run(_write(tmp_path, "q.json", cfg)) == 1
+    err = capsys.readouterr().err
+    assert "invalid config at field 'eta_norm'" in err
+    assert f"C0 = {C0 or 2.0:g}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_table_negative_beta_rejected(tmp_path, capsys):
+    # unchecked, it fails part-way through the table, after out_dir is made
+    cfg = _write(tmp_path, "b.json", {
+        "experiment": "bounds-table", "n": 3, "betas": [1.0, -0.5],
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert run(cfg) == 1
+    assert "'betas/1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"grid": {"N": 129, "L": 16.0}}, "'grid/N'"),
     ({"grid": {"N": 32, "L": 16.0}}, "'grid/N'"),
@@ -337,14 +362,21 @@ def test_gbeta_grid_checked_at_load(tmp_path, capsys, overrides, field):
     assert not (tmp_path / "out").exists()
 
 
-def test_threads_must_be_positive(tmp_path, capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # exit 2 means a failed verdict, so a usage error exits 1 and names the
+    # bad argument: --threads, which the CLI no longer takes, an unknown flag
+    # and a missing config
     cfg = _write(tmp_path, "b.json", {
         "experiment": "bounds-table", "n": 3, "betas": [1.0],
         "out_dir": str(tmp_path / "out"),
     })
-    assert main(["--threads", "-3", cfg]) == 1
-    assert "--threads" in capsys.readouterr().err
+    for argv, named in ((["--threads", "2", cfg], "--threads"),
+                        (["--bogus", cfg], "--bogus"), ([], "config")):
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert main(["-h"]) == 0
+    assert "usage: borndisp" in capsys.readouterr().out
 
 
 def _subprocess_env(**extra: str) -> dict:
@@ -464,16 +496,16 @@ def test_lemma52_experiment_and_determinism(tmp_path):
     assert verdict["pass"] is True
 
 
-def test_dispersion_ray_thread_independence(tmp_path):
+def test_dispersion_ray_repeated_runs_identical(tmp_path):
     csvs = []
-    for i, threads in ((1, 1), (2, 4)):
+    for i in (1, 2):
         out = tmp_path / f"ray{i}"
         cfg = _write(tmp_path, f"r{i}.json", {
             "experiment": "dispersion-ray", "n": 2, "a": 0.5, "theta": [-1, 0],
             "ray": {"direction": [1, 0], "t_min": 3, "t_max": 8, "count": 6},
             "out_dir": str(out),
         })
-        assert run(cfg, threads=threads) == 0
+        assert run(cfg) == 0
         csvs.append((out / "dispersion_ray.csv").read_bytes())
     assert csvs[0] == csvs[1]
 

@@ -332,30 +332,43 @@ def test_quadrature_level_convergence(gauss2, theta2):
     assert abs(vals[0] - vals[1]) < 1e-4 * abs(vals[1])
 
 
-def test_batch_thread_independence(gauss2, theta2):
-    # four workers on two cores fill the shared n = 2 R integrals of each
-    # |eta| concurrently, from an empty cache and with a short switch
-    # interval; every value keeps the bits of the serial run
-    import sys
-
+def test_batch_matches_point_evaluation(gauss2, theta2, gauss3, theta3, monkeypatch):
+    # one bipolar_b call over a batch with points in H_theta, in H_-theta
+    # (mirrors, which share their n = 2 R integrals) and on the hyperplane
+    # (exactly, and within rounding of it). From an empty cache each time,
+    # every live point keeps the bits of b_theta2 on the side that holds it,
+    # and every other point gets k = NaN and zeros
     from borndisp import dispersion
+    from borndisp.geometry import chart
 
     cut = CutoffSpec()
-    etas = [np.array([t, 0.3 * t]) for t in (3.0, 4.0, 5.0, 6.0)]
-    etas += [t * np.array([np.cos(a), np.sin(a)]) for t in (4.5, 7.0)
-             for a in np.linspace(-1.2, 1.2, 6)]
-    dispersion._low_chi_diff.cache_clear()
-    one = dispersion_batch(gauss2, theta2, etas, 4, cut, threads=1)
-    dispersion._low_chi_diff.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        four = dispersion_batch(gauss2, theta2, etas, 4, cut, threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    for name in ("eta", "k", "S", "P", "B", "Q"):
-        np.testing.assert_array_equal([getattr(s, name) for s in one],
-                                      [getattr(s, name) for s in four])
+    for q, theta in ((gauss2, theta2), (gauss3, theta3)):
+        n = theta.dimension
+        etas = [_eta_at(4.0, 3.0, n), -_eta_at(4.0, 3.0, n), np.array([0.0, 5.0, 0.0][:n]),
+                -_eta_at(7.0, 40.0, n), np.array([1e-16, 6.0, 0.0][:n]), _eta_at(3.0, 1.6, n)]
+        sides = [theta, -theta, None, -theta, None, theta]
+        dispersion._low_chi_diff.cache_clear()
+        alone = [None if side is None else (chart(eta, side).k, b_theta2(q, side, eta, 4))
+                 for eta, side in zip(etas, sides)]
+        dispersion._low_chi_diff.cache_clear()
+        sizes = []
+
+        def counted(q, e, k, level):
+            sizes.append(len(e))
+            return bipolar_b(q, e, k, level)
+
+        with monkeypatch.context() as m:
+            m.setattr(dispersion, "bipolar_b", counted)
+            samples = dispersion_batch(q, theta, etas, 4, cut)
+        assert sizes == [4]
+        for eta, s, point in zip(etas, samples, alone):
+            np.testing.assert_array_equal(s.eta, eta)
+            if point is None:
+                assert np.isnan(s.k)
+                assert s.S == s.P == s.B == s.Q == 0
+            else:
+                assert (s.k, s.B) == point
+                assert (s.S, s.P) == (s.B.imag / np.pi, s.B.real)
 
 
 def test_csv_schema(tmp_path):
