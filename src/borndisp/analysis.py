@@ -1,5 +1,5 @@
 """
-Decay-exponent fitting, refinement scans of weighted frequency-lattice norms,
+Decay-exponent fitting, gain scans (polar-quadrature radial sums of |Q|^2),
 and pass/fail verdicts against the sharp-regularity predictions.
 """
 
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import CutoffSpec, bipolar_b
-from .geometry import Direction, chart, in_cone
+from .dispersion import CutoffSpec, bipolar_b, dispersion_batch
+from .geometry import Direction, in_cone
 from .potentials import Potential
 
 log = logging.getLogger(__name__)
@@ -102,9 +102,8 @@ def lemma52_check(
     Samples S_{theta,1}(q)(t d) along a ray d in D_theta and passes iff the
     fitted decay exponent is >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15,
     with n = theta.dimension.
-    S_{theta,1} = Im B / pi comes from ``bipolar_b`` at the level with
-    ``sphere_only``, for every sample in one call. Returns the verdict and
-    the raw (t, S) samples.
+    S_{theta,1} = Im B / pi is the S of one ``dispersion_batch`` call over
+    the samples at the level. Returns the verdict and the raw (t, S) samples.
     """
     d = -theta.components if direction is None else np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
@@ -113,11 +112,8 @@ def lemma52_check(
     if t_range[0] <= 2.0 * cut.C0:
         log.warning("t_min %.3g is inside the cutoff transition band", t_range[0])
     ts = np.geomspace(t_range[0], t_range[1], samples)
-    etas = ts[:, None] * d
-    ks = [chart(eta, theta).k for eta in etas]
-    S = bipolar_b(q, np.linalg.norm(etas, axis=1), ks, level,
-                  sphere_only=True).imag / np.pi
-    data = [(float(t), float(s)) for t, s in zip(ts, S)]
+    batch = dispersion_batch(q, theta, ts[:, None] * d, level, cut)
+    data = [(float(t), s.S.real) for t, s in zip(ts, batch)]
     fit = fit_decay(data, t_range)
     threshold = -min(beta + theta.dimension / 2.0 + 1.0, 2.0 * beta + 2.0) - 0.15
     margin = fit.exponent - threshold
@@ -141,13 +137,13 @@ def gain_scan(
     cut: CutoffSpec,
     rule_level: int = 4,
 ) -> list[RefinementScan]:
-    """Weighted frequency-lattice norms of Q_{theta,2}(q) under growing
-    frequency extent.
+    """Weighted norms (integral of <eta>^{2 alpha} |Q_{theta,2}(q)|^2 over
+    |eta| <= T)^{1/2} under growing frequency extent T.
 
-    q is radial, so the operator output is symmetric about the theta axis and
-    the lattice sum reduces to a polar quadrature: |Q| is sampled once on a
-    (radius, angle) grid up to the largest extent and every (alpha, level)
-    norm is a reweighted partial sum.
+    q is radial, so the operator output is symmetric about the theta axis
+    and the norm is a polar quadrature: |Q|^2 is sampled once on a (radius,
+    angle) grid up to the largest extent, and every (alpha, level) norm is
+    a reweighted partial radial sum, with step RADIAL_STEP in the radius.
     """
     n = theta.dimension
     levels = sorted(float(T) for T in levels)

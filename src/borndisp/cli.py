@@ -196,13 +196,18 @@ def _check_runtime_constraints(cfg: dict) -> None:
     """Constraints that the schema cannot express, checked before any work."""
     vectors = {"theta": cfg.get("theta"), "ray/direction": cfg.get("ray", {}).get("direction")}
     for where, v in vectors.items():
-        if v is not None and "n" in cfg and len(v) != cfg["n"]:
+        if v is None:
+            continue
+        if "n" in cfg and len(v) != cfg["n"]:
             raise ConfigError(
                 f"invalid config at field '{where}': length {len(v)} does not "
                 f"match n = {cfg['n']}"
             )
-        if v is not None and not any(v):
-            raise ConfigError(f"invalid config at field '{where}': zero vector")
+        with np.errstate(over="ignore"):  # v.v can underflow to 0 or overflow
+            norm = np.linalg.norm(np.asarray(v, dtype=float))
+        if not 0.0 < norm < math.inf:
+            raise ConfigError(f"invalid config at field '{where}': its norm {norm:g} is not "
+                              "a positive finite float")
     # the fixtures have fixed dimensions: 2 for B and the PV, 3 for the trace
     if cfg["experiment"] == "oracle-fixtures" and "n" in cfg:
         raise ConfigError(
@@ -238,6 +243,16 @@ def _check_runtime_constraints(cfg: dict) -> None:
                 f"every level must reach {first:g}, the first sampled radius past "
                 f"C0, got {low:g}"
             )
+        # gain_scan's radial weight at the largest level: past float range
+        # the norms read inf or 0, and the growth ratios NaN
+        top = np.float64(max(cfg["levels"]))
+        for i, alpha in enumerate(cfg["alphas"]):
+            with np.errstate(over="ignore"):
+                weight = (1.0 + top**2) ** alpha * top ** (cfg["n"] - 1) * step
+            if not 0.0 < weight < math.inf:
+                raise ConfigError(f"invalid config at field 'alphas/{i}': the weight (1 + T^2)^"
+                                  f"alpha T^(n - 1) at the largest level T = {top:g} is "
+                                  f"{weight:g}, not a positive finite float")
     # Q_F carries the cutoff, which is 0 up to C0: every value at such an
     # eta_norm is 0, and their relative spread reads a perfect 0
     if cfg["experiment"] == "qfull-radial":

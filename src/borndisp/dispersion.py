@@ -181,7 +181,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.sinc(x / np.pi)
 
 
-def _wedges(e: np.ndarray, k: np.ndarray, m: int, sphere_only: bool):
+def _wedges(e: np.ndarray, k: np.ndarray, m: int):
     """(sign, cos chi, sin chi, chi weight) of the bipolar rule's wedges for
     a block of points, the last three of shape (points, m).
 
@@ -206,16 +206,14 @@ def _wedges(e: np.ndarray, k: np.ndarray, m: int, sphere_only: bool):
     chi = lo + width * s0
     wedges = [(1j, np.cos(chi), np.sin(chi),
                wt * inv_scale / np.sqrt(_sinc(width * s0) * _sinc(width * c0)))]
-    if not sphere_only:
-        # [0, chi_] with sign -1, and its mirror [pi/2 - chi_, pi/2] with +1
-        for sign, near, far in ((-1.0, s0, c0), (1.0, c0, s0)):
-            chi = lo * near  # the offset from 0 or from pi/2
-            cos_chi, sin_chi = np.cos(chi), np.sin(chi)
-            weight = wt * inv_scale * np.sqrt(chi / (np.cos(lo * (1.0 + near))
-                                                     * _sinc(lo * far)))
-            if sign > 0:
-                cos_chi, sin_chi = sin_chi, cos_chi
-            wedges.append((sign, cos_chi, sin_chi, weight))
+    # [0, chi_] with sign -1, and its mirror [pi/2 - chi_, pi/2] with +1
+    for sign, near, far in ((-1.0, s0, c0), (1.0, c0, s0)):
+        chi = lo * near  # the offset from 0 or from pi/2
+        cos_chi, sin_chi = np.cos(chi), np.sin(chi)
+        weight = wt * inv_scale * np.sqrt(chi / (np.cos(lo * (1.0 + near)) * _sinc(lo * far)))
+        if sign > 0:
+            cos_chi, sin_chi = sin_chi, cos_chi
+        wedges.append((sign, cos_chi, sin_chi, weight))
     for sign, cos_chi, sin_chi, weight in wedges:
         yield sign, cos_chi, sin_chi, weight * (cos_chi + sin_chi)
 
@@ -290,8 +288,7 @@ def _low_chi_diff(read, e: float, m: int) -> np.ndarray:
     return diff
 
 
-def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
-              sphere_only: bool) -> np.ndarray:
+def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int) -> np.ndarray:
     """``bipolar_b`` in n = 2 for a block of points. With
     E(chi) = (cos chi + sin chi) I(chi) / (2 sqrt(sin chi cos chi)) and
     D(chi) = sin chi - cos chi + 2 tan psi sqrt(sin chi cos chi), whose one
@@ -321,31 +318,24 @@ def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
     root, t0, c0, s0 = (np.array(c)[:, None] for c in zip(*per_point))
     # G(t0) / (E(chi_) - E(pi/2 - chi_)) = 1 / D'(chi_)
     h0 = (c0 + s0) * c0 / (root * np.sqrt(s0) * (np.sqrt(s0) + root * np.sqrt(c0)))
-    if sphere_only:
-        cos_chi, sin_chi = c0, s0
-    else:
-        x, w = _legendre_rule(m // 2)
-        t, _, _, cs1, tan1, sinc1, sqrt_s1, sqrt_c1 = _low_chi_rule(m)
-        split = math.sqrt(_CHI_SPLIT)
-        h1 = cs1 * c0 * (tan1 + 1.0 / root) / (
-            sinc1 * (t + t0) * _sinc((t - t0) * (t + t0)) * (sqrt_s1 + root * sqrt_c1))
-        z_max = np.arcsinh(math.sqrt(0.5 * math.pi - _CHI_SPLIT) / t0)
-        z = z_max * x
-        u2 = np.square(t0 * np.sinh(z))
-        c2, s2 = np.sin(u2), np.cos(u2)
-        h2 = (c2 + s2) * t0 * np.cosh(z) * z_max * w / (
-            np.sqrt(_sinc(u2) * s2) * (np.sqrt(s2) - np.sqrt(c2) / root)
-            * (np.sqrt(s2) + root * np.sqrt(c2)))
-        cos_chi = np.concatenate([c2, c0], axis=1)
-        sin_chi = np.concatenate([s2, s0], axis=1)
-    j = cos_chi.shape[1]
+    x, w = _legendre_rule(m // 2)
+    t, _, _, cs1, tan1, sinc1, sqrt_s1, sqrt_c1 = _low_chi_rule(m)
+    split = math.sqrt(_CHI_SPLIT)
+    h1 = cs1 * c0 * (tan1 + 1.0 / root) / (
+        sinc1 * (t + t0) * _sinc((t - t0) * (t + t0)) * (sqrt_s1 + root * sqrt_c1))
+    z_max = np.arcsinh(math.sqrt(0.5 * math.pi - _CHI_SPLIT) / t0)
+    z = z_max * x
+    u2 = np.square(t0 * np.sinh(z))
+    c2, s2 = np.sin(u2), np.cos(u2)
+    h2 = (c2 + s2) * t0 * np.cosh(z) * z_max * w / (
+        np.sqrt(_sinc(u2) * s2) * (np.sqrt(s2) - np.sqrt(c2) / root)
+        * (np.sqrt(s2) + root * np.sqrt(c2)))
+    # the second piece's nodes and the pole, at chi and at pi/2 - chi
     I = _radial_sums(q.fourier_radial, 0.5 * e[:, None, None],
-                     np.concatenate([cos_chi, sin_chi], axis=1),
-                     np.concatenate([sin_chi, cos_chi], axis=1), m, 2)
-    direct, mirror = I[:, :j], I[:, j:]
+                     np.concatenate([c2, c0, s2, s0], axis=1),
+                     np.concatenate([s2, s0, c2, c0], axis=1), m, 2)
+    direct, mirror = np.split(I, 2, axis=1)
     pi_s = np.pi * h0[:, 0] * (direct[:, -1] + mirror[:, -1])
-    if sphere_only:
-        return 1j * pi_s
     diff = direct - mirror
     g0 = h0 * diff[:, -1:]
     diff1 = np.array([_low_chi_diff(q.fourier_radial, ei, m) for ei in e.tolist()])
@@ -355,7 +345,7 @@ def _mirror_b(q: Potential, e: np.ndarray, k: np.ndarray, m: int,
     return p + 1j * pi_s
 
 
-def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.ndarray:
+def bipolar_b(q: Potential, e, k, level: int) -> np.ndarray:
     """B_{theta,2}(q)(eta) for radial q in n = q.dimension = 2 or 3, at
     points given by e = |eta| and the chart's k (0 < e <= 2k), from the
     bipolar identity.
@@ -372,8 +362,7 @@ def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.n
     over the wedges [0, chi_], [chi_, pi/2 - chi_], [pi/2 - chi_, pi/2] with
     sigma = -1, i, +1 (see ``_wedges``). In n = 2 the azimuth is two mirror
     points, whose poles at chi_ and pi/2 - chi_ fold onto one (see
-    ``_mirror_b``). The imaginary part is pi S_{theta,1}, the real part
-    P_theta; ``sphere_only`` evaluates i pi S_{theta,1} alone.
+    ``_mirror_b``). The imaginary part is pi S_{theta,1}, the real part P_theta.
 
     For m = 2^(level + 2), every R integral has 2m nodes; chi has m nodes
     per wedge in n = 3, and m/2 on each of the two pieces of n = 2. The
@@ -384,8 +373,7 @@ def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.n
     e and k are scalars or 1-d arrays; the points go in blocks of at most
     BLOCK_POINTS (chi, R) nodes per wedge (n = 3) or per block (n = 2, its
     points' own nodes), and of at least one point; a point's value does
-    not depend on its block. Returns a 1-d
-    complex array, one value per point.
+    not depend on its block. Returns a 1-d complex array, one value per point.
     """
     e = np.atleast_1d(np.asarray(e, dtype=float))
     k = np.broadcast_to(np.asarray(k, dtype=float), e.shape)
@@ -398,10 +386,10 @@ def bipolar_b(q: Potential, e, k, level: int, sphere_only: bool = False) -> np.n
     for i in range(0, e.size, step):
         eb, kb = e[i:i + step], k[i:i + step]
         if n2:
-            out[i:i + step] = _mirror_b(q, eb, kb, m, sphere_only)
+            out[i:i + step] = _mirror_b(q, eb, kb, m)
             continue
         total = np.zeros(eb.size, dtype=complex)
-        for sign, cos_chi, sin_chi, weight in _wedges(eb, kb, m, sphere_only):
+        for sign, cos_chi, sin_chi, weight in _wedges(eb, kb, m):
             I = _radial_sums(q.fourier_radial, 0.5 * eb[:, None, None], cos_chi, sin_chi, m, 3)
             total += sign * np.vecdot(I, weight)
         out[i:i + step] = 0.5 * np.pi * eb * total

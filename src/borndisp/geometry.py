@@ -40,8 +40,8 @@ class Direction:
     def normalized(cls, v) -> "Direction":
         v = np.asarray(v, dtype=float)
         norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < norm < np.inf:  # v.v can underflow to 0 or overflow
+            raise ValueError(f"cannot normalize a vector of norm {norm:g}")
         return cls(v / norm)
 
     def __neg__(self) -> "Direction":

@@ -63,20 +63,31 @@ def test_vector_length_must_match_n(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# a norm that is 0, or whose square overflows to inf or underflows to 0
+_NORMLESS = [[0, 0], [1e308, 1e308], [-1e308, -1e308], [1e-200, 1e-200]]
+
+
 def test_zero_theta_rejected(tmp_path, capsys):
-    cfg = _write(tmp_path, "t.json", _ray_config(tmp_path, theta=[0, 0]))
-    assert run(cfg) == 1
-    assert "'theta'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # unchecked, [-1e308, -1e308] fails part-way with a traceback
+    for theta in _NORMLESS:
+        cfg = _write(tmp_path, "t.json", _ray_config(tmp_path, theta=theta))
+        assert run(cfg) == 1
+        assert "field 'theta': its norm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_zero_ray_direction_rejected(tmp_path, capsys):
-    # unchecked, it gives a dispersion_ray.csv of NaN rows and exit 0
-    ray = {"direction": [0, 0], "t_min": 3, "t_max": 8, "count": 6}
-    cfg = _write(tmp_path, "d.json", _ray_config(tmp_path, ray=ray))
-    assert run(cfg) == 1
-    assert "'ray/direction'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # unchecked, a zero vector gives a dispersion_ray.csv of NaN rows and
+    # exit 0, and so do [1e308, 1e308] (eta = 0 rows) and [1e-200, 1e-200];
+    # a lemma52 ray [1e308, 1e307] passed the cone check as d / inf = 0 and
+    # died part-way with NotInHalfSpace
+    ray = {"t_min": 8, "t_max": 48, "count": 16}
+    configs = [_ray_config(tmp_path, ray=dict(ray, direction=d)) for d in _NORMLESS]
+    configs.append(_lemma52_config(tmp_path, ray=dict(ray, direction=[1e308, 1e307])))
+    for cfg in configs:
+        assert run(_write(tmp_path, "d.json", cfg)) == 1
+        assert "field 'ray/direction': its norm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_lemma52_needs_eight_ray_samples(tmp_path, capsys):
@@ -304,6 +315,20 @@ def test_gain_scan_level_without_a_sample_past_C0(tmp_path, capsys, levels, C0):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha, weight", [(200, "inf"), (-400, "0")])
+def test_gain_scan_alpha_weight_out_of_float_range(tmp_path, capsys, alpha, weight):
+    # unchecked, alpha = 200 wrote Infinity and NaN into gain_scan.json and
+    # exited 0, and alpha = -400 died after every B evaluation on a 0 norm
+    cfg = {"experiment": "gain-scan", "n": 2, "beta": 1.0,
+           "grid": {"N": 256, "L": 16.0}, "theta": [-1, 0], "alphas": [1.7, alpha],
+           "levels": [4.0, 6.0, 8.0], "out_dir": str(tmp_path / "out")}
+    assert run(_write(tmp_path, "g.json", cfg)) == 1
+    err = capsys.readouterr().err
+    assert "invalid config at field 'alphas/1'" in err
+    assert f"T = 8 is {weight}," in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_qfull_radial_needs_an_angle(tmp_path, capsys):
     cfg = _write(tmp_path, "q.json", {
         "experiment": "qfull-radial", "n": 2, "eta_norm": 4.0,
@@ -494,6 +519,23 @@ def test_lemma52_experiment_and_determinism(tmp_path):
     assert a == b
     verdict = json.loads((outs[0] / "lemma52_verdict.json").read_text())
     assert verdict["pass"] is True
+
+
+@pytest.mark.parametrize("n, grid_n, direction", [(2, 256, [1, 0]), (3, 128, [1, 0.2, 0.1])])
+def test_lemma52_reads_the_rays_S(tmp_path, n, grid_n, direction):
+    # lemma52's samples are the S_re column of dispersion-ray on the same
+    # potential and ray, to the bit
+    base = {"n": n, "beta": 1.0, "grid": {"N": grid_n, "L": 16.0},
+            "theta": [-1] + [0] * (n - 1),
+            "ray": {"direction": direction, "t_min": 8, "t_max": 48, "count": 16}}
+    for name in ("lemma52", "dispersion-ray"):
+        cfg = {"experiment": name, **base, "out_dir": str(tmp_path / name)}
+        assert run(_write(tmp_path, f"{name}.json", cfg)) == 0
+    lemma = np.genfromtxt(tmp_path / "lemma52" / "lemma52_samples.csv", delimiter=",",
+                          names=True)
+    ray = np.genfromtxt(tmp_path / "dispersion-ray" / "dispersion_ray.csv", delimiter=",",
+                        names=True)
+    np.testing.assert_array_equal(lemma["value"], ray["S_re"])
 
 
 def test_dispersion_ray_repeated_runs_identical(tmp_path):

@@ -477,19 +477,15 @@ def test_bipolar_b_block_independence(case, request, monkeypatch):
         np.testing.assert_array_equal(bipolar_b(q, e[3:], k[3:], 3), alone[3:])
 
 
-def test_bipolar_b_sphere_only(gbeta3, theta3, gbeta2, theta2):
-    # i pi S_{theta,1} alone is bit for bit the imaginary part of B, and
-    # agrees with the sphere rule
+def test_bipolar_b_imag_is_spherical_op(gbeta3, theta3, gbeta2, theta2):
+    # Im B / pi is S_{theta,1}, the value lemma52 reads
     e, k = np.array([8.0, 8.0]), np.array([6.0, 20.0])
     for q, theta in ((gbeta3, theta3), (gbeta2, theta2)):
         n = theta.dimension
         B = bipolar_b(q, e, k, 4)
-        S = bipolar_b(q, e, k, 4, sphere_only=True)
-        np.testing.assert_array_equal(S.real, 0.0)
-        np.testing.assert_array_equal(S.imag, B.imag)
         for i in range(2):
             ref = spherical_op(q, theta, 1.0, _eta_at(e[i], k[i], n), sphere_rule(n, 6))
-            assert S[i].imag / np.pi == pytest.approx(ref.real, rel=1e-5)
+            assert B[i].imag / np.pi == pytest.approx(ref.real, rel=1e-5)
 
 
 def test_n3_batch_parts(gauss3, theta3):
