@@ -19,6 +19,9 @@ log = logging.getLogger(__name__)
 # Spacing of the radii at which gain_scan samples |Q|; the first radius is
 # one step out.
 RADIAL_STEP = 2.0
+# The most radii a gain scan samples (levels up to 2^17): POLAR_NODES B
+# values each, 2^19 at the cap; a level near 1e100 would not fit np.arange.
+MAX_RADII = 2**16
 # Gauss-Legendre nodes of gain_scan's polar quadrature over the half space.
 POLAR_NODES = 8
 
@@ -34,6 +37,32 @@ class DecayFit:
     residual: float
     window: tuple[float, float]
     sample_count: int
+
+
+def radial_plan(levels, cut: CutoffSpec) -> tuple[np.ndarray, list]:
+    """gain_scan's radii RADIAL_STEP, 2 RADIAL_STEP, ... up to the largest level, and
+    the sorted levels. Refuses a level past MAX_RADII radii, and one below the first
+    radius past C0, where |Q| is 0: its norm is 0, and the next ratio divides by it."""
+    levels = sorted(float(T) for T in levels)
+    if levels[-1] / RADIAL_STEP > MAX_RADII:
+        raise ValueError(f"level {levels[-1]:g} needs more than {MAX_RADII} radii at the "
+                         f"radial step {RADIAL_STEP:g}")
+    first = (np.floor(cut.C0 / RADIAL_STEP) + 1) * RADIAL_STEP
+    if levels[0] < first:
+        raise ValueError(f"level {levels[0]:g} is below {first:g}, the first sampled radius "
+                         f"past C0 = {cut.C0:g}, and |Q| is 0 up to C0")
+    return np.arange(RADIAL_STEP, levels[-1] + 0.5 * RADIAL_STEP, RADIAL_STEP), levels
+
+
+def radial_weights(radii: np.ndarray, alpha: float, n: int) -> np.ndarray:
+    """gain_scan's weights (1 + t^2)^alpha t^(n - 1) RADIAL_STEP, each a positive finite
+    float or refused. (1 + t^2)^alpha leaves float range first, at the last radius."""
+    with np.errstate(over="ignore"):
+        w = (1.0 + radii**2) ** alpha * radii ** (n - 1) * RADIAL_STEP
+    if not np.all((0.0 < w) & (w < np.inf)):
+        raise ValueError(f"the weight (1 + T^2)^alpha T^(n - 1) at the largest radius "
+                         f"T = {radii[-1]:g} is {w[-1]:g}, not a positive finite float")
+    return w
 
 
 @dataclass
@@ -105,8 +134,7 @@ def lemma52_check(
     S_{theta,1} = Im B / pi is the S of one ``dispersion_batch`` call over
     the samples at the level. Returns the verdict and the raw (t, S) samples.
     """
-    d = -theta.components if direction is None else np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    d = Direction.normalized(-theta.components if direction is None else direction).components
     if not in_cone(d, theta, a):
         raise RayOutsideCone("probe direction is not inside D_theta")
     if t_range[0] <= 2.0 * cut.C0:
@@ -143,33 +171,19 @@ def gain_scan(
     q is radial, so the operator output is symmetric about the theta axis
     and the norm is a polar quadrature: |Q|^2 is sampled once on a (radius,
     angle) grid up to the largest extent, and every (alpha, level) norm is
-    a reweighted partial radial sum, with step RADIAL_STEP in the radius.
+    a reweighted partial sum over ``radial_plan``'s radii.
     """
-    n = theta.dimension
-    levels = sorted(float(T) for T in levels)
-    if levels[0] < RADIAL_STEP:
-        raise ValueError(
-            f"level {levels[0]:g} is below the radial step {RADIAL_STEP:g}: "
-            "no sampled radius lies inside it"
-        )
-    T_max = levels[-1]
-    ts = np.arange(RADIAL_STEP, T_max + 0.5 * RADIAL_STEP, RADIAL_STEP)
+    ts, levels = radial_plan(levels, cut)
+    last = np.searchsorted(ts, np.add(levels, 1e-12)) - 1  # each level's last radius
+    weights = [radial_weights(ts, alpha, theta.dimension) for alpha in alphas]
     qsq, mu_w = _polar_samples(q, theta, ts, cut, rule_level)
 
     scans = []
-    for alpha in alphas:
-        weight_t = (1.0 + ts**2) ** alpha * ts ** (n - 1) * RADIAL_STEP
+    for alpha, weight_t in zip(alphas, weights):
         # factor 2: the mirrored half-space contributes equally for radial q
-        partial = 2.0 * np.cumsum(weight_t * (qsq @ mu_w))
-        level_vals = []
-        for T in levels:
-            idx = int(np.searchsorted(ts, T + 1e-12) - 1)
-            level_vals.append((T, float(np.sqrt(partial[idx]))))
-        ratios = [
-            level_vals[i + 1][1] / level_vals[i][1] for i in range(len(level_vals) - 1)
-        ]
-        scans.append(RefinementScan(alpha=float(alpha), levels=level_vals,
-                                    growth_ratios=ratios))
+        norms = np.sqrt(2.0 * np.cumsum(weight_t * (qsq @ mu_w)))[last].tolist()
+        scans.append(RefinementScan(alpha=float(alpha), levels=list(zip(levels, norms)),
+                                    growth_ratios=[b / a for a, b in zip(norms, norms[1:])]))
     return scans
 
 

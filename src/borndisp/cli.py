@@ -10,6 +10,7 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -195,19 +196,14 @@ def _load_config(path) -> dict:
 def _check_runtime_constraints(cfg: dict) -> None:
     """Constraints that the schema cannot express, checked before any work."""
     vectors = {"theta": cfg.get("theta"), "ray/direction": cfg.get("ray", {}).get("direction")}
+    directions = {}
     for where, v in vectors.items():
         if v is None:
             continue
-        if "n" in cfg and len(v) != cfg["n"]:
-            raise ConfigError(
-                f"invalid config at field '{where}': length {len(v)} does not "
-                f"match n = {cfg['n']}"
-            )
-        with np.errstate(over="ignore"):  # v.v can underflow to 0 or overflow
-            norm = np.linalg.norm(np.asarray(v, dtype=float))
-        if not 0.0 < norm < math.inf:
-            raise ConfigError(f"invalid config at field '{where}': its norm {norm:g} is not "
-                              "a positive finite float")
+        with _field(where):
+            if "n" in cfg and len(v) != cfg["n"]:
+                raise ValueError(f"length {len(v)} does not match n = {cfg['n']}")
+            directions[where] = Direction.normalized(v)
     # the fixtures have fixed dimensions: 2 for B and the PV, 3 for the trace
     if cfg["experiment"] == "oracle-fixtures" and "n" in cfg:
         raise ConfigError(
@@ -217,42 +213,22 @@ def _check_runtime_constraints(cfg: dict) -> None:
     # fit_decay needs 8 samples on a nonempty window, on a ray in D_theta
     if cfg["experiment"] == "lemma52":
         ray, a = cfg["ray"], cfg.get("cone_aperture", 0.5)
-        d = np.asarray(ray["direction"], dtype=float)
         for where, bad, why in (
             ("ray/count", ray["count"] < 8, f"needs at least 8 samples, got {ray['count']}"),
             ("ray/t_max", ray["t_max"] <= ray["t_min"], "must exceed t_min"),
-            ("ray/direction", not in_cone(d / np.linalg.norm(d), _theta(cfg), a),
+            ("ray/direction", not in_cone(directions["ray/direction"].components,
+                                          directions["theta"], a),
              f"the ray is outside the cone D_theta of aperture {a:g}"),
         ):
             if bad:
                 raise ConfigError(f"invalid config at field '{where}': {why}")
-    # the gain scan samples |Q| from one radial step outwards, and |Q| is 0
-    # up to C0: a level below the first sample past C0 has norm 0, and the
-    # growth ratio after it divides by that 0
+    # gain_scan's radial plan and weights, which gain_scan checks after the synthesis
     if cfg["experiment"] == "gain-scan":
-        low, step, c0 = min(cfg["levels"]), analysis.RADIAL_STEP, _cut(cfg).C0
-        if low < step:
-            raise ConfigError(
-                "invalid config at field 'levels': every level must be at least "
-                f"the radial step {step:g}, got {low:g}"
-            )
-        first = (math.floor(c0 / step) + 1) * step
-        if low < first:
-            raise ConfigError(
-                f"invalid config at field 'levels': |Q| is 0 up to C0 = {c0:g}, so "
-                f"every level must reach {first:g}, the first sampled radius past "
-                f"C0, got {low:g}"
-            )
-        # gain_scan's radial weight at the largest level: past float range
-        # the norms read inf or 0, and the growth ratios NaN
-        top = np.float64(max(cfg["levels"]))
+        with _field("levels"):
+            radii = analysis.radial_plan(cfg["levels"], _cut(cfg))[0]
         for i, alpha in enumerate(cfg["alphas"]):
-            with np.errstate(over="ignore"):
-                weight = (1.0 + top**2) ** alpha * top ** (cfg["n"] - 1) * step
-            if not 0.0 < weight < math.inf:
-                raise ConfigError(f"invalid config at field 'alphas/{i}': the weight (1 + T^2)^"
-                                  f"alpha T^(n - 1) at the largest level T = {top:g} is "
-                                  f"{weight:g}, not a positive finite float")
+            with _field(f"alphas/{i}"):
+                analysis.radial_weights(radii, alpha, cfg["n"])
     # Q_F carries the cutoff, which is 0 up to C0: every value at such an
     # eta_norm is 0, and their relative spread reads a perfect 0
     if cfg["experiment"] == "qfull-radial":
@@ -271,14 +247,19 @@ def _check_runtime_constraints(cfg: dict) -> None:
             raise ConfigError(f"invalid config at field 'bump_radius': {exc}")
 
 
+@contextlib.contextmanager
+def _field(where: str):
+    """Refuse the config, naming the field, on a library rule's ValueError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid config at field '{where}': {exc}") from None
+
+
 def _out_dir(cfg: dict) -> Path:
     out = Path(os.environ.get("BORN_DISPERSION_OUT", cfg["out_dir"]))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _theta(cfg: dict) -> Direction:
-    return Direction.normalized(cfg["theta"])
 
 
 def _grid(cfg: dict):
@@ -376,11 +357,10 @@ def _run_gbeta(cfg: dict, out: Path):
 
 
 def _run_dispersion_ray(cfg: dict, out: Path):
-    theta = _theta(cfg)
+    theta = Direction.normalized(cfg["theta"])
     q = _potential(cfg)
     ray = cfg["ray"]
-    d = np.asarray(ray["direction"], dtype=float)
-    d = d / np.linalg.norm(d)
+    d = Direction.normalized(ray["direction"]).components
     ts = np.geomspace(ray["t_min"], ray["t_max"], ray["count"])
     etas = [t * d for t in ts]
     samples = dispersion.dispersion_batch(q, theta, etas, cfg.get("rule_level", 4), _cut(cfg))
@@ -398,7 +378,7 @@ def _run_dispersion_ray(cfg: dict, out: Path):
 
 
 def _run_lemma52(cfg: dict, out: Path):
-    theta = _theta(cfg)
+    theta = Direction.normalized(cfg["theta"])
     q = _potential(cfg)
     ray = cfg["ray"]
     verdict, data = analysis.lemma52_check(
@@ -413,7 +393,7 @@ def _run_lemma52(cfg: dict, out: Path):
 
 
 def _run_gain_scan(cfg: dict, out: Path):
-    theta = _theta(cfg)
+    theta = Direction.normalized(cfg["theta"])
     q = _potential(cfg)
     scans = analysis.gain_scan(
         q, theta, cfg["alphas"], cfg["levels"], _cut(cfg),

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SPHERE_AREA, Direction, SphereRule, chart, ewald_nodes, in_half_space
+from .geometry import (SPHERE_AREA, Direction, NotInHalfSpace, SphereRule, chart, ewald_nodes,
+                       in_half_space)
 from .potentials import Potential
 
 # Gauss-Legendre nodes on each of the three outer pieces of the PV integral,
@@ -399,10 +400,11 @@ def bipolar_b(q: Potential, e, k, level: int) -> np.ndarray:
 def b_theta2(q: Potential, theta: Direction, eta, level: int) -> complex:
     """B_{theta,2}(q)(eta) = i pi S_{theta,1} + P_theta on H_theta, else 0,
     from the bipolar rule at the level."""
-    eta = np.asarray(eta, dtype=float)
-    if not in_half_space(eta, theta):
+    try:
+        k = chart(eta, theta).k
+    except NotInHalfSpace:
         return 0.0 + 0.0j
-    return complex(bipolar_b(q, float(np.linalg.norm(eta)), chart(eta, theta).k, level)[0])
+    return complex(bipolar_b(q, float(np.linalg.norm(eta)), k, level)[0])
 
 
 def q_full2_hat(

@@ -38,11 +38,14 @@ class Direction:
 
     @classmethod
     def normalized(cls, v) -> "Direction":
+        """v / |v|, the one norm test of a direction."""
         v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < np.inf:  # v.v can underflow to 0 or overflow
-            raise ValueError(f"cannot normalize a vector of norm {norm:g}")
-        return cls(v / norm)
+        with np.errstate(over="ignore"):  # v.v can overflow, or be subnormal and lose bits
+            sq = v.dot(v)  # |v| = sqrt(v.v), as in np.linalg.norm
+        if not np.finfo(float).tiny <= sq < np.inf:
+            raise ValueError(f"its norm {np.sqrt(sq):g} is not a positive finite float with a "
+                             "normal square: cannot normalize the vector")
+        return cls(v / np.sqrt(sq))
 
     def __neg__(self) -> "Direction":
         return Direction(-self.components)

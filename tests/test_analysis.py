@@ -77,6 +77,20 @@ def test_gain_scan_rejects_level_below_radial_step(gauss2, theta2):
     # a level below the first sampled radius has no partial sum of its own
     with pytest.raises(ValueError, match="level 1 "):
         gain_scan(gauss2, theta2, [0.0], [1.0, 4.0, 8.0], CutoffSpec())
+    # nor does one below the first radius past C0, where |Q| is 0: its norm
+    # is 0, and the growth ratio after it divided by that 0
+    with pytest.raises(ValueError, match="level 2 .* C0 = 2"):
+        gain_scan(gauss2, theta2, [0.0], [2.0, 4.0, 8.0], CutoffSpec(C0=2.0))
+
+
+def test_radial_plan_caps_the_radii():
+    from borndisp.analysis import MAX_RADII, RADIAL_STEP, radial_plan
+
+    top = MAX_RADII * RADIAL_STEP
+    radii, levels = radial_plan([top, 4.0, 8.0], CutoffSpec())
+    assert radii.size == MAX_RADII and radii[-1] == top and levels == [4.0, 8.0, top]
+    with pytest.raises(ValueError, match="needs more than"):
+        radial_plan([4.0, 8.0, top + RADIAL_STEP], CutoffSpec())
 
 
 @pytest.mark.parametrize("case", ["gauss2", "gauss3"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import borndisp
-from borndisp.cli import main, run
+from borndisp.cli import _load_config, main, run
 
 
 def _write(tmp_path, name, payload):
@@ -63,8 +63,9 @@ def test_vector_length_must_match_n(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# a norm that is 0, or whose square overflows to inf or underflows to 0
-_NORMLESS = [[0, 0], [1e308, 1e308], [-1e308, -1e308], [1e-200, 1e-200]]
+# a norm that is 0, or whose square overflows to inf or underflows to 0 or
+# to a subnormal
+_NORMLESS = [[0, 0], [1e308, 1e308], [-1e308, -1e308], [1e-200, 1e-200], [-1e-160, 0]]
 
 
 def test_zero_theta_rejected(tmp_path, capsys):
@@ -327,6 +328,27 @@ def test_gain_scan_alpha_weight_out_of_float_range(tmp_path, capsys, alpha, weig
     assert "invalid config at field 'alphas/1'" in err
     assert f"T = 8 is {weight}," in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alphas, levels", [([0, -400], [4, 6, 1e200]), ([0], [4, 6, 1e100])])
+def test_gain_scan_level_past_the_radius_cap(tmp_path, capsys, alphas, levels):
+    # unchecked, 1e200 was refused as 'alphas/0' (T^(n - 1) overflows even
+    # at alpha = 0), and 1e100 died after the synthesis asking np.arange for
+    # 5e99 radii
+    cfg = {"experiment": "gain-scan", "n": 3, "beta": 1.0,
+           "grid": {"N": 64, "L": 16.0}, "theta": [-1, 0, 0], "alphas": alphas,
+           "levels": levels, "out_dir": str(tmp_path / "out")}
+    assert run(_write(tmp_path, "g.json", cfg)) == 1
+    assert "invalid config at field 'levels': level 1e+" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_example_config_loads(tmp_path):
+    # the documented example goes through the same load step as any config
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Example config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = json.loads(block)
+    assert _load_config(_write(tmp_path, "example.json", cfg)) == cfg
 
 
 def test_qfull_radial_needs_an_angle(tmp_path, capsys):

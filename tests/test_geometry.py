@@ -21,8 +21,10 @@ def test_direction_validation():
     assert np.allclose(d.components, [0.6, 0.8])
     assert (-d).components[0] == pytest.approx(-0.6)
     # a zero vector, and ones whose v.v overflows to inf or underflows to 0,
-    # where v / |v| would be 0 or NaN
-    for v in ([0.0, 0.0], [1e308, 1e308], [-1e308, -1e308, 0.0], [1e-200, 1e-200]):
+    # where v / |v| would be 0 or NaN, or to a subnormal, where |v| has lost
+    # bits and v / |v| misses unit length
+    for v in ([0.0, 0.0], [1e308, 1e308], [-1e308, -1e308, 0.0], [1e-200, 1e-200],
+              [-1e-160, 0.0]):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="cannot normalize"):
             Direction.normalized(v)
 
