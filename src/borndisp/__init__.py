@@ -46,12 +46,10 @@ from .spectral import (
     Field,
     Grid,
     RadialProfile,
-    SobolevIndex,
     TransformDirection,
     field_from_function,
     fourier,
     make_grid,
-    sobolev_norm,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 Independent brute-force references: direct evaluation of B_{theta,2} in polar
 coordinates about -k theta, S_{theta,r} and B_{theta,2} in closed form for a
 Gaussian, a 1-d principal-value integrator for closed-form checks, the sphere
-trace-constant ratio, and the sphere-kernel integral bound.
+trace-constant ratio of a radial potential, the closed-form H^1 energy of a
+Gaussian mixture, and the sphere-kernel integral bound.
 
 These deliberately avoid the Ewald-sphere parametrization and the PV
 machinery of the dispersion module so agreement is an end-to-end test.
@@ -13,11 +14,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import integrate, interpolate
+from scipy import integrate
 
 from .geometry import SPHERE_AREA, Direction, SphereRule, chart
 from .potentials import Potential
-from .spectral import Domain, TransformDirection, fourier
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -203,54 +203,46 @@ def gaussian_b_theta2(a: float, theta: Direction, eta) -> complex:
 # Trace constant (sphere trace inequality with constant 1)
 
 
-def trace_ratio(f, rho: float, rule: SphereRule | None = None) -> float:
-    """Ratio of the sphere-trace integral to the full W^{1,2} energy:
+def trace_ratio(f: Potential, rho: float) -> float:
+    """Ratio of the sphere-trace integral to the full W^{1,2} energy of a
+    radial potential:
 
         integral_{S_rho} |f|^2 dsigma  /  (integral |f|^2 + integral |grad f|^2)
 
-    For a radial Potential both sides reduce to 1-d quadratures on the
-    frequency and space sides; for a Field the numerator interpolates the
-    spatial samples on the sphere (a rule is then required) and the
-    denominator is the frequency-side Riemann sum.
+    Both sides reduce to 1-d quadratures, on the space and frequency sides.
     """
-    if isinstance(f, Potential):
-        n = f.dimension
-        area = SPHERE_AREA[n]
-        fval = float(np.abs(f.spatial_eval(np.array([rho] + [0.0] * (n - 1)))) ** 2)
-        numer = fval * area * rho ** (n - 1)
+    n = f.dimension
+    area = SPHERE_AREA[n]
+    fval = float(np.abs(f.spatial_eval(np.array([rho] + [0.0] * (n - 1)))) ** 2)
+    numer = fval * area * rho ** (n - 1)
 
-        def dens(s):
-            return float(np.abs(f.fourier_radial(s**2)) ** 2) * (1.0 + s**2) * s ** (n - 1)
+    def dens(s):
+        return float(np.abs(f.fourier_radial(s**2)) ** 2) * (1.0 + s**2) * s ** (n - 1)
 
-        integral, _ = integrate.quad(dens, 0.0, np.inf, limit=400)
-        denom = area * integral / (2.0 * np.pi) ** n
-        if denom == 0.0:
-            return 0.0
-        return numer / denom
-
-    field = f
-    if rule is None:
-        raise ValueError("trace_ratio on a Field requires a sphere rule")
-    grid = field.grid
-    n = grid.dimension
-    if field.domain is not Domain.SPACE:
-        raise ValueError("trace_ratio expects a space-domain field")
-    axis = grid.space_axis()
-    interp = interpolate.RegularGridInterpolator(
-        (axis,) * n, field.samples, bounds_error=False, fill_value=0.0
-    )
-    pts = rho * rule.nodes
-    numer = float(np.dot(rule.weights, np.abs(interp(pts)) ** 2) * rho ** (n - 1))
-    fhat = fourier(field, TransformDirection.FORWARD)
-    weight = 1.0 + grid.freq_radius() ** 2
-    denom = float(
-        np.sum(weight * np.abs(fhat.samples) ** 2)
-        * grid.freq_spacing**n
-        / (2.0 * np.pi) ** n
-    )
+    integral, _ = integrate.quad(dens, 0.0, np.inf, limit=400)
+    denom = area * integral / (2.0 * np.pi) ** n
     if denom == 0.0:
         return 0.0
     return numer / denom
+
+
+def gaussian_mixture_h1(amps, centers, widths) -> float:
+    """integral |f|^2 + integral |grad f|^2 over R^n for the mixture
+    f(x) = sum_i a_i exp(-w_i |x - c_i|^2), centers of shape (m, n).
+
+    Each pair (i, j) contributes a_i a_j I_ij (1 + 2 mu (n - 2 mu d^2)), with
+    p = w_i + w_j, mu = w_i w_j / p, d = |c_i - c_j| and the overlap
+    I_ij = (pi/p)^{n/2} exp(-mu d^2).
+    """
+    a = np.asarray(amps, dtype=float)
+    c = np.asarray(centers, dtype=float)
+    w = np.asarray(widths, dtype=float)
+    n = c.shape[1]
+    p = np.add.outer(w, w)
+    mu = np.multiply.outer(w, w) / p
+    d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
+    overlap = (np.pi / p) ** (n / 2.0) * np.exp(-mu * d2)
+    return float(a @ (overlap * (1.0 + 2.0 * mu * (n - 2.0 * mu * d2))) @ a)
 
 
 def sphere_kernel_bound(

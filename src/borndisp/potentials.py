@@ -9,7 +9,6 @@ evaluators reduce x or xi to s once.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,8 +21,6 @@ from .spectral import (
     orthant_forward,
     orthant_inverse,
 )
-
-log = logging.getLogger(__name__)
 
 
 class GridTooCoarseError(RuntimeError):

@@ -1,6 +1,5 @@
 """
-Uniform grids, discrete Fourier transforms, tabulated radial profiles and
-weighted Sobolev norms.
+Uniform grids, discrete Fourier transforms and tabulated radial profiles.
 
 Fourier convention (used everywhere in this package):
 
@@ -93,9 +92,6 @@ class Grid:
     def _radius(self, axis: np.ndarray) -> np.ndarray:
         # (x_0^2 + x_1^2) + x_2^2 by broadcasting, with no meshgrid copies
         return np.sqrt(functools.reduce(np.add.outer, [axis**2] * self.dimension))
-
-    def space_radius(self) -> np.ndarray:
-        return self._radius(self.space_axis())
 
     def freq_radius(self) -> np.ndarray:
         return self._radius(self.freq_axis())
@@ -215,28 +211,6 @@ def bessel_weight_radius(rho, alpha: float) -> np.ndarray:
     """<rho>^alpha = (1 + rho^2)^{alpha/2}."""
     rho = np.asarray(rho, dtype=float)
     return (1.0 + rho**2) ** (alpha / 2.0)
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    alpha: float
-    delta: float = 0.0
-
-
-def sobolev_norm(f: Field, idx: SobolevIndex) -> float:
-    """Discrete W^{alpha,2}_delta norm: <xi>^alpha multiplier in frequency,
-    <x>^delta weight in space, Riemann-sum L^2."""
-    grid = f.grid
-    if f.domain is Domain.SPACE:
-        fhat = fourier(f, TransformDirection.FORWARD)
-    else:
-        fhat = f
-    mult = bessel_weight_radius(grid.freq_radius(), idx.alpha)
-    smoothed = fourier(Field(grid, fhat.samples * mult, Domain.FREQUENCY),
-                       TransformDirection.INVERSE)
-    weight = bessel_weight_radius(grid.space_radius(), idx.delta)
-    vals = smoothed.samples * weight
-    return float(np.sqrt(np.sum(np.abs(vals) ** 2) * grid.spacing**grid.dimension))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from borndisp import bounds, oracle
 from borndisp.analysis import fit_decay, lemma52_check
 from borndisp.cli import run as cli_run
 from borndisp.dispersion import CutoffSpec, PVParams, b_theta2, q_full2_hat
-from borndisp.spectral import field_from_function
 
 
 def _report(num, name, ok, detail):
@@ -150,10 +149,11 @@ def test_criterion_07_trace_constant():
     target = (4 * np.pi / np.e) / (2.5 * np.pi**1.5)
     specific_ok = abs(ratio - target) <= 1e-3
 
+    # the numerator by the level-4 sphere rule on the exact mixture, checked
+    # against level 5; the denominator in closed form
     rng = np.random.default_rng(3)
-    grid = make_grid(3, 64, 12.0)
-    rule = sphere_rule(3, 4)
-    worst = 0.0
+    rules = (sphere_rule(3, 4), sphere_rule(3, 5))
+    worst = rule_err = 0.0
     for _ in range(12):
         centers = rng.normal(scale=1.0, size=(3, 3))
         amps = rng.uniform(0.3, 1.5, size=3)
@@ -163,13 +163,17 @@ def test_criterion_07_trace_constant():
             return sum(a * np.exp(-w * np.sum((x - c) ** 2, axis=-1))
                        for a, c, w in zip(amps, centers, widths))
 
-        fld = field_from_function(grid, f)
+        energy = oracle.gaussian_mixture_h1(amps, centers, widths)
         for rho in (0.5, 1.0, 2.0, 4.0):
-            worst = max(worst, oracle.trace_ratio(fld, rho, rule=rule))
-    ok = specific_ok and worst <= 1.0 + 1e-6
+            numer, finer = (rho**2 * np.dot(r.weights, np.abs(f(rho * r.nodes)) ** 2)
+                            for r in rules)
+            rule_err = max(rule_err, abs(numer - finer) / finer)
+            worst = max(worst, numer / energy)
+    ok = specific_ok and worst <= 1.0 + 1e-6 and rule_err <= 1e-12
     _report(7, "trace constant", ok,
             f"gaussian ratio {ratio:.4f} vs {target:.4f}, "
-            f"worst mixture ratio {worst:.4f} (<= 1)")
+            f"worst mixture ratio {worst:.4f} (<= 1), "
+            f"sphere rule level 4 vs 5 {rule_err:.1e} (<= 1e-12)")
 
 
 def test_criterion_08_sphere_kernel_bound():

@@ -484,6 +484,16 @@ def test_cli_runs_leave_out_heavy_scipy(tmp_path):
     assert (tmp_path / "q" / "manifest.json").exists()
 
 
+def test_oracle_fixtures_run_leaves_out_scipy_interpolate(tmp_path):
+    # oracle-fixtures needs scipy.integrate (and what it pulls in), but no
+    # oracle check reads a lattice by interpolation
+    cfg = _write(tmp_path, "o.json", {"experiment": "oracle-fixtures",
+                                      "out_dir": str(tmp_path / "o")})
+    code = "from borndisp.cli import main; assert main(sys.argv[1:]) == 0"
+    assert "scipy.interpolate" not in _heavy_scipy_loaded(code, cfg)
+    assert (tmp_path / "o" / "oracle_fixtures.json").exists()
+
+
 def test_chart_selftest(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, "c.json", {

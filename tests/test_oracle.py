@@ -6,7 +6,7 @@ from borndisp import oracle
 from borndisp.dispersion import b_theta2
 from borndisp.geometry import sphere_rule
 from borndisp.potentials import gaussian_potential
-from borndisp.spectral import field_from_function, make_grid
+from borndisp.spectral import TransformDirection, field_from_function, fourier, make_grid
 
 
 def test_exp1_series_against_scipy():
@@ -102,22 +102,26 @@ def test_trace_ratio_gaussian_closed_form():
     assert ratio <= 1.0
 
 
-def test_trace_ratio_field_mixtures():
+def test_gaussian_mixture_h1_matches_lattice_plancherel():
+    # integral (1 + |xi|^2) |f_hat|^2 / (2 pi)^n as a lattice sum, which is
+    # spectrally accurate for Gaussians resolved by the lattice
     rng = np.random.default_rng(3)
-    grid = make_grid(3, 64, 12.0)
-    rule = sphere_rule(3, 4)
-    for _ in range(5):
-        centers = rng.normal(scale=1.0, size=(3, 3))
-        amps = rng.uniform(0.3, 1.5, size=3)
-        widths = rng.uniform(0.5, 2.0, size=3)
+    for n, N in ((2, 128), (3, 96)):
+        grid = make_grid(n, N, 12.0)
+        for _ in range(3):
+            centers = rng.normal(scale=1.0, size=(3, n))
+            amps = rng.uniform(0.3, 1.5, size=3)
+            widths = rng.uniform(0.5, 2.0, size=3)
 
-        def f(x):
-            return sum(a * np.exp(-w * np.sum((x - c) ** 2, axis=-1))
-                       for a, c, w in zip(amps, centers, widths))
+            def f(x):
+                return sum(a * np.exp(-w * np.sum((x - c) ** 2, axis=-1))
+                           for a, c, w in zip(amps, centers, widths))
 
-        fld = field_from_function(grid, f)
-        for rho in (0.5, 1.0, 2.0, 4.0):
-            assert oracle.trace_ratio(fld, rho, rule=rule) <= 1.0 + 1e-6
+            fhat = fourier(field_from_function(grid, f), TransformDirection.FORWARD)
+            lattice = (np.sum((1.0 + grid.freq_radius() ** 2) * np.abs(fhat.samples) ** 2)
+                       * (grid.freq_spacing / (2.0 * np.pi)) ** n)
+            exact = oracle.gaussian_mixture_h1(amps, centers, widths)
+            assert exact == pytest.approx(lattice, rel=1e-12)
 
 
 def test_sphere_kernel_trivial_cases():

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.fft import dctn
 from scipy.interpolate import CubicSpline
 
@@ -10,7 +8,6 @@ from borndisp.spectral import (
     DomainMismatchError,
     Field,
     RadialProfile,
-    SobolevIndex,
     TransformDirection,
     bessel_weight_radius,
     field_from_function,
@@ -18,7 +15,6 @@ from borndisp.spectral import (
     make_grid,
     orthant_forward,
     orthant_inverse,
-    sobolev_norm,
 )
 
 
@@ -152,7 +148,6 @@ def test_radius_equals_meshgrid_formula(n, N, L):
         return np.sqrt(sum(m**2 for m in mesh))
 
     orthant = np.arange(N // 2 + 1)
-    np.testing.assert_array_equal(grid.space_radius(), meshgrid_radius(grid.space_axis()))
     np.testing.assert_array_equal(grid.freq_radius(), meshgrid_radius(grid.freq_axis()))
     np.testing.assert_array_equal(grid.orthant_space_radius(),
                                   meshgrid_radius(grid.spacing * orthant))
@@ -200,35 +195,6 @@ def test_bessel_weight_values():
     assert bessel_weight_radius(1.0, 2.0) == pytest.approx(2.0)
     rs = np.linspace(0, 10, 50)
     assert np.all(np.diff(bessel_weight_radius(rs, -2.5)) < 0)
-
-
-def test_sobolev_norm_gaussian(grid2):
-    f = field_from_function(grid2, lambda x: np.exp(-np.sum(x**2, axis=-1) / 2))
-    # ||e^{-|x|^2/2}||_{L^2}^2 = pi in two dimensions
-    assert sobolev_norm(f, SobolevIndex(0.0, 0.0)) == pytest.approx(np.sqrt(np.pi), abs=1e-6)
-    zero = Field(grid2, np.zeros((256, 256), dtype=complex), Domain.SPACE)
-    assert sobolev_norm(zero, SobolevIndex(3.0, 1.0)) == 0.0
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    alpha=st.floats(min_value=0.0, max_value=2.0),
-    delta=st.floats(min_value=0.0, max_value=2.0),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_norm_monotone_in_alpha_and_delta(alpha, delta, seed):
-    g = make_grid(2, 32, 8.0)
-    rng = np.random.default_rng(seed)
-    # band-limit the sample so the alpha-multiplier acts on resolved modes
-    raw = rng.normal(size=(32, 32))
-    f = field_from_function(
-        g, lambda x: np.exp(-np.sum(x**2, axis=-1) / 4)
-    )
-    f = Field(g, f.samples * (1.0 + 0.1 * raw), Domain.SPACE)
-    base = sobolev_norm(f, SobolevIndex(0.0, 0.0))
-    assert sobolev_norm(f, SobolevIndex(alpha, 0.0)) >= base - 1e-12
-    assert sobolev_norm(f, SobolevIndex(0.0, delta)) >= base - 1e-12
-    assert sobolev_norm(f, SobolevIndex(alpha, delta)) >= base - 1e-12
 
 
 def test_radial_profile_tail_extrapolation():
