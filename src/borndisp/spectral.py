@@ -16,7 +16,8 @@ and ``orthant_inverse`` transform such blocks; ``fourier`` transforms a
 general complex ``Field``. The DCT-I is one product per axis with a
 rectangular slice of the m x m DCT-I matrix, done by numpy's BLAS: the
 columns of the samples given (a corner block, zero beyond it) and the rows of
-the outputs asked for.
+the outputs asked for. Both stream along the first axis in ``row_slabs``:
+an input may be a function of a row range, and so is the forward output.
 
 A ``RadialProfile`` is read by the not-a-knot cubic spline through its
 samples, built and evaluated here in numpy.
@@ -30,6 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+SLAB_ROWS = 8  # first-axis rows per slab, 0.6 MB of the n = 3 orthant at N = 192
 
 
 class Domain(enum.Enum):
@@ -89,9 +92,10 @@ class Grid:
         N = self.samples_per_axis
         return self.freq_spacing * (np.arange(N) - N // 2)
 
-    def _radius(self, axis: np.ndarray) -> np.ndarray:
+    def _radius(self, axis: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         # (x_0^2 + x_1^2) + x_2^2 by broadcasting, with no meshgrid copies
-        return np.sqrt(functools.reduce(np.add.outer, [axis**2] * self.dimension))
+        squares = [axis[rows] ** 2] + [axis**2] * (self.dimension - 1)
+        return np.sqrt(functools.reduce(np.add.outer, squares))
 
     def freq_radius(self) -> np.ndarray:
         return self._radius(self.freq_axis())
@@ -101,17 +105,18 @@ class Grid:
         on its corner of ``size`` samples per axis."""
         return self._radius(self.spacing * np.arange(self.samples_per_axis // 2 + 1)[:size])
 
-    def orthant_freq_radius(self) -> np.ndarray:
-        """|xi| on the first-orthant block: xi = m dxi for m = 0..N/2 per axis."""
-        return self._radius(self.freq_spacing * np.arange(self.samples_per_axis // 2 + 1))
+    def orthant_freq_radius(self, rows: slice) -> np.ndarray:
+        """|xi| on first-axis rows ``rows`` of the orthant block, xi = m dxi."""
+        return self._radius(self.freq_spacing * np.arange(self.samples_per_axis // 2 + 1), rows)
 
-    def orthant_multiplicity(self, size: int | None = None) -> np.ndarray:
+    def orthant_multiplicity(self, rows: slice, size: int | None = None) -> np.ndarray:
         """Number of lattice points each orthant point stands for under index
         negation, per axis 1 at m = 0 and m = N/2 and 2 otherwise; on the
-        corner of ``size`` samples per axis when given."""
+        corner of ``size`` samples per axis when given, at first-axis ``rows``."""
         w = np.full(self.samples_per_axis // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
-        return functools.reduce(np.multiply.outer, [w[:size]] * self.dimension)
+        return functools.reduce(np.multiply.outer,
+                                [w[:size][rows]] + [w[:size]] * (self.dimension - 1))
 
     def space_points(self) -> np.ndarray:
         """All lattice points as an array of shape (N^n, n)."""
@@ -161,50 +166,71 @@ def fourier(field: Field, direction: TransformDirection) -> Field:
     return Field(field.grid, out, Domain.SPACE)
 
 
-def _dct1(x: np.ndarray, m: int, size: int | None = None) -> np.ndarray:
-    """Unnormalized DCT-I of length m on every axis of a 2-D or 3-D block:
+def row_slabs(rows: int) -> list[slice]:
+    """Ranges of SLAB_ROWS rows covering rows 0..rows-1; the last takes the rest."""
+    count = max(1, rows // SLAB_ROWS)
+    return [slice(i * SLAB_ROWS, rows if i == count - 1 else (i + 1) * SLAB_ROWS)
+            for i in range(count)]
+
+
+def _first_axis(C: np.ndarray, y: np.ndarray, rows: slice | None = None) -> np.ndarray:
+    """Rows ``rows`` of C times y's columns, or all of them slab by slab."""
+    if rows is None:
+        return np.concatenate([_first_axis(C, y, r) for r in row_slabs(len(C))])
+    return (C[rows] @ y.reshape(len(y), -1)).reshape((-1,) + y.shape[1:])
+
+
+def _dct1(x, grid: Grid, size: int | None = None) -> Callable[..., np.ndarray]:
+    """Unnormalized DCT-I of length m = N/2 + 1 on every axis of an n-D block:
 
         y_k = x_0 + (-1)^k x_{m-1} + 2 sum_{j=1}^{m-2} x_j cos(pi j k / (m - 1)),
 
     the length 2m - 2 DFT of the even extension x_0..x_{m-1}..x_1.
 
-    The block holds x_j for j < b <= m on each axis and stands for zeros at
-    b <= j < m; the result holds y_k for k < size (default m). Each axis is
-    one product with the size x b slice C[k, j] = c_j cos(pi j k / (m - 1))
-    of the DCT-I matrix, c_j = 1 at j = 0 and j = m - 1 and 2 otherwise: the
-    last axis as rows times C^T, the middle one of three as a stack of C
-    times matrices, the first as C times the block's columns. The angle is
-    reduced as the integer j k mod 2m - 2 before the cosine, so every entry
-    is accurate to rounding."""
-    y = np.asarray(x, dtype=float)
-    ndim, b, k = y.ndim, y.shape[0], m if size is None else size
-    if y.shape != (b,) * ndim or not 1 <= b <= m or not 1 <= k <= m:
+    The block, a cubic array or a function of a first-axis row range, holds
+    x_j for j < b <= m on each axis (b = m for a function) and stands for
+    zeros beyond; the result holds y_k for k < size (default m), as a
+    function of a row range (all rows given none). Each axis is one product
+    with the size x b slice C[k, j] = c_j cos(pi j k / (m - 1)) of the DCT-I
+    matrix, c_j = 1 at j = 0 and j = m - 1 and 2 otherwise: the last axis as
+    rows times C^T and the middle one of three as a stack of C times
+    matrices, a slab at a time into a b x size^{n-1} buffer, the first as
+    rows of C times its columns. The angle is reduced as the integer
+    j k mod 2m - 2 before the cosine, so every entry is accurate to rounding."""
+    m, n = grid.samples_per_axis // 2 + 1, grid.dimension
+    block = None if callable(x) else np.asarray(x, dtype=float)
+    b = m if block is None else block.shape[0]
+    k = m if size is None else size
+    if block is not None and block.shape != (b,) * n or not 1 <= b <= m or not 1 <= k <= m:
         raise ValueError(f"need a cubic block of at most {m} samples per axis and "
-                         f"1..{m} outputs, got shape {y.shape} and {k} outputs")
+                         f"1..{m} outputs, got shape {np.shape(x)} and {k} outputs")
     jk = np.multiply.outer(np.arange(k), np.arange(b)) % (2 * m - 2)
     C = np.cos(np.pi * jk / (m - 1))
     C[:, 1:m - 1] *= 2.0
-    y = y.reshape(-1, b) @ C.T
-    if ndim == 3:
-        y = np.matmul(C, y.reshape(b, b, k))
-    return (C @ y.reshape(b, -1)).reshape((k,) * ndim)
+    y = np.empty((b,) + (k,) * (n - 1))
+    for rows in row_slabs(b):
+        t = (x(rows) if block is None else block[rows]).reshape(-1, b) @ C.T
+        if n == 3:
+            t = np.matmul(C, t.reshape(-1, b, k))
+        y[rows] = t.reshape((-1,) + y.shape[1:])
+    return functools.partial(_first_axis, C, y)
 
 
-def orthant_forward(grid: Grid, x: np.ndarray, size: int | None = None) -> np.ndarray:
+def orthant_forward(grid: Grid, x: np.ndarray) -> Callable[..., np.ndarray]:
     """Scaled forward transform of an even real array given by its
     first-orthant block, or by a corner of it outside which the array is
-    zero; equals that block, or its corner of ``size`` samples per axis, of
-    ``fourier`` on the full lattice."""
-    return _dct1(x, grid.samples_per_axis // 2 + 1, size) * grid.spacing**grid.dimension
+    zero; a function of a first-axis row range (all rows given none) that
+    returns those rows of that block of ``fourier`` on the full lattice."""
+    rows_of = _dct1(x, grid)
+    return lambda rows=None: rows_of(rows) * grid.spacing**grid.dimension
 
 
-def orthant_inverse(grid: Grid, x_hat: np.ndarray, size: int | None = None) -> np.ndarray:
+def orthant_inverse(grid: Grid, x_hat, size: int | None = None) -> np.ndarray:
     """Scaled inverse transform of an even real array given by its
-    first-orthant block, or by a corner of it outside which the array is
-    zero; equals that block, or its corner of ``size`` samples per axis, of
-    ``fourier`` on the full lattice."""
-    return (_dct1(x_hat, grid.samples_per_axis // 2 + 1, size)
-            / (grid.samples_per_axis * grid.spacing) ** grid.dimension)
+    first-orthant block, a function of a first-axis row range of it, or a
+    corner of it outside which the array is zero; equals that block, or its
+    corner of ``size`` samples per axis, of ``fourier`` on the full lattice."""
+    return _dct1(x_hat, grid, size)() / (grid.samples_per_axis * grid.spacing) ** grid.dimension
 
 
 def bessel_weight_radius(rho, alpha: float) -> np.ndarray:

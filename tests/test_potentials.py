@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from borndisp import spectral
 from borndisp.potentials import (
     GBetaSpec,
     GridTooCoarseError,
@@ -83,7 +84,7 @@ def test_phi_vanishes_outside_its_support_box(n, N, L, bump):
     grid = make_grid(n, N, L)
     m = N // 2 + 1
     b_psi = 1 + np.flatnonzero(standard_mollifier(grid.spacing * np.arange(m), bump))[-1]
-    psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(), bump))
+    psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(), bump))()
     phi = orthant_inverse(grid, psi_hat**2)
     outside = np.ones(phi.shape, dtype=bool)
     outside[(slice(0, 2 * b_psi - 1),) * n] = False
@@ -188,16 +189,69 @@ def test_gbeta_matches_full_lattice_synthesis(n, N, L, bump):
 
 def test_gbeta_memory():
     # the four transforms on the (N/2 + 1)^3 orthant, not on N^3 complex
-    # arrays, no even extension or complex output inside the DCT-I, and
-    # phi, G and g only on the corner that holds phi's support
-    spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(3, 128, 16.0))
-    tracemalloc.start()
-    try:
-        make_gbeta(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    # arrays, phi, G and g only on the corner that holds phi's support, and
+    # the frequency side streamed in slabs of first-axis rows, so that no
+    # (N/2 + 1)^3 array is held; N = 192 is the synth-n3 benchmark's grid
+    for N, limit in [(128, 6e6), (192, 14e6)]:
+        spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(3, N, 16.0))
+        tracemalloc.start()
+        try:
+            make_gbeta(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, N
+
+
+def _whole_orthant_gbeta(spec):
+    """Reference synthesis on whole first-orthant arrays: the transforms of
+    full (N/2 + 1)^n blocks and weighted bincount shell averages."""
+    grid, n, beta, bump = spec.grid, spec.grid.dimension, spec.beta, spec.bump_radius
+    h, m = grid.spacing, grid.samples_per_axis // 2 + 1
+    b_psi = 1 + int(np.flatnonzero(standard_mollifier(h * np.arange(m), bump))[-1])
+    cut = 2.0 * bump + 2.0 * h
+    b = min(m, max(2 * b_psi - 1, int(cut / h) + 3))
+
+    def shell_average(r, v, w, width):
+        idx = np.floor(r.ravel() / width).astype(int)
+        count = np.bincount(idx, weights=w.ravel())
+        return (np.bincount(idx, weights=(w * r).ravel()) / count,
+                np.bincount(idx, weights=(w * v).ravel()) / count)
+
+    freq_r = grid.orthant_freq_radius(slice(None))
+    G = orthant_inverse(grid, bessel_weight_radius(freq_r, -(n / 2.0 + beta)), b)
+    psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(b_psi), bump))()
+    g = orthant_inverse(grid, psi_hat**2, b) * G
+    ghat = orthant_forward(grid, g)()
+    radii, values = shell_average(freq_r, ghat, grid.orthant_multiplicity(slice(None)),
+                                  grid.freq_spacing)
+    keep = radii <= 0.98 * grid.corner_radius
+    profile = RadialProfile(radii[keep], values[keep])
+    profile.fit_tail()
+    sp_radii, _ = shell_average(grid.orthant_space_radius(b), g,
+                                grid.orthant_multiplicity(slice(None), b), h)
+    return profile, sp_radii[sp_radii <= cut], float(ghat.min())
+
+
+# slabs of one row, of a height that divides none of N/2 + 1 = 129, 49 and
+# 65, and of the default height
+@pytest.mark.parametrize("rows", [1, 6, None])
+@pytest.mark.parametrize("n, N", [(2, 256), (3, 96), (3, 128)])
+def test_gbeta_streamed_equals_whole_orthant(n, N, rows, monkeypatch):
+    # the whole-block transforms are made from the same row slabs as the
+    # streamed reads, so both sides run the same BLAS products at every slab
+    # height, and the running shell sums add the points in bincount's order
+    if rows is not None:
+        monkeypatch.setattr(spectral, "SLAB_ROWS", rows)
+    spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(n, N, 16.0))
+    ref, ref_sp_radii, ref_min = _whole_orthant_gbeta(spec)
+    q = make_gbeta(spec)
+    prof = q.fourier_profile
+    np.testing.assert_array_equal(prof.radii, ref.radii)
+    np.testing.assert_array_equal(q.spatial_radial.profile.radii, ref_sp_radii)
+    assert q.meta["ghat_min"] == ref_min
+    assert np.max(np.abs(prof.values - ref.values) / np.abs(ref.values)) <= 1e-15
+    assert abs(prof.tail_exponent - ref.tail_exponent) <= 1e-15 * abs(ref.tail_exponent)
 
 
 def test_gbeta_tail_agrees_with_doubled_grid(gbeta3, gbeta3_fine):

@@ -15,6 +15,7 @@ from borndisp.spectral import (
     make_grid,
     orthant_forward,
     orthant_inverse,
+    row_slabs,
 )
 
 
@@ -65,12 +66,17 @@ def test_orthant_transforms_match_full_lattice(n, N):
     f = field_from_function(grid, lambda x: np.exp(-np.sum(x**2, axis=-1) / 2))
     fh = fourier(f, TransformDirection.FORWARD)
     x = np.exp(-grid.orthant_space_radius() ** 2 / 2)
-    xh = orthant_forward(grid, x)
+    xh = orthant_forward(grid, x)()
     assert np.max(np.abs(xh - _orthant_block(grid, fh.samples))) < 1e-12 * np.max(np.abs(xh))
     back = orthant_inverse(grid, xh)
     assert np.max(np.abs(back - x)) < 1e-12
+    # a slab of the forward output, and an input given as a function of a
+    # row range, are made from the same slabs as the whole block
+    rows = row_slabs(N // 2 + 1)[1]
+    np.testing.assert_array_equal(orthant_forward(grid, x)(rows), xh[rows])
+    np.testing.assert_array_equal(orthant_inverse(grid, lambda rows: xh[rows]), back)
     # each orthant point stands for its mirror images, N^n points in all
-    assert grid.orthant_multiplicity().sum() == N**n
+    assert grid.orthant_multiplicity(slice(None)).sum() == N**n
 
 
 # block lengths N/2 + 1 = 9 and 10: odd and even
@@ -80,7 +86,7 @@ def test_orthant_transforms_match_scipy_dct1(n, N):
     x = np.random.default_rng(N + n).normal(size=(N // 2 + 1,) * n)
     ref = dctn(x, type=1)
     h = grid.spacing
-    fwd = orthant_forward(grid, x)
+    fwd = orthant_forward(grid, x)()
     assert np.max(np.abs(fwd - ref * h**n)) <= 1e-13 * np.max(np.abs(fwd))
     inv = orthant_inverse(grid, x)
     assert np.max(np.abs(inv - ref / (N * h) ** n)) <= 1e-13 * np.max(np.abs(inv))
@@ -122,7 +128,7 @@ def test_orthant_transforms_match_longdouble_dct1(n, m, b_in, b_out):
     x[corner] = np.random.default_rng(m + n).normal(size=(b_in,) * n)
     ref = _longdouble_dct1(x)[(slice(0, b_out),) * n]
     scale = np.max(np.abs(ref))
-    fwd = orthant_forward(grid, x[corner], b_out) / grid.spacing**n
+    fwd = orthant_forward(grid, x[corner])()[(slice(0, b_out),) * n] / grid.spacing**n
     assert fwd.shape == ref.shape
     assert np.max(np.abs(fwd - ref)) <= 1e-14 * scale
     inv = orthant_inverse(grid, x[corner], b_out) * (grid.samples_per_axis * grid.spacing) ** n
@@ -136,7 +142,7 @@ def test_orthant_transforms_refuse_blocks_past_the_orthant(shape, size):
     # N = 128: the orthant has m = 65 samples per axis
     grid = make_grid(len(shape), 128, 16.0)
     with pytest.raises(ValueError):
-        orthant_forward(grid, np.ones(shape), size)
+        orthant_inverse(grid, np.ones(shape), size)
 
 
 @pytest.mark.parametrize("n, N, L", [(2, 256, 16.0), (3, 48, 16.0), (3, 18, 4.0)])
@@ -151,14 +157,19 @@ def test_radius_equals_meshgrid_formula(n, N, L):
     np.testing.assert_array_equal(grid.freq_radius(), meshgrid_radius(grid.freq_axis()))
     np.testing.assert_array_equal(grid.orthant_space_radius(),
                                   meshgrid_radius(grid.spacing * orthant))
-    np.testing.assert_array_equal(grid.orthant_freq_radius(),
-                                  meshgrid_radius(grid.freq_spacing * orthant))
-    # a corner of the orthant has the values of the whole block there
+    whole = grid.orthant_freq_radius(slice(None))
+    np.testing.assert_array_equal(whole, meshgrid_radius(grid.freq_spacing * orthant))
+    # a corner, or a slab of first-axis rows, of the orthant has the values
+    # of the whole block there
     corner = (slice(0, 5),) * n
     np.testing.assert_array_equal(grid.orthant_space_radius(5),
                                   grid.orthant_space_radius()[corner])
-    np.testing.assert_array_equal(grid.orthant_multiplicity(5),
-                                  grid.orthant_multiplicity()[corner])
+    np.testing.assert_array_equal(grid.orthant_multiplicity(slice(None), 5),
+                                  grid.orthant_multiplicity(slice(None))[corner])
+    rows = slice(3, 7)
+    np.testing.assert_array_equal(grid.orthant_freq_radius(rows), whole[rows])
+    np.testing.assert_array_equal(grid.orthant_multiplicity(rows),
+                                  grid.orthant_multiplicity(slice(None))[rows])
 
 
 def test_impulse_has_flat_spectrum():
