@@ -32,66 +32,6 @@ from .spectral import make_grid
 
 log = logging.getLogger(__name__)
 
-EXPERIMENTS = (
-    "chart-selftest",
-    "gbeta",
-    "dispersion-ray",
-    "lemma52",
-    "gain-scan",
-    "qfull-radial",
-    "bounds-table",
-    "oracle-fixtures",
-)
-
-_SCHEMA = {
-    "type": "object",
-    "required": ["experiment", "out_dir"],
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "n": {"enum": [2, 3]},
-        "beta": {"type": "number", "exclusiveMinimum": 0},
-        "a": {"type": "number", "exclusiveMinimum": 0},
-        "bump_radius": {"type": "number", "exclusiveMinimum": 0},
-        "theta": {"type": "array", "items": {"type": "number"},
-                  "minItems": 2, "maxItems": 3},
-        "C0": {"type": "number", "exclusiveMinimum": 1},
-        "grid": {
-            "type": "object",
-            "required": ["N", "L"],
-            "additionalProperties": False,
-            "properties": {
-                # the g_beta synthesis works on the first-orthant block
-                "N": {"type": "integer", "minimum": 8, "multipleOf": 2},
-                "L": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "rule_level": {"type": "integer", "minimum": 1},
-        "theta_rule_level": {"type": "integer", "minimum": 1},
-        "ray": {
-            "type": "object",
-            "required": ["direction", "t_min", "t_max", "count"],
-            "additionalProperties": False,
-            "properties": {
-                "direction": {"type": "array", "items": {"type": "number"}},
-                "t_min": {"type": "number", "exclusiveMinimum": 0},
-                "t_max": {"type": "number", "exclusiveMinimum": 0},
-                "count": {"type": "integer", "minimum": 2},
-            },
-        },
-        "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "levels": {"type": "array", "items": {"type": "number"}, "minItems": 3},
-        "betas": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "cone_aperture": {"type": "number", "exclusiveMinimum": 0,
-                          "exclusiveMaximum": 1},
-        "eta_norm": {"type": "number", "exclusiveMinimum": 0},
-        "angles_deg": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "out_dir": {"type": "string"},
-    },
-}
-
 # The JSON Schema keywords that _validate implements. "type" takes the JSON
 # types below, except that an "integer" (and an integer in an "enum") is a
 # JSON integer only: 3.0 is not one, since a level, a count or a node number
@@ -101,8 +41,8 @@ _SCHEMA = {
 # which fail part-way through a run.
 _KEYWORDS = frozenset({
     "type", "enum", "required", "properties", "additionalProperties", "items",
-    "minItems", "maxItems", "minimum", "exclusiveMinimum", "exclusiveMaximum",
-    "multipleOf",
+    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+    "exclusiveMaximum", "multipleOf",
 })
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
           "integer": int}
@@ -134,6 +74,7 @@ def _validate(value, schema: dict, path: str = "") -> None:
         fail(f"{value!r} is not one of {schema['enum']}")
     for key, bad, why in (
         ("minimum", lambda m: value < m, "is less than the minimum"),
+        ("maximum", lambda m: value > m, "is greater than the maximum"),
         ("exclusiveMinimum", lambda m: value <= m, "is not above"),
         ("exclusiveMaximum", lambda m: value >= m, "is not below"),
         ("multipleOf", lambda m: value % m != 0, "is not a multiple of"),
@@ -157,20 +98,6 @@ def _validate(value, schema: dict, path: str = "") -> None:
             _validate(value[key], sub, f"{path}/{key}" if path else key)
 
 
-_REQUIRED = {
-    "gbeta": ["n", "beta", "grid"],
-    "dispersion-ray": ["n", "theta", "ray"],
-    "lemma52": ["n", "beta", "grid", "theta", "ray"],
-    "gain-scan": ["n", "beta", "grid", "theta", "alphas", "levels"],
-    "qfull-radial": ["n", "eta_norm", "angles_deg"],
-    "bounds-table": ["n", "betas"],
-}
-
-
-# experiments that build the configured potential (g_beta when beta is set)
-_POTENTIAL_EXPERIMENTS = ("gbeta", "dispersion-ray", "lemma52", "gain-scan", "qfull-radial")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -184,11 +111,15 @@ def _load_config(path) -> dict:
     except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}")
     _validate(cfg, _SCHEMA)
-    for field in _REQUIRED.get(cfg["experiment"], []):
+    _, requires, reads = _EXPERIMENTS[cfg["experiment"]]
+    for field in requires:
         if field not in cfg:
-            raise ConfigError(
-                f"experiment '{cfg['experiment']}' requires field '{field}'"
-            )
+            raise ConfigError(f"invalid config at field '{field}': experiment "
+                              f"'{cfg['experiment']}' requires it")
+    for field in cfg:
+        if field not in ("experiment", "out_dir", *requires, *reads):
+            raise ConfigError(f"invalid config at field '{field}': experiment "
+                              f"'{cfg['experiment']}' does not read it")
     _check_runtime_constraints(cfg)
     return cfg
 
@@ -201,15 +132,9 @@ def _check_runtime_constraints(cfg: dict) -> None:
         if v is None:
             continue
         with _field(where):
-            if "n" in cfg and len(v) != cfg["n"]:
+            if len(v) != cfg["n"]:
                 raise ValueError(f"length {len(v)} does not match n = {cfg['n']}")
             directions[where] = Direction.normalized(v)
-    # the fixtures have fixed dimensions: 2 for B and the PV, 3 for the trace
-    if cfg["experiment"] == "oracle-fixtures" and "n" in cfg:
-        raise ConfigError(
-            "invalid config at field 'n': oracle-fixtures has fixed "
-            "dimensions and takes no 'n'"
-        )
     # fit_decay needs 8 samples on a nonempty window, on a ray in D_theta
     if cfg["experiment"] == "lemma52":
         ray, a = cfg["ray"], cfg.get("cone_aperture", 0.5)
@@ -238,7 +163,7 @@ def _check_runtime_constraints(cfg: dict) -> None:
                 f"invalid config at field 'eta_norm': Q_F is 0 up to C0 = {c0:g}, so "
                 f"eta_norm must exceed C0, got {t:g}"
             )
-    if cfg["experiment"] in _POTENTIAL_EXPERIMENTS and "beta" in cfg:
+    if "beta" in cfg:
         try:
             _gbeta_spec(cfg)
         except GridTooCoarseError as exc:
@@ -474,15 +399,74 @@ def _run_oracle_fixtures(cfg: dict, out: Path):
     return 0, ["oracle_fixtures.json"]
 
 
-_RUNNERS = {
-    "chart-selftest": _run_chart_selftest,
-    "gbeta": _run_gbeta,
-    "dispersion-ray": _run_dispersion_ray,
-    "lemma52": _run_lemma52,
-    "gain-scan": _run_gain_scan,
-    "qfull-radial": _run_qfull_radial,
-    "bounds-table": _run_bounds_table,
-    "oracle-fixtures": _run_oracle_fixtures,
+# One row per experiment: its runner, the fields it requires and the other
+# fields it reads. The load step refuses a config that lacks a required field
+# or holds a field its experiment does not read.
+_EXPERIMENTS = {
+    "chart-selftest": (_run_chart_selftest, (), ("n", "seed")),
+    "gbeta": (_run_gbeta, ("n", "beta", "grid"), ("bump_radius",)),
+    "dispersion-ray": (_run_dispersion_ray, ("n", "theta", "ray"),
+                       ("beta", "grid", "bump_radius", "a", "rule_level", "C0")),
+    "lemma52": (_run_lemma52, ("n", "beta", "grid", "theta", "ray"),
+                ("bump_radius", "cone_aperture", "rule_level", "C0")),
+    "gain-scan": (_run_gain_scan, ("n", "beta", "grid", "theta", "alphas", "levels"),
+                  ("bump_radius", "rule_level", "C0")),
+    "qfull-radial": (_run_qfull_radial, ("n", "eta_norm", "angles_deg"),
+                     ("beta", "grid", "bump_radius", "a", "rule_level",
+                      "theta_rule_level", "C0")),
+    "bounds-table": (_run_bounds_table, ("n", "betas"), ()),
+    "oracle-fixtures": (_run_oracle_fixtures, (), ("a",)),
+}
+
+_SCHEMA = {
+    "type": "object",
+    "required": ["experiment", "out_dir"],
+    "additionalProperties": False,
+    "properties": {
+        "experiment": {"enum": list(_EXPERIMENTS)},
+        "n": {"enum": [2, 3]},
+        "beta": {"type": "number", "exclusiveMinimum": 0},
+        "a": {"type": "number", "exclusiveMinimum": 0},
+        "bump_radius": {"type": "number", "exclusiveMinimum": 0},
+        "theta": {"type": "array", "items": {"type": "number"},
+                  "minItems": 2, "maxItems": 3},
+        "C0": {"type": "number", "exclusiveMinimum": 1},
+        "grid": {
+            "type": "object",
+            "required": ["N", "L"],
+            "additionalProperties": False,
+            "properties": {
+                # the g_beta synthesis works on the first-orthant block
+                "N": {"type": "integer", "minimum": 8, "multipleOf": 2},
+                "L": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        # each level has up to 4 times the nodes of the one before; README
+        # gives the cost of a run at each cap
+        "rule_level": {"type": "integer", "minimum": 1, "maximum": 8},
+        "theta_rule_level": {"type": "integer", "minimum": 1, "maximum": 7},
+        "ray": {
+            "type": "object",
+            "required": ["direction", "t_min", "t_max", "count"],
+            "additionalProperties": False,
+            "properties": {
+                "direction": {"type": "array", "items": {"type": "number"}},
+                "t_min": {"type": "number", "exclusiveMinimum": 0},
+                "t_max": {"type": "number", "exclusiveMinimum": 0},
+                "count": {"type": "integer", "minimum": 2},
+            },
+        },
+        "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "levels": {"type": "array", "items": {"type": "number"}, "minItems": 3},
+        "betas": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "cone_aperture": {"type": "number", "exclusiveMinimum": 0,
+                          "exclusiveMaximum": 1},
+        "eta_norm": {"type": "number", "exclusiveMinimum": 0},
+        "angles_deg": {"type": "array", "items": {"type": "number"},
+                       "minItems": 1},
+        "seed": {"type": "integer", "minimum": 0},
+        "out_dir": {"type": "string"},
+    },
 }
 
 
@@ -497,7 +481,7 @@ def run(config_path) -> int:
         digest = hashlib.sha256(fh.read()).hexdigest()
     start = time.monotonic()
     try:
-        code, artifacts = _RUNNERS[cfg["experiment"]](cfg, out)
+        code, artifacts = _EXPERIMENTS[cfg["experiment"]][0](cfg, out)
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         log.exception("experiment failed")
         print(f"error: {exc}", file=sys.stderr)

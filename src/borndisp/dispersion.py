@@ -62,7 +62,7 @@ class CutoffSpec:
     C0: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.C0 <= 1.0:
+        if not self.C0 > 1.0:
             raise ValueError(f"C0 must exceed 1, got {self.C0}")
 
     def radial(self, rho) -> np.ndarray:

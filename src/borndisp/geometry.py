@@ -33,7 +33,7 @@ class Direction:
         object.__setattr__(self, "components", v)
         if v.ndim != 1 or v.shape[0] not in (2, 3):
             raise ValueError("direction must be a 2- or 3-vector")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
             raise ValueError("direction must be unit length to 1e-12")
 
     @classmethod
@@ -100,7 +100,6 @@ class SphereRule:
 
     nodes: np.ndarray  # (M, n)
     weights: np.ndarray  # (M,)
-    level: int
 
 
 # |S^{n-1}|, the area of the unit sphere, for the dimensions sphere_rule
@@ -118,7 +117,7 @@ def sphere_rule(n: int, level: int) -> SphereRule:
         phi = 2.0 * np.pi * np.arange(M) / M
         nodes = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         weights = np.full(M, 2.0 * np.pi / M)
-        return SphereRule(nodes, weights, level=level)
+        return SphereRule(nodes, weights)
     if n == 3:
         Mp = 2 ** (level + 2)
         Ma = 2 ** (level + 3)
@@ -130,7 +129,7 @@ def sphere_rule(n: int, level: int) -> SphereRule:
         nodes[:, 1] = np.outer(sin_polar, np.sin(phi)).ravel()
         nodes[:, 2] = np.repeat(x, Ma)
         weights = np.repeat(w, Ma) * (2.0 * np.pi / Ma)
-        return SphereRule(nodes, weights, level=level)
+        return SphereRule(nodes, weights)
     raise ValueError(f"n must be 2 or 3, got {n}")
 
 

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from .geometry import SPHERE_AREA, Direction, SphereRule, chart
+from .geometry import SPHERE_AREA, Direction, chart
 from .potentials import Potential
 
 EULER_GAMMA = 0.5772156649015328606
@@ -246,13 +246,13 @@ def gaussian_mixture_h1(amps, centers, widths) -> float:
 
 
 def sphere_kernel_bound(
-    x, rho: float, lam: float, n: int, rule: SphereRule
+    x, rho: float, lam: float, n: int, level: int
 ) -> float:
     """integral_{S_rho} |x - y|^{-(n-1-2 lam)} dsigma(y) / rho^{2 lam}.
 
     Reduced to a polar integral about the direction of x; panels are graded
-    geometrically toward the near point, with counts tied to the rule level
-    so refinement is meaningful.
+    geometrically toward the near point, with counts tied to the level so
+    refinement is meaningful.
     """
     if not 0.0 < lam <= (n - 1) / 2.0:
         raise ValueError(f"lambda must be in (0, (n-1)/2], got {lam}")
@@ -265,15 +265,13 @@ def sphere_kernel_bound(
     if R == 0.0:
         return area * rho ** (n - 1) * rho ** (-e) / rho ** (2.0 * lam)
 
-    panels = 8 * rule.level
-    nodes = 8 + 2 * rule.level
+    panels = 8 * level
+    nodes = 8 + 2 * level
     gx, gw = np.polynomial.legendre.leggauss(nodes)
 
-    def panel_integral(fn, lo, hi, sing_at_hi):
-        # geometric grading toward the singular end
-        edges = hi - (hi - lo) * np.geomspace(1.0, 1e-12, panels + 1) if sing_at_hi else None
-        if edges is None:
-            edges = np.linspace(lo, hi, panels + 1)
+    def panel_integral(fn, lo, hi):
+        # geometric grading toward the singular end hi
+        edges = hi - (hi - lo) * np.geomspace(1.0, 1e-12, panels + 1)
         total = 0.0
         for aa, bb in zip(edges[:-1], edges[1:]):
             lo_, hi_ = min(aa, bb), max(aa, bb)
@@ -286,7 +284,7 @@ def sphere_kernel_bound(
         def fn(u):
             return (R**2 + rho**2 - 2.0 * R * rho * u) ** (-e / 2.0)
 
-        val = 2.0 * np.pi * rho**2 * panel_integral(fn, -1.0, 1.0, sing_at_hi=True)
+        val = 2.0 * np.pi * rho**2 * panel_integral(fn, -1.0, 1.0)
     else:
         # 2 rho integral_0^pi (R^2+rho^2-2 R rho cos p)^{-e/2} dp, singular at
         # p=0; written as (R-rho)^2 + 4 R rho sin^2(p/2) to avoid cancellation
@@ -295,6 +293,5 @@ def sphere_kernel_bound(
                 -e / 2.0
             )
 
-        val = 2.0 * rho * panel_integral(fn, np.pi, 0.0, sing_at_hi=True)
-        val = abs(val)
+        val = 2.0 * rho * panel_integral(fn, np.pi, 0.0)
     return float(val / rho ** (2.0 * lam))

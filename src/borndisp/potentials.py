@@ -97,7 +97,7 @@ class Potential:
 
 def gaussian_potential(a: float, grid: Grid) -> Potential:
     """q(x) = exp(-a|x|^2) with exact Fourier pair; analytic oracle family."""
-    if a <= 0:
+    if not a > 0:
         raise ValueError(f"a must be positive, got {a}")
     n = grid.dimension
     return Potential(
@@ -127,7 +127,7 @@ class GBetaSpec:
     grid: Grid
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if 2.0 * self.bump_radius > self.grid.half_extent / 2.0:
             raise ValueError("bump support must fit the grid with margin")

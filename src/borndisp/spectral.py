@@ -64,7 +64,7 @@ class Grid:
             raise ValueError(
                 f"samples_per_axis must be even and >= 8, got {self.samples_per_axis}"
             )
-        if self.half_extent <= 0:
+        if not self.half_extent > 0:
             raise ValueError(f"half_extent must be positive, got {self.half_extent}")
 
     @property

@@ -177,9 +177,8 @@ def test_criterion_07_trace_constant():
 
 
 def test_criterion_08_sphere_kernel_bound():
-    rule = sphere_rule(3, 3)
-    triv1 = oracle.sphere_kernel_bound([0.3, 0.2, 2.0], 1.0, 1.0, 3, rule)
-    triv2 = oracle.sphere_kernel_bound([0.0, 0.0, 0.0], 2.0, 0.5, 3, rule)
+    triv1 = oracle.sphere_kernel_bound([0.3, 0.2, 2.0], 1.0, 1.0, 3, 3)
+    triv2 = oracle.sphere_kernel_bound([0.0, 0.0, 0.0], 2.0, 0.5, 3, 3)
     trivial_ok = (abs(triv1 - 4 * np.pi) <= 1e-10
                   and abs(triv2 - 4 * np.pi) <= 1e-10)
     stable_ok = True
@@ -190,8 +189,7 @@ def test_criterion_08_sphere_kernel_bound():
         for lam in (0.25, 0.5, (n - 1) / 2.0):
             maxes = []
             for lev in (3, 4):
-                r = sphere_rule(n, lev)
-                maxes.append(max(oracle.sphere_kernel_bound(x, 1.0, lam, n, r)
+                maxes.append(max(oracle.sphere_kernel_bound(x, 1.0, lam, n, lev)
                                  for x in xs))
             change = abs(maxes[1] - maxes[0]) / maxes[0]
             stable_ok = stable_ok and change <= 0.02

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import borndisp
+from borndisp import cli
 from borndisp.cli import _load_config, main, run
 
 
@@ -283,6 +284,88 @@ def test_oracle_fixtures_rejects_n(tmp_path, capsys):
     })
     assert run(cfg) == 1
     assert "'n'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# a value the schema accepts for each top-level field, which together pass
+# the load step's other checks on every experiment
+_FIELD_VALUES = {
+    "n": 2, "beta": 1.0, "a": 0.5, "bump_radius": 2.0, "theta": [-1, 0], "C0": 2.0,
+    "grid": {"N": 256, "L": 16.0}, "rule_level": 3, "theta_rule_level": 3,
+    "ray": {"direction": [1, 0], "t_min": 8, "t_max": 48, "count": 16},
+    "alphas": [1.7], "levels": [4.0, 6.0, 8.0], "betas": [1.0], "cone_aperture": 0.5,
+    "eta_norm": 4.0, "angles_deg": [1.40625], "seed": 3,
+}
+
+
+def _full_config(experiment: str, out_dir) -> dict:
+    """The experiment's config with every field it requires or reads."""
+    _, requires, reads = cli._EXPERIMENTS[experiment]
+    return {"experiment": experiment, "out_dir": str(out_dir),
+            **{f: _FIELD_VALUES[f] for f in requires + reads}}
+
+
+_REQUIRED_CASES = [(name, f) for name, (_, requires, _) in cli._EXPERIMENTS.items()
+                   for f in requires]
+_UNREAD_CASES = [(name, f) for name, (_, requires, reads) in cli._EXPERIMENTS.items()
+                 for f in _FIELD_VALUES if f not in requires + reads]
+
+
+@pytest.mark.parametrize("experiment", list(cli._EXPERIMENTS))
+def test_full_config_loads(tmp_path, experiment):
+    cfg = _full_config(experiment, tmp_path / "out")
+    assert _load_config(_write(tmp_path, "c.json", cfg)) == cfg
+
+
+@pytest.mark.parametrize("experiment, field", _REQUIRED_CASES,
+                         ids=[f"{e}-{f}" for e, f in _REQUIRED_CASES])
+def test_missing_required_field_rejected(tmp_path, capsys, experiment, field):
+    cfg = _full_config(experiment, tmp_path / "out")
+    del cfg[field]
+    assert run(_write(tmp_path, "r.json", cfg)) == 1
+    assert f"invalid config at field '{field}': experiment '{experiment}' requires it" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, field", _UNREAD_CASES,
+                         ids=[f"{e}-{f}" for e, f in _UNREAD_CASES])
+def test_unread_field_rejected(tmp_path, capsys, experiment, field):
+    # a field the experiment does not read, such as rule_level on gbeta,
+    # would otherwise be taken and silently ignored
+    cfg = dict(_full_config(experiment, tmp_path / "out"), **{field: _FIELD_VALUES[field]})
+    assert run(_write(tmp_path, "u.json", cfg)) == 1
+    assert (f"invalid config at field '{field}': experiment '{experiment}' does not "
+            "read it") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_experiment_table_matches_the_cli():
+    # the README's table of required and read fields is the CLI's table
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = readme.split("| experiment | requires | also reads |\n|---|---|---|\n", 1)[1]
+    table = {}
+    for row in rows.split("\n\n", 1)[0].splitlines():
+        name, requires, reads = (cell.strip() for cell in row.strip("|").split("|"))
+        table[name.strip("`")] = tuple(
+            () if cell == "none" else tuple(f.strip().strip("`") for f in cell.split(","))
+            for cell in (requires, reads))
+    assert list(table.items()) == [(name, (requires, reads)) for name, (_, requires, reads)
+                                   in cli._EXPERIMENTS.items()]
+
+
+@pytest.mark.parametrize("field, cap, config", [
+    ("rule_level", 8, _ray_config), ("theta_rule_level", 7, _qfull_config),
+])
+def test_rule_levels_capped(tmp_path, capsys, field, cap, config):
+    # past the cap a run grows out of reach: a 2-point n = 2 ray takes 6.7 s
+    # and 487 MB at rule level 9, and each level has up to 4 times the nodes
+    # of the one before
+    cfg = config(tmp_path, **{field: cap})
+    assert _load_config(_write(tmp_path, "c.json", cfg)) == cfg
+    assert run(_write(tmp_path, "c.json", dict(cfg, **{field: cap + 1}))) == 1
+    assert (f"invalid config at field '{field}': {cap + 1} is greater than the maximum "
+            f"{cap}") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -125,27 +125,26 @@ def test_gaussian_mixture_h1_matches_lattice_plancherel():
 
 
 def test_sphere_kernel_trivial_cases():
-    rule = sphere_rule(3, 3)
     # exponent zero: integrand identically 1
-    assert oracle.sphere_kernel_bound([0.3, 0.2, 2.0], 1.0, 1.0, 3, rule) == pytest.approx(
+    assert oracle.sphere_kernel_bound([0.3, 0.2, 2.0], 1.0, 1.0, 3, 3) == pytest.approx(
         4 * np.pi, abs=1e-10
     )
     # x at the center: constant distance rho
-    assert oracle.sphere_kernel_bound([0.0, 0.0, 0.0], 2.0, 0.5, 3, rule) == pytest.approx(
+    assert oracle.sphere_kernel_bound([0.0, 0.0, 0.0], 2.0, 0.5, 3, 3) == pytest.approx(
         4 * np.pi, abs=1e-10
     )
     with pytest.raises(ValueError):
-        oracle.sphere_kernel_bound([1.0, 0.0, 0.0], 1.0, 1.5, 3, rule)
+        oracle.sphere_kernel_bound([1.0, 0.0, 0.0], 1.0, 1.5, 3, 3)
 
 
 def test_sphere_kernel_on_sphere_stable():
     vals = [
-        oracle.sphere_kernel_bound([1.0, 0.0, 0.0], 1.0, 0.25, 3, sphere_rule(3, lev))
+        oracle.sphere_kernel_bound([1.0, 0.0, 0.0], 1.0, 0.25, 3, lev)
         for lev in (3, 4)
     ]
     assert abs(vals[1] - vals[0]) <= 0.02 * vals[0]
     vals2 = [
-        oracle.sphere_kernel_bound([0.0, 1.0], 1.0, 0.25, 2, sphere_rule(2, lev))
+        oracle.sphere_kernel_bound([0.0, 1.0], 1.0, 0.25, 2, lev)
         for lev in (3, 4)
     ]
     assert abs(vals2[1] - vals2[0]) <= 0.02 * vals2[0]

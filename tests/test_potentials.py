@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from borndisp import spectral
+from borndisp.dispersion import CutoffSpec
+from borndisp.geometry import Direction
 from borndisp.potentials import (
     GBetaSpec,
     GridTooCoarseError,
@@ -74,6 +76,21 @@ def test_bump_below_lattice_spacing_refused(bump):
     with pytest.raises(ValueError, match="h = 0.25"):
         GBetaSpec(beta=1.0, bump_radius=bump, grid=grid)
     GBetaSpec(beta=1.0, bump_radius=0.3, grid=grid)
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: Direction(np.array([np.nan, 0.0])), "unit length"),
+    (lambda: CutoffSpec(C0=np.nan), "C0 must exceed 1"),
+    (lambda: GBetaSpec(beta=np.nan, bump_radius=2.0, grid=make_grid(3, 128, 16.0)),
+     "beta must be positive"),
+    (lambda: gaussian_potential(np.nan, make_grid(3, 64, 16.0)), "a must be positive"),
+    (lambda: make_grid(3, 64, np.nan), "half_extent must be positive"),
+], ids=["Direction", "CutoffSpec", "GBetaSpec", "gaussian_potential", "make_grid"])
+def test_library_checks_refuse_nan(make, why):
+    # NaN fails every comparison, so a check written as "refuse if x <= 0"
+    # lets it through
+    with pytest.raises(ValueError, match=why):
+        make()
 
 
 @pytest.mark.parametrize("n, N, L, bump", [(3, 128, 16.0, 2.0), (3, 96, 16.0, 4.0),
