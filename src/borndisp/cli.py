@@ -23,12 +23,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from . import __version__, analysis, bounds, dispersion
-from .geometry import Direction, chart, in_cone, in_half_space, sphere_rule
-from .potentials import GBetaSpec, GridTooCoarseError, gaussian_potential, make_gbeta
-from .spectral import make_grid
+# Each runner and each branch of _check_runtime_constraints imports the
+# library modules it calls, so a run loads only what its experiment needs:
+# a gbeta run loads no dispersion, geometry or analysis, and no run but
+# oracle-fixtures loads scipy.
+from . import __version__
 
 log = logging.getLogger(__name__)
 
@@ -131,12 +131,16 @@ def _check_runtime_constraints(cfg: dict) -> None:
     for where, v in vectors.items():
         if v is None:
             continue
+        from .geometry import Direction
+
         with _field(where):
             if len(v) != cfg["n"]:
                 raise ValueError(f"length {len(v)} does not match n = {cfg['n']}")
             directions[where] = Direction.normalized(v)
     # fit_decay needs 8 samples on a nonempty window, on a ray in D_theta
     if cfg["experiment"] == "lemma52":
+        from .geometry import in_cone
+
         ray, a = cfg["ray"], cfg.get("cone_aperture", 0.5)
         for where, bad, why in (
             ("ray/count", ray["count"] < 8, f"needs at least 8 samples, got {ray['count']}"),
@@ -149,6 +153,8 @@ def _check_runtime_constraints(cfg: dict) -> None:
                 raise ConfigError(f"invalid config at field '{where}': {why}")
     # gain_scan's radial plan and weights, which gain_scan checks after the synthesis
     if cfg["experiment"] == "gain-scan":
+        from . import analysis
+
         with _field("levels"):
             radii = analysis.radial_plan(cfg["levels"], _cut(cfg))[0]
         for i, alpha in enumerate(cfg["alphas"]):
@@ -164,6 +170,8 @@ def _check_runtime_constraints(cfg: dict) -> None:
                 f"eta_norm must exceed C0, got {t:g}"
             )
     if "beta" in cfg:
+        from .potentials import GridTooCoarseError
+
         try:
             _gbeta_spec(cfg)
         except GridTooCoarseError as exc:
@@ -188,24 +196,32 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _grid(cfg: dict):
+    from .spectral import make_grid
+
     g = cfg.get("grid", {"N": 128, "L": 16.0})
     return make_grid(cfg["n"], g["N"], g["L"])
 
 
-def _gbeta_spec(cfg: dict) -> GBetaSpec:
+def _gbeta_spec(cfg: dict):
+    from .potentials import GBetaSpec
+
     return GBetaSpec(beta=cfg["beta"], bump_radius=cfg.get("bump_radius", 2.0),
                      grid=_grid(cfg))
 
 
 def _potential(cfg: dict):
     """gbeta when beta is configured, else the analytic Gaussian family."""
+    from .potentials import gaussian_potential, make_gbeta
+
     if "beta" in cfg:
         return make_gbeta(_gbeta_spec(cfg))
     return gaussian_potential(cfg.get("a", 0.5), _grid(cfg))
 
 
-def _cut(cfg: dict) -> dispersion.CutoffSpec:
-    return dispersion.CutoffSpec(C0=cfg.get("C0", 2.0))
+def _cut(cfg: dict):
+    from .dispersion import CutoffSpec
+
+    return CutoffSpec(C0=cfg.get("C0", 2.0))
 
 
 def _write_json(payload, path: Path) -> None:
@@ -229,6 +245,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _run_chart_selftest(cfg: dict, out: Path):
+    from .geometry import Direction, chart, in_half_space
+
     rng = np.random.default_rng(cfg.get("seed", 0))
     worst_recon, worst_unit = 0.0, 0.0
     for n in ([cfg["n"]] if "n" in cfg else [2, 3]):
@@ -259,6 +277,8 @@ def _run_chart_selftest(cfg: dict, out: Path):
 
 
 def _run_gbeta(cfg: dict, out: Path):
+    from .potentials import make_gbeta
+
     q = make_gbeta(_gbeta_spec(cfg))
     profile = q.fourier_profile
     _write_json({
@@ -282,6 +302,9 @@ def _run_gbeta(cfg: dict, out: Path):
 
 
 def _run_dispersion_ray(cfg: dict, out: Path):
+    from . import dispersion
+    from .geometry import Direction
+
     theta = Direction.normalized(cfg["theta"])
     q = _potential(cfg)
     ray = cfg["ray"]
@@ -303,6 +326,9 @@ def _run_dispersion_ray(cfg: dict, out: Path):
 
 
 def _run_lemma52(cfg: dict, out: Path):
+    from . import analysis
+    from .geometry import Direction
+
     theta = Direction.normalized(cfg["theta"])
     q = _potential(cfg)
     ray = cfg["ray"]
@@ -318,6 +344,9 @@ def _run_lemma52(cfg: dict, out: Path):
 
 
 def _run_gain_scan(cfg: dict, out: Path):
+    from . import analysis
+    from .geometry import Direction
+
     theta = Direction.normalized(cfg["theta"])
     q = _potential(cfg)
     scans = analysis.gain_scan(
@@ -337,6 +366,9 @@ def _run_gain_scan(cfg: dict, out: Path):
 
 
 def _run_qfull_radial(cfg: dict, out: Path):
+    from . import dispersion
+    from .geometry import sphere_rule
+
     n = cfg["n"]
     q = _potential(cfg)
     theta_rule = sphere_rule(n, cfg.get("theta_rule_level", 5))
@@ -359,6 +391,8 @@ def _run_qfull_radial(cfg: dict, out: Path):
 
 
 def _run_bounds_table(cfg: dict, out: Path):
+    from . import bounds
+
     n = cfg["n"]
     rows = []
     for beta in cfg["betas"]:
@@ -373,9 +407,10 @@ def _run_bounds_table(cfg: dict, out: Path):
 
 
 def _run_oracle_fixtures(cfg: dict, out: Path):
-    # imported here: oracle pulls in scipy.integrate, which no other
-    # experiment needs
     from . import oracle
+    from .geometry import Direction
+    from .potentials import gaussian_potential
+    from .spectral import make_grid
 
     grid = make_grid(2, 64, 16.0)
     q = gaussian_potential(cfg.get("a", 0.5), grid)
@@ -442,7 +477,9 @@ _SCHEMA = {
             },
         },
         # each level has up to 4 times the nodes of the one before; README
-        # gives the cost of a run at each cap
+        # gives the cost of a run at each cap, and at the caps on ray/count,
+        # alphas and angles_deg, which are 16 times the most that a config
+        # in the tests, demos, benchmark or README uses (grid/N has no cap yet)
         "rule_level": {"type": "integer", "minimum": 1, "maximum": 8},
         "theta_rule_level": {"type": "integer", "minimum": 1, "maximum": 7},
         "ray": {
@@ -453,17 +490,18 @@ _SCHEMA = {
                 "direction": {"type": "array", "items": {"type": "number"}},
                 "t_min": {"type": "number", "exclusiveMinimum": 0},
                 "t_max": {"type": "number", "exclusiveMinimum": 0},
-                "count": {"type": "integer", "minimum": 2},
+                "count": {"type": "integer", "minimum": 2, "maximum": 256},
             },
         },
-        "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1,
+                   "maxItems": 32},
         "levels": {"type": "array", "items": {"type": "number"}, "minItems": 3},
         "betas": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "cone_aperture": {"type": "number", "exclusiveMinimum": 0,
                           "exclusiveMaximum": 1},
         "eta_norm": {"type": "number", "exclusiveMinimum": 0},
         "angles_deg": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1},
+                       "minItems": 1, "maxItems": 32},
         "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": "string"},
     },
@@ -484,7 +522,8 @@ def run(config_path) -> int:
         code, artifacts = _EXPERIMENTS[cfg["experiment"]][0](cfg, out)
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         log.exception("experiment failed")
-        print(f"error: {exc}", file=sys.stderr)
+        # str(MemoryError()) is empty
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
@@ -492,7 +531,8 @@ def run(config_path) -> int:
         "config_sha256": digest,
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        # only a run that loaded scipy (oracle-fixtures) names its version
+        "scipy_version": getattr(sys.modules.get("scipy"), "__version__", None),
         "elapsed_seconds": time.monotonic() - start,
         "artifacts": artifacts,
         "exit_code": code,

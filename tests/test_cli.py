@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import borndisp
 from borndisp import cli
@@ -369,6 +371,29 @@ def test_rule_levels_capped(tmp_path, capsys, field, cap, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, field, cap", [
+    ("dispersion-ray", "ray/count", 256), ("gain-scan", "alphas", 32),
+    ("qfull-radial", "angles_deg", 32),
+])
+def test_list_sizes_capped(tmp_path, capsys, experiment, field, cap):
+    # a run's cost grows with each of these sizes; each cap is 16 times the
+    # largest size a shipped config uses, and README gives a run's cost there
+    def sized(size):
+        cfg = _full_config(experiment, tmp_path / "out")
+        if field == "ray/count":
+            cfg["ray"] = dict(cfg["ray"], count=size)
+        else:
+            cfg[field] = cfg[field][:1] * size
+        return cfg
+
+    assert _load_config(_write(tmp_path, "c.json", sized(cap))) == sized(cap)
+    assert run(_write(tmp_path, "c.json", sized(cap + 1))) == 1
+    err = capsys.readouterr().err
+    why = "is greater than the maximum" if field == "ray/count" else "has more items than"
+    assert f"invalid config at field '{field}': " in err and f" {why} {cap}\n" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gain_scan_level_below_radial_step(tmp_path, capsys):
     cfg = _write(tmp_path, "g.json", {
         "experiment": "gain-scan", "n": 2, "beta": 1.0,
@@ -492,6 +517,21 @@ def test_gbeta_grid_checked_at_load(tmp_path, capsys, overrides, field):
     assert not (tmp_path / "out").exists()
 
 
+def test_failed_run_names_an_exception_without_a_message(tmp_path, capsys, monkeypatch):
+    # str(MemoryError()) is empty, which left a bare 'error:' line
+    def out_of_memory(cfg, out):
+        raise MemoryError()
+
+    _, requires, reads = cli._EXPERIMENTS["bounds-table"]
+    monkeypatch.setitem(cli._EXPERIMENTS, "bounds-table", (out_of_memory, requires, reads))
+    cfg = _write(tmp_path, "b.json", {
+        "experiment": "bounds-table", "n": 3, "betas": [1.0],
+        "out_dir": str(tmp_path / "out"),
+    })
+    assert run(cfg) == 1
+    assert "error: MemoryError" in capsys.readouterr().err.splitlines()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     # exit 2 means a failed verdict, so a usage error exits 1 and names the
     # bad argument: --threads, which the CLI no longer takes, an unknown flag
@@ -529,24 +569,48 @@ def test_cli_import_leaves_out_scipy_integrate():
 # jsonschema is only the tests' reference for the config check
 _HEAVY_SCIPY = ("scipy.interpolate", "scipy.fft", "scipy.special", "scipy.linalg",
                 "scipy.optimize", "jsonschema")
+_LIBRARY = tuple(f"borndisp.{m}" for m in ("analysis", "bounds", "dispersion", "geometry",
+                                             "oracle", "potentials", "spectral"))
 
 
-def _heavy_scipy_loaded(code: str, *args: str) -> list:
+def _loaded(watched: tuple, code: str, *args: str) -> list:
     """Run code in a fresh interpreter with args as sys.argv[1:]; return the
-    modules of _HEAVY_SCIPY that it loaded."""
+    modules of watched that it loaded."""
     env = _subprocess_env()
     env.pop("BORN_DISPERSION_OUT", None)
     code = (f"import json, sys; {code}; "
-            f"print(json.dumps([m for m in {_HEAVY_SCIPY!r} if m in sys.modules]))")
+            f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
 def test_cli_import_leaves_out_heavy_scipy():
-    # the spline and the DCT-I are numpy code; only `import scipy` (for the
-    # manifest's version) stays on the start-up path
-    assert _heavy_scipy_loaded("import borndisp.cli") == []
+    # the spline and the DCT-I are numpy code, and the manifest names scipy's
+    # version only when the run loaded it, so no scipy is on the start-up path
+    assert _loaded(_HEAVY_SCIPY, "import borndisp.cli") == []
+
+
+def test_cli_import_loads_no_library_module():
+    # each runner imports the modules it calls, and the package's exports
+    # load on first use
+    assert _loaded(("scipy", *_LIBRARY), "import borndisp.cli") == []
+
+
+@pytest.mark.parametrize("cfg, not_loaded", [
+    ({"experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0}},
+     ("scipy", "borndisp.analysis", "borndisp.bounds", "borndisp.dispersion",
+      "borndisp.geometry")),
+    ({"experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,
+      "angles_deg": [1.40625], "rule_level": 1, "theta_rule_level": 1},
+     ("scipy", "borndisp.analysis", "borndisp.bounds")),
+], ids=["gbeta", "qfull-radial"])
+def test_run_loads_only_the_modules_it_calls(tmp_path, cfg, not_loaded):
+    path = _write(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
+    code = "from borndisp.cli import main; assert main(sys.argv[1:]) == 0"
+    assert _loaded(not_loaded, code, path) == []
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["scipy_version"] is None
 
 
 def test_cli_runs_leave_out_heavy_scipy(tmp_path):
@@ -562,7 +626,7 @@ def test_cli_runs_leave_out_heavy_scipy(tmp_path):
         "out_dir": str(tmp_path / "q"),
     })
     code = "from borndisp.cli import main; assert [main([c]) for c in sys.argv[1:]] == [0, 0]"
-    assert _heavy_scipy_loaded(code, gbeta, qfull) == []
+    assert _loaded(_HEAVY_SCIPY, code, gbeta, qfull) == []
     assert (tmp_path / "g" / "gbeta.json").exists()
     assert (tmp_path / "q" / "manifest.json").exists()
 
@@ -573,8 +637,50 @@ def test_oracle_fixtures_run_leaves_out_scipy_interpolate(tmp_path):
     cfg = _write(tmp_path, "o.json", {"experiment": "oracle-fixtures",
                                       "out_dir": str(tmp_path / "o")})
     code = "from borndisp.cli import main; assert main(sys.argv[1:]) == 0"
-    assert "scipy.interpolate" not in _heavy_scipy_loaded(code, cfg)
+    assert "scipy.interpolate" not in _loaded(_HEAVY_SCIPY, code, cfg)
     assert (tmp_path / "o" / "oracle_fixtures.json").exists()
+    # the one experiment that loads scipy names its version in the manifest
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["scipy_version"] == scipy.__version__
+
+
+# the names the package exported when its __init__ imported every submodule
+_EXPORTS = {
+    "analysis": ("DecayFit", "RefinementScan", "Verdict", "fit_decay", "gain_scan",
+                 "lemma52_check"),
+    "bounds": ("BoundReport", "alpha0", "alpha_j", "m_threshold", "thm_limits"),
+    "dispersion": ("CutoffSpec", "DispersionSample", "PVParams", "b_theta2", "cutoff_chi",
+                   "dispersion_batch", "principal_value_op", "q_full2_hat",
+                   "spherical_op"),
+    "geometry": ("Chart", "Direction", "NotInHalfSpace", "SphereRule", "chart",
+                 "ewald_nodes", "in_cone", "in_half_space", "sphere_rule"),
+    "potentials": ("GBetaSpec", "GridTooCoarseError", "Potential", "gaussian_potential",
+                   "make_gbeta"),
+    "spectral": ("Domain", "Field", "Grid", "RadialProfile", "TransformDirection",
+                 "field_from_function", "fourier", "make_grid"),
+}
+
+
+def test_package_exports_resolve_to_their_submodules():
+    names = [name for names in _EXPORTS.values() for name in names]
+    assert len(names) == 42 and sorted(borndisp.__all__) == sorted(names)
+    for module, exported in _EXPORTS.items():
+        for name in exported:
+            scope = {}
+            exec(f"from borndisp import {name}", scope)
+            assert scope[name] is getattr(importlib.import_module(f"borndisp.{module}"), name)
+    assert set(names) <= set(dir(borndisp))
+    assert not hasattr(borndisp, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        borndisp.no_such_name
+
+
+def test_package_loads_a_submodule_on_first_use():
+    assert _loaded(_LIBRARY, "import borndisp") == []
+    loaded = _loaded(_LIBRARY, "import borndisp; assert borndisp.dispersion.bipolar_b")
+    assert "borndisp.dispersion" in loaded and "borndisp.analysis" not in loaded
+    code = "from borndisp import make_gbeta"
+    assert _loaded(_LIBRARY, code) == ["borndisp.potentials", "borndisp.spectral"]
 
 
 def test_chart_selftest(tmp_path, capsys):
