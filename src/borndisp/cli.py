@@ -48,6 +48,16 @@ _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
           "integer": int}
 
 
+def _shown(value) -> str:
+    """The value as a refusal message names it: a list or an object by its
+    JSON type and length, a scalar by its repr, cut short past 40 characters."""
+    if isinstance(value, (list, dict)):
+        kind = "array" if isinstance(value, list) else "object"
+        return f"an {kind} of length {len(value)}"
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:24]}... ({len(text)} characters)"
+
+
 def _validate(value, schema: dict, path: str = "") -> None:
     """Check value against schema, in the subset of JSON Schema named by
     _KEYWORDS (multipleOf on integers only); raise ConfigError naming the
@@ -61,9 +71,9 @@ def _validate(value, schema: dict, path: str = "") -> None:
     kind = schema.get("type")
     # bool is an int in Python, never a number in JSON
     if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
-        fail(f"{value!r} is not of type '{kind}'")
+        fail(f"{_shown(value)} is not of type '{kind}'")
     if isinstance(value, float) and not math.isfinite(value):
-        fail(f"{value!r} is not a finite number")
+        fail(f"{_shown(value)} is not a finite number")
     if kind == "number" and isinstance(value, int):
         try:
             float(value)
@@ -71,7 +81,7 @@ def _validate(value, schema: dict, path: str = "") -> None:
             fail("the integer does not fit a float")
     if "enum" in schema and not any(type(value) is type(e) and value == e
                                     for e in schema["enum"]):
-        fail(f"{value!r} is not one of {schema['enum']}")
+        fail(f"{_shown(value)} is not one of {schema['enum']}")
     for key, bad, why in (
         ("minimum", lambda m: value < m, "is less than the minimum"),
         ("maximum", lambda m: value > m, "is greater than the maximum"),
@@ -82,7 +92,7 @@ def _validate(value, schema: dict, path: str = "") -> None:
         ("maxItems", lambda m: len(value) > m, "has more items than"),
     ):
         if key in schema and bad(schema[key]):
-            fail(f"{value!r} {why} {schema[key]}")
+            fail(f"{_shown(value)} {why} {schema[key]}")
     for i, item in enumerate(value if "items" in schema else ()):
         _validate(item, schema["items"], f"{path}/{i}" if path else str(i))
     for key in schema.get("required", ()):
@@ -92,7 +102,7 @@ def _validate(value, schema: dict, path: str = "") -> None:
     if schema.get("additionalProperties") is False:
         for key in value:
             if key not in fields:
-                fail(f"unexpected key '{key}'")
+                fail(f"unexpected key {_shown(key)}")
     for key, sub in fields.items():
         if key in value:
             _validate(value[key], sub, f"{path}/{key}" if path else key)
@@ -172,6 +182,10 @@ def _check_runtime_constraints(cfg: dict) -> None:
     if "beta" in cfg:
         from .potentials import GridTooCoarseError
 
+        N, cap = _grid(cfg).samples_per_axis, _GBETA_MAX_N[cfg["n"]]
+        if N > cap:
+            raise ConfigError(f"invalid config at field 'grid/N': the g_beta synthesis "
+                              f"in n = {cfg['n']} takes N up to {cap}, got {N}")
         try:
             _gbeta_spec(cfg)
         except GridTooCoarseError as exc:
@@ -453,6 +467,12 @@ _EXPERIMENTS = {
     "oracle-fixtures": (_run_oracle_fixtures, (), ("a",)),
 }
 
+# The largest grid.N of a g_beta synthesis, per n. Its time grows about as
+# N^3, and most at the widest bump that the grid admits (L/4); README gives
+# the cost at each cap, which is at least twice the most that a config in the
+# tests, demos, benchmark or README uses (256).
+_GBETA_MAX_N = {2: 4096, 3: 512}
+
 _SCHEMA = {
     "type": "object",
     "required": ["experiment", "out_dir"],
@@ -479,7 +499,7 @@ _SCHEMA = {
         # each level has up to 4 times the nodes of the one before; README
         # gives the cost of a run at each cap, and at the caps on ray/count,
         # alphas and angles_deg, which are 16 times the most that a config
-        # in the tests, demos, benchmark or README uses (grid/N has no cap yet)
+        # in the tests, demos, benchmark or README uses (grid/N: _GBETA_MAX_N)
         "rule_level": {"type": "integer", "minimum": 1, "maximum": 8},
         "theta_rule_level": {"type": "integer", "minimum": 1, "maximum": 7},
         "ray": {

@@ -21,6 +21,7 @@ from .spectral import (
     orthant_forward,
     orthant_inverse,
     row_slabs,
+    slab_buffer,
 )
 
 
@@ -153,15 +154,27 @@ class GBetaSpec:
             )
 
 
-def _shell_sums(sums: np.ndarray, radius: np.ndarray, values: np.ndarray,
-                weights: np.ndarray, bin_width: float) -> np.ndarray:
-    """``sums`` of weight, weight x radius, weight x value per shell of width
-    bin_width, grown to and summed over a block in ravel order like bincount."""
-    idx = np.floor(radius / bin_width).astype(int).ravel()
-    sums = np.pad(sums, ((0, 0), (0, max(0, idx.max() + 1 - sums.shape[1]))))
-    for s, x in zip(sums, (weights, weights * radius, weights * values)):
+def _shell_sums(sums: np.ndarray, idx: np.ndarray, radius: np.ndarray, values: np.ndarray,
+                first: np.ndarray, rest: np.ndarray) -> None:
+    """Add each point's weight, weight x radius and weight x value to rows
+    0, 1 and 2 of ``sums`` at its shell index ``idx``, in ravel order like
+    bincount. The weight is first x rest, the broadcast product of the
+    multiplicity's factors (``Grid.orthant_multiplicity_factors``), which
+    are powers of two, so no product rounds. radius and values are scaled
+    in place, and values ends holding the weights."""
+    for s, x in ((sums[1], radius), (sums[2], values)):
+        x *= rest
+        x *= first
         np.add.at(s, idx, x.ravel())
-    return sums
+    np.add.at(sums[0], idx, np.multiply(first, rest, out=values).ravel())
+
+
+def _shell_index(radius: np.ndarray, bin_width: float, out: np.ndarray,
+                 quotient: np.ndarray) -> np.ndarray:
+    """floor(radius / bin_width) into the integer array ``out``, raveled;
+    the array ``quotient``, shaped like radius, holds radius / bin_width."""
+    return np.floor(np.divide(radius, bin_width, out=quotient), out=out,
+                    casting="unsafe").ravel()
 
 
 def make_gbeta(spec: GBetaSpec) -> Potential:
@@ -196,39 +209,67 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     The frequency side is streamed in ``spectral.row_slabs``, so no
     (N/2 + 1)^n array is held: the inverse transforms make their inputs,
     <rho>^{-(n/2 + beta)} and psi_hat^2, a slab at a time, and g_beta_hat
-    comes a slab at a time into the running minimum and shell sums. The
-    working set is a slab, the b-corner arrays and the forward transform's
-    b x (N/2 + 1)^{n-1} products: at n = 3, beta = 1, bump radius 2, L = 16
-    a tracemalloc peak of 2.8, 6.9 and 13.4 MB at N = 128, 192 and 256.
+    comes a slab at a time into the running minimum and shell sums. Every
+    slab goes to one of three buffers made once per synthesis
+    (``spectral.slab_buffer``): the radii, which first hold the inputs of
+    G and phi; the g_beta_hat values; and the int32 shell index. The last
+    two are made after the transforms, whose own products reuse one buffer
+    each. The working set is those buffers, the b-corner arrays and the
+    forward transform's b x (N/2 + 1)^{n-1} products: at n = 3, beta = 1,
+    bump radius 2, L = 16 a tracemalloc peak of 2.0, 5.2 and 10.6 MB at
+    N = 128, 192 and 256.
     """
     grid, n, beta, bump = spec.grid, spec.grid.dimension, spec.beta, spec.bump_radius
-    h, m = grid.spacing, grid.samples_per_axis // 2 + 1
+    h, m, dxi = grid.spacing, grid.samples_per_axis // 2 + 1, grid.freq_spacing
     b_psi = 1 + int(np.flatnonzero(standard_mollifier(h * np.arange(m), bump))[-1])
     cut = 2.0 * bump + 2.0 * h
     b = min(m, max(2 * b_psi - 1, int(cut / h) + 3))
 
-    G = orthant_inverse(grid, lambda rows: bessel_weight_radius(
-        grid.orthant_freq_radius(rows), -(n / 2.0 + beta)), b)
+    # G's and phi's input slabs, then each g_hat slab's radii, go to one
+    # slab buffer; the values and shell index buffers follow the transforms
+    radius = slab_buffer(m, (m,) * (n - 1))
+
+    def G_hat(rows):  # <rho>^{-(n/2 + beta)}
+        out = grid.orthant_freq_radius(rows, out=radius(rows))
+        return bessel_weight_radius(out, -(n / 2.0 + beta), out=out)
+
+    def phi_hat(rows):  # psi_hat^2
+        out = psi_hat(rows, out=radius(rows))
+        return np.square(out, out=out)
+
+    G = orthant_inverse(grid, G_hat, b)
     psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(b_psi), bump))
-    phi = orthant_inverse(grid, lambda rows: psi_hat(rows) ** 2, b)
+    phi = orthant_inverse(grid, phi_hat, b)
     del psi_hat  # frees its b_psi x (N/2 + 1)^{n-1} products
     g = phi * G
     ghat = orthant_forward(grid, g)
 
-    sums, ghat_min = np.zeros((3, 0)), np.inf
+    values = slab_buffer(m, (m,) * (n - 1))
+    index = slab_buffer(m, (m,) * (n - 1), np.int32)
+    first, rest = grid.orthant_multiplicity_factors()
+    # the far corner has the largest radius, so its shell is the last
+    corner = slice(m - 1, m)
+    last = _shell_index(grid.orthant_freq_radius(corner, out=radius(corner)), dxi,
+                        index(corner), values(corner)).max()
+    sums, ghat_min = np.zeros((3, last + 1)), np.inf
     for rows in row_slabs(m):
-        slab = ghat(rows)
-        ghat_min = min(ghat_min, float(slab.min()))
-        sums = _shell_sums(sums, grid.orthant_freq_radius(rows), slab,
-                           grid.orthant_multiplicity(rows), grid.freq_spacing)
+        r = grid.orthant_freq_radius(rows, out=radius(rows))
+        idx = _shell_index(r, dxi, index(rows), values(rows))
+        v = ghat(rows, out=values(rows))
+        ghat_min = min(ghat_min, float(v.min()))
+        _shell_sums(sums, idx, r, v, first[rows], rest)
     radii, values = sums[1:] / sums[0]
     # the outermost corner shells are undersampled
     keep = radii <= 0.98 * grid.corner_radius
     profile = RadialProfile(radii[keep], values[keep])
     profile.fit_tail()
 
-    sums = _shell_sums(np.zeros((3, 0)), grid.orthant_space_radius(b), g,
-                       grid.orthant_multiplicity(slice(None), b), h)
+    # g_hat has read g, so the shell sums may scale it in place
+    r = grid.orthant_space_radius(b)
+    idx = np.floor(r / h).astype(int).ravel()
+    sums = np.zeros((3, idx.max() + 1))
+    first, rest = grid.orthant_multiplicity_factors(b)
+    _shell_sums(sums, idx, r, g, first, rest)
     sp_radii, sp_values = sums[1:] / sums[0]
     sp_keep = sp_radii <= cut
     spatial_prof = RadialProfile(sp_radii[sp_keep], sp_values[sp_keep])

@@ -19,6 +19,13 @@ columns of the samples given (a corner block, zero beyond it) and the rows of
 the outputs asked for. Both stream along the first axis in ``row_slabs``:
 an input may be a function of a row range, and so is the forward output.
 
+Slab-sized arrays are reused, so that no slab maps fresh pages:
+``slab_buffer`` makes one buffer for the tallest slab, and the forward row
+reader, ``Grid.orthant_freq_radius`` and ``bessel_weight_radius`` write into
+an ``out``. Each takes the same operations on operands of the same shapes as
+an allocating call, so the bits are the same (a BLAS product's bits depend on
+its row count).
+
 A ``RadialProfile`` is read by the not-a-knot cubic spline through its
 samples, built and evaluated here in numpy.
 """
@@ -92,10 +99,13 @@ class Grid:
         N = self.samples_per_axis
         return self.freq_spacing * (np.arange(N) - N // 2)
 
-    def _radius(self, axis: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        # (x_0^2 + x_1^2) + x_2^2 by broadcasting, with no meshgrid copies
+    def _radius(self, axis: np.ndarray, rows: slice = slice(None),
+                out: np.ndarray | None = None) -> np.ndarray:
+        # (x_0^2 + x_1^2) + x_2^2 by broadcasting, with no meshgrid copies;
+        # the last sum and the root go to ``out`` when it is given
         squares = [axis[rows] ** 2] + [axis**2] * (self.dimension - 1)
-        return np.sqrt(functools.reduce(np.add.outer, squares))
+        r2 = np.add.outer(functools.reduce(np.add.outer, squares[:-1]), squares[-1], out=out)
+        return np.sqrt(r2, out=r2)
 
     def freq_radius(self) -> np.ndarray:
         return self._radius(self.freq_axis())
@@ -105,18 +115,31 @@ class Grid:
         on its corner of ``size`` samples per axis."""
         return self._radius(self.spacing * np.arange(self.samples_per_axis // 2 + 1)[:size])
 
-    def orthant_freq_radius(self, rows: slice) -> np.ndarray:
-        """|xi| on first-axis rows ``rows`` of the orthant block, xi = m dxi."""
-        return self._radius(self.freq_spacing * np.arange(self.samples_per_axis // 2 + 1), rows)
+    def orthant_freq_radius(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """|xi| on first-axis rows ``rows`` of the orthant block, xi = m dxi;
+        an array ``out`` of their shape receives the values."""
+        return self._radius(self.freq_spacing * np.arange(self.samples_per_axis // 2 + 1),
+                            rows, out)
+
+    def orthant_multiplicity_factors(self, size: int | None = None
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``orthant_multiplicity`` as two factors whose broadcast product it
+        is: the first axis's, shape (size, 1, ...), and the product of the
+        others, shape (size,) * (n - 1); on the whole orthant without a size.
+        Per axis the factor is 1 at m = 0 and m = N/2 and 2 otherwise, so
+        every product with them is exact."""
+        w = np.full(self.samples_per_axis // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        w = w[:size]
+        return (w.reshape((-1,) + (1,) * (self.dimension - 1)),
+                functools.reduce(np.multiply.outer, [w] * (self.dimension - 1)))
 
     def orthant_multiplicity(self, rows: slice, size: int | None = None) -> np.ndarray:
         """Number of lattice points each orthant point stands for under index
-        negation, per axis 1 at m = 0 and m = N/2 and 2 otherwise; on the
-        corner of ``size`` samples per axis when given, at first-axis ``rows``."""
-        w = np.full(self.samples_per_axis // 2 + 1, 2.0)
-        w[[0, -1]] = 1.0
-        return functools.reduce(np.multiply.outer,
-                                [w[:size][rows]] + [w[:size]] * (self.dimension - 1))
+        negation; on the corner of ``size`` samples per axis when given, at
+        first-axis ``rows``."""
+        first, rest = self.orthant_multiplicity_factors(size)
+        return first[rows] * rest
 
     def space_points(self) -> np.ndarray:
         """All lattice points as an array of shape (N^n, n)."""
@@ -173,11 +196,27 @@ def row_slabs(rows: int) -> list[slice]:
             for i in range(count)]
 
 
-def _first_axis(C: np.ndarray, y: np.ndarray, rows: slice | None = None) -> np.ndarray:
-    """Rows ``rows`` of C times y's columns, or all of them slab by slab."""
+def slab_buffer(rows: int, shape: tuple, dtype=float) -> Callable[[slice], np.ndarray]:
+    """One buffer for every slab of ``row_slabs(rows)``, each row of the
+    given trailing shape: a function of a row range that returns the
+    buffer's first rows, as many as the range holds, a C-contiguous view."""
+    buf = np.empty((max(r.stop - r.start for r in row_slabs(rows)),) + shape, dtype)
+    return lambda r: buf[:r.stop - r.start]
+
+
+def _first_axis(C: np.ndarray, y: np.ndarray, rows: slice | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``rows`` of C times y's columns, or all of them slab by slab;
+    a C-contiguous ``out`` of the result's shape receives them."""
     if rows is None:
-        return np.concatenate([_first_axis(C, y, r) for r in row_slabs(len(C))])
-    return (C[rows] @ y.reshape(len(y), -1)).reshape((-1,) + y.shape[1:])
+        out = np.empty((len(C),) + y.shape[1:]) if out is None else out
+        for r in row_slabs(len(C)):
+            _first_axis(C, y, r, out[r])
+        return out
+    if out is None:
+        out = np.empty((len(C[rows]),) + y.shape[1:])
+    np.matmul(C[rows], y.reshape(len(y), -1), out=out.reshape(len(out), -1, copy=False))
+    return out
 
 
 def _dct1(x, grid: Grid, size: int | None = None) -> Callable[..., np.ndarray]:
@@ -190,11 +229,12 @@ def _dct1(x, grid: Grid, size: int | None = None) -> Callable[..., np.ndarray]:
     The block, a cubic array or a function of a first-axis row range, holds
     x_j for j < b <= m on each axis (b = m for a function) and stands for
     zeros beyond; the result holds y_k for k < size (default m), as a
-    function of a row range (all rows given none). Each axis is one product
-    with the size x b slice C[k, j] = c_j cos(pi j k / (m - 1)) of the DCT-I
-    matrix, c_j = 1 at j = 0 and j = m - 1 and 2 otherwise: the last axis as
-    rows times C^T and the middle one of three as a stack of C times
-    matrices, a slab at a time into a b x size^{n-1} buffer, the first as
+    function of a row range and an optional ``out`` (all rows given none).
+    Each axis is one product with the size x b slice
+    C[k, j] = c_j cos(pi j k / (m - 1)) of the DCT-I matrix, c_j = 1 at
+    j = 0 and j = m - 1 and 2 otherwise: the last axis as rows times C^T
+    and the middle one of three as a stack of C times matrices, a slab at a
+    time through one slab buffer into a b x size^{n-1} array, the first as
     rows of C times its columns. The angle is reduced as the integer
     j k mod 2m - 2 before the cosine, so every entry is accurate to rounding."""
     m, n = grid.samples_per_axis // 2 + 1, grid.dimension
@@ -208,21 +248,31 @@ def _dct1(x, grid: Grid, size: int | None = None) -> Callable[..., np.ndarray]:
     C = np.cos(np.pi * jk / (m - 1))
     C[:, 1:m - 1] *= 2.0
     y = np.empty((b,) + (k,) * (n - 1))
+    # at n = 2 the last-axis product is the result; at n = 3 it goes through
+    # one slab buffer
+    work = slab_buffer(b, (b, k)) if n == 3 else y.__getitem__
     for rows in row_slabs(b):
-        t = (x(rows) if block is None else block[rows]).reshape(-1, b) @ C.T
+        t = np.matmul((x(rows) if block is None else block[rows]).reshape(-1, b), C.T,
+                      out=work(rows).reshape(-1, k, copy=False))
         if n == 3:
-            t = np.matmul(C, t.reshape(-1, b, k))
-        y[rows] = t.reshape((-1,) + y.shape[1:])
+            np.matmul(C, t.reshape(-1, b, k), out=y[rows])
     return functools.partial(_first_axis, C, y)
 
 
 def orthant_forward(grid: Grid, x: np.ndarray) -> Callable[..., np.ndarray]:
     """Scaled forward transform of an even real array given by its
     first-orthant block, or by a corner of it outside which the array is
-    zero; a function of a first-axis row range (all rows given none) that
-    returns those rows of that block of ``fourier`` on the full lattice."""
+    zero; a function of a first-axis row range (all rows given none) and an
+    optional ``out`` that returns those rows of that block of ``fourier`` on
+    the full lattice."""
     rows_of = _dct1(x, grid)
-    return lambda rows=None: rows_of(rows) * grid.spacing**grid.dimension
+
+    def read(rows: slice | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        out = rows_of(rows, out)
+        out *= grid.spacing**grid.dimension
+        return out
+
+    return read
 
 
 def orthant_inverse(grid: Grid, x_hat, size: int | None = None) -> np.ndarray:
@@ -230,13 +280,19 @@ def orthant_inverse(grid: Grid, x_hat, size: int | None = None) -> np.ndarray:
     first-orthant block, a function of a first-axis row range of it, or a
     corner of it outside which the array is zero; equals that block, or its
     corner of ``size`` samples per axis, of ``fourier`` on the full lattice."""
-    return _dct1(x_hat, grid, size)() / (grid.samples_per_axis * grid.spacing) ** grid.dimension
+    out = _dct1(x_hat, grid, size)()
+    out /= (grid.samples_per_axis * grid.spacing) ** grid.dimension
+    return out
 
 
-def bessel_weight_radius(rho, alpha: float) -> np.ndarray:
-    """<rho>^alpha = (1 + rho^2)^{alpha/2}."""
+def bessel_weight_radius(rho, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+    """<rho>^alpha = (1 + rho^2)^{alpha/2}; an array ``out``, which may be
+    rho itself, receives the values."""
     rho = np.asarray(rho, dtype=float)
-    return (1.0 + rho**2) ** (alpha / 2.0)
+    out = np.square(rho, out=np.empty(rho.shape) if out is None else out)
+    out += 1.0
+    out **= alpha / 2.0
+    return out if out.ndim else out[()]
 
 
 # ---------------------------------------------------------------------------

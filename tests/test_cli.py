@@ -394,6 +394,40 @@ def test_list_sizes_capped(tmp_path, capsys, experiment, field, cap):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, size", [("alphas", 33), ("angles_deg", 10_000)])
+def test_refusal_of_a_long_list_is_one_short_line(tmp_path, capsys, field, size):
+    # the message names the list by its length, not by its items
+    cfg = _full_config("gain-scan" if field == "alphas" else "qfull-radial", tmp_path / "out")
+    cfg[field] = cfg[field][:1] * size
+    assert run(_write(tmp_path, "c.json", cfg)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid config at field '{field}': an array of length {size} has more "
+        "items than 32"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_refusal_cuts_a_long_scalar_short(tmp_path, capsys):
+    cfg = _full_config("gbeta", tmp_path / "out")
+    assert run(_write(tmp_path, "c.json", dict(cfg, experiment="x" * 10_000))) == 1
+    assert run(_write(tmp_path, "c.json", dict(cfg, **{"y" * 10_000: 1}))) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("error: invalid config at field 'experiment': 'xxxx")
+    assert lines[0].endswith(f"... (10002 characters) is not one of {list(cli._EXPERIMENTS)}")
+    assert lines[1] == ("error: invalid config at field '(root)': unexpected key "
+                        "'yyyyyyyyyyyyyyyyyyyyyyy... (10002 characters)")
+
+
+@pytest.mark.parametrize("n, cap", [(2, 4096), (3, 512)])
+def test_gbeta_grid_capped(tmp_path, capsys, n, cap):
+    # the synthesis's time grows about as N^3; README gives its cost at the cap
+    cfg = dict(_full_config("gbeta", tmp_path / "out"), n=n, grid={"N": cap, "L": 16.0})
+    assert _load_config(_write(tmp_path, "c.json", cfg)) == cfg
+    assert run(_write(tmp_path, "c.json", dict(cfg, grid={"N": cap + 2, "L": 16.0}))) == 1
+    assert (f"invalid config at field 'grid/N': the g_beta synthesis in n = {n} takes N "
+            f"up to {cap}, got {cap + 2}\n") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gain_scan_level_below_radial_step(tmp_path, capsys):
     cfg = _write(tmp_path, "g.json", {
         "experiment": "gain-scan", "n": 2, "beta": 1.0,

@@ -271,6 +271,22 @@ def test_gbeta_streamed_equals_whole_orthant(n, N, rows, monkeypatch):
     assert abs(prof.tail_exponent - ref.tail_exponent) <= 1e-15 * abs(ref.tail_exponent)
 
 
+def test_gbeta_back_to_back_calls_agree():
+    # each synthesis makes its own slab buffers, so a call at another N
+    # leaves nothing that the next one reads
+    specs = [GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(n, N, 16.0))
+             for n, N in ((3, 96), (3, 128), (2, 256))]
+    first = [make_gbeta(spec) for spec in specs]
+    for spec, q in zip(specs[::-1], first[::-1]):
+        again = make_gbeta(spec)
+        for a, b in ((q.fourier_profile, again.fourier_profile),
+                     (q.spatial_radial.profile, again.spatial_radial.profile)):
+            np.testing.assert_array_equal(a.radii, b.radii)
+            np.testing.assert_array_equal(a.values, b.values)
+            assert a.tail_exponent == b.tail_exponent
+        assert q.meta == again.meta
+
+
 def test_gbeta_tail_agrees_with_doubled_grid(gbeta3, gbeta3_fine):
     """Tail extrapolation vs direct synthesis on a doubled grid (<= 5%)."""
     rho = 2.0 * gbeta3.fourier_profile.radii[-1]

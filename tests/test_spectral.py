@@ -3,6 +3,7 @@ import pytest
 from scipy.fft import dctn
 from scipy.interpolate import CubicSpline
 
+from borndisp import spectral
 from borndisp.spectral import (
     Domain,
     DomainMismatchError,
@@ -16,6 +17,7 @@ from borndisp.spectral import (
     orthant_forward,
     orthant_inverse,
     row_slabs,
+    slab_buffer,
 )
 
 
@@ -77,6 +79,45 @@ def test_orthant_transforms_match_full_lattice(n, N):
     np.testing.assert_array_equal(orthant_inverse(grid, lambda rows: xh[rows]), back)
     # each orthant point stands for its mirror images, N^n points in all
     assert grid.orthant_multiplicity(slice(None)).sum() == N**n
+
+
+# slabs of one row, of a height that divides neither N/2 + 1 = 65 nor 49,
+# and of the default height
+@pytest.mark.parametrize("rows", [1, 6, None])
+@pytest.mark.parametrize("n, N", [(2, 128), (3, 96)])
+def test_forward_rows_into_a_buffer_equal_the_allocating_read(n, N, rows, monkeypatch):
+    # the buffer takes the same products with the same row counts as the
+    # read that allocates, so each slab is bit-equal to it
+    if rows is not None:
+        monkeypatch.setattr(spectral, "SLAB_ROWS", rows)
+    grid, m = make_grid(n, N, 16.0), N // 2 + 1
+    read = orthant_forward(grid, np.exp(-grid.orthant_space_radius(20) ** 2 / 2))
+    buffer = slab_buffer(m, (m,) * (n - 1))
+    for r in row_slabs(m):
+        out = buffer(r)
+        assert read(r, out=out) is out
+        np.testing.assert_array_equal(out, read(r))
+    whole = np.empty((m,) * n)
+    assert read(out=whole) is whole
+    np.testing.assert_array_equal(whole, read())
+
+
+def test_readers_into_a_buffer_equal_the_allocating_reads():
+    grid = make_grid(3, 48, 16.0)
+    rows = row_slabs(25)[1]
+    radius = grid.orthant_freq_radius(rows)
+    out = np.empty_like(radius)
+    assert grid.orthant_freq_radius(rows, out=out) is out
+    np.testing.assert_array_equal(out, radius)
+    # -1 and 2 are exponents that numpy's power takes by a shortcut
+    for alpha in (-2.5, -2.0, 4.0, 0.7):
+        ref = bessel_weight_radius(radius, alpha)
+        assert bessel_weight_radius(out, alpha, out=out) is out
+        np.testing.assert_array_equal(out, ref)
+        out[...] = radius
+    first, rest = grid.orthant_multiplicity_factors(7)
+    assert first.shape == (7, 1, 1) and rest.shape == (7, 7)
+    np.testing.assert_array_equal(first * rest, grid.orthant_multiplicity(slice(None), 7))
 
 
 # block lengths N/2 + 1 = 9 and 10: odd and even
