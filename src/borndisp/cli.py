@@ -136,6 +136,14 @@ def _load_config(path) -> dict:
 
 def _check_runtime_constraints(cfg: dict) -> None:
     """Constraints that the schema cannot express, checked before any work."""
+    # beta chooses g_beta, else the Gaussian; a field of the other family
+    # would be taken and ignored
+    gbeta = "beta" in cfg
+    for key in ("a",) if gbeta else ("grid", "bump_radius"):
+        if key in cfg:
+            raise ConfigError(f"invalid config at field '{key}': with{'' if gbeta else 'out'} "
+                              f"'beta' the potential is {'g_beta' if gbeta else 'the Gaussian'}, "
+                              "which does not read it")
     vectors = {"theta": cfg.get("theta"), "ray/direction": cfg.get("ray", {}).get("direction")}
     directions = {}
     for where, v in vectors.items():

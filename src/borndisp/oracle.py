@@ -205,7 +205,7 @@ def gaussian_b_theta2(a: float, theta: Direction, eta) -> complex:
 
 def trace_ratio(f: Potential, rho: float) -> float:
     """Ratio of the sphere-trace integral to the full W^{1,2} energy of a
-    radial potential:
+    radial potential with a ``spatial_radial``:
 
         integral_{S_rho} |f|^2 dsigma  /  (integral |f|^2 + integral |grad f|^2)
 
@@ -213,7 +213,7 @@ def trace_ratio(f: Potential, rho: float) -> float:
     """
     n = f.dimension
     area = SPHERE_AREA[n]
-    fval = float(np.abs(f.spatial_eval(np.array([rho] + [0.0] * (n - 1)))) ** 2)
+    fval = float(np.abs(f.spatial_radial(rho**2)) ** 2)
     numer = fval * area * rho ** (n - 1)
 
     def dens(s):

@@ -4,7 +4,7 @@ Test potential families: the compactly supported counterexample g_beta
 
 Every potential here is radial, so a ``Potential`` holds q and q_hat as
 functions of the squared radius s = |x|^2 or s = |xi|^2, and its point
-evaluators reduce x or xi to s once.
+evaluator reduces xi to s once.
 """
 
 from __future__ import annotations
@@ -62,18 +62,18 @@ class Potential:
 
     ``fourier_radial`` maps s = |xi|^2 to q_hat; called with an array
     ``out``, which may be s itself, it writes q_hat there.
-    ``spatial_radial`` maps s = |x|^2 to q inside ``support_radius``. The
-    point evaluators are vectorized over arrays of shape (..., n).
+    ``spatial_radial`` maps s = |x|^2 to q, or is None where q is known only
+    through q_hat (g_beta); q vanishes past ``support_radius``. The point
+    evaluator is vectorized over arrays of shape (..., n).
 
-    A reader is not mutated once its Potential is built (``make_gbeta``
-    fits the tail before it wraps the profile): the n = 2 B rule caches
-    R integrals keyed on ``fourier_radial``.
+    A reader is not mutated once its Potential is built: the n = 2 B rule
+    caches R integrals keyed on ``fourier_radial``.
     """
 
     label: str
     dimension: int
     fourier_radial: Callable
-    spatial_radial: Callable
+    spatial_radial: Callable | None
     support_radius: float
     meta: dict = field(default_factory=dict)
 
@@ -89,11 +89,6 @@ class Potential:
     def fourier_eval(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         return self.fourier_radial(np.sum(xi**2, axis=-1))
-
-    def spatial_eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = np.sum(x**2, axis=-1)
-        return np.where(np.sqrt(s) <= self.support_radius, self.spatial_radial(s), 0.0)
 
 
 def gaussian_potential(a: float, grid: Grid) -> Potential:
@@ -184,7 +179,9 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     multiply pointwise by the discrete self-convolution phi of the mollifier,
     transform forward, and shell-average g_beta_hat into a radial profile
     with fitted power-law tail. Nonnegativity of the discrete g_beta_hat is
-    inherited from phi_hat = psi_hat^2 >= 0 on the lattice.
+    inherited from phi_hat = psi_hat^2 >= 0 on the lattice. Every
+    experiment reads g_beta through g_beta_hat, so the Potential holds that
+    profile, the support radius 2 bump_radius and no spatial profile.
 
     Every array is radial, hence even under index negation, so each one is
     given by its first-orthant block (N/2 + 1 samples per axis), each
@@ -195,15 +192,11 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     nonzero only at indices below b_psi on each axis, so the lattice phi,
     the inverse DFT of psi_hat^2, is the cyclic self-convolution of psi and
     vanishes past index 2 (b_psi - 1); the guard 2 bump_radius <= L/2 keeps
-    that convolution from wrapping. So psi_hat reads only the b_psi^n corner,
-    phi, G and g are computed only on the corner of b = max(2 b_psi - 1,
-    cut/h + 3) samples per axis, and g_beta_hat reads g from there. The
-    spatial profile keeps the shells of mean radius up to cut =
-    2 bump_radius + 2h; a point outside the corner has an index of at least
-    cut/h + 3 on some axis, so its shell is further out, and the kept shells
-    are binned from the same points in the same order as on the whole
-    orthant. The transforms drop only exact-zero terms and outputs that
-    nothing reads; the result equals the full-lattice synthesis up to
+    that convolution from wrapping, and keeps b = 2 b_psi - 1 at most
+    N/4 + 1, below m = N/2 + 1. So psi_hat reads only the b_psi^n corner,
+    phi, G and g are computed only on the b^n corner, and g_beta_hat reads
+    g from there. The transforms drop only exact-zero terms and outputs
+    that nothing reads; the result equals the full-lattice synthesis up to
     rounding.
 
     The frequency side is streamed in ``spectral.row_slabs``, so no
@@ -216,14 +209,13 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     two are made after the transforms, whose own products reuse one buffer
     each. The working set is those buffers, the b-corner arrays and the
     forward transform's b x (N/2 + 1)^{n-1} products: at n = 3, beta = 1,
-    bump radius 2, L = 16 a tracemalloc peak of 2.0, 5.2 and 10.6 MB at
+    bump radius 2, L = 16 a tracemalloc peak of 1.5, 4.0 and 8.2 MB at
     N = 128, 192 and 256.
     """
     grid, n, beta, bump = spec.grid, spec.grid.dimension, spec.beta, spec.bump_radius
     h, m, dxi = grid.spacing, grid.samples_per_axis // 2 + 1, grid.freq_spacing
     b_psi = 1 + int(np.flatnonzero(standard_mollifier(h * np.arange(m), bump))[-1])
-    cut = 2.0 * bump + 2.0 * h
-    b = min(m, max(2 * b_psi - 1, int(cut / h) + 3))
+    b = 2 * b_psi - 1
 
     # G's and phi's input slabs, then each g_hat slab's radii, go to one
     # slab buffer; the values and shell index buffers follow the transforms
@@ -262,22 +254,11 @@ def make_gbeta(spec: GBetaSpec) -> Potential:
     # the outermost corner shells are undersampled
     keep = radii <= 0.98 * grid.corner_radius
     profile = RadialProfile(radii[keep], values[keep])
-    profile.fit_tail()
-
-    # g_hat has read g, so the shell sums may scale it in place
-    r = grid.orthant_space_radius(b)
-    idx = np.floor(r / h).astype(int).ravel()
-    sums = np.zeros((3, idx.max() + 1))
-    first, rest = grid.orthant_multiplicity_factors(b)
-    _shell_sums(sums, idx, r, g, first, rest)
-    sp_radii, sp_values = sums[1:] / sums[0]
-    sp_keep = sp_radii <= cut
-    spatial_prof = RadialProfile(sp_radii[sp_keep], sp_values[sp_keep])
     return Potential(
         label=f"gbeta(n={n},beta={beta})",
         dimension=n,
         fourier_radial=_Tabulated(profile),
-        spatial_radial=_Tabulated(spatial_prof),
+        spatial_radial=None,
         support_radius=2.0 * bump,
         meta={
             "beta": beta,

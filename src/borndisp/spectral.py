@@ -121,24 +121,21 @@ class Grid:
         return self._radius(self.freq_spacing * np.arange(self.samples_per_axis // 2 + 1),
                             rows, out)
 
-    def orthant_multiplicity_factors(self, size: int | None = None
-                                     ) -> tuple[np.ndarray, np.ndarray]:
+    def orthant_multiplicity_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """``orthant_multiplicity`` as two factors whose broadcast product it
-        is: the first axis's, shape (size, 1, ...), and the product of the
-        others, shape (size,) * (n - 1); on the whole orthant without a size.
-        Per axis the factor is 1 at m = 0 and m = N/2 and 2 otherwise, so
-        every product with them is exact."""
+        is: the first axis's, shape (N/2 + 1, 1, ...), and the product of the
+        others, shape (N/2 + 1,) * (n - 1). Per axis the factor is 1 at
+        m = 0 and m = N/2 and 2 otherwise, so every product with them is
+        exact."""
         w = np.full(self.samples_per_axis // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
-        w = w[:size]
         return (w.reshape((-1,) + (1,) * (self.dimension - 1)),
                 functools.reduce(np.multiply.outer, [w] * (self.dimension - 1)))
 
-    def orthant_multiplicity(self, rows: slice, size: int | None = None) -> np.ndarray:
+    def orthant_multiplicity(self, rows: slice) -> np.ndarray:
         """Number of lattice points each orthant point stands for under index
-        negation; on the corner of ``size`` samples per axis when given, at
-        first-axis ``rows``."""
-        first, rest = self.orthant_multiplicity_factors(size)
+        negation, at first-axis ``rows``."""
+        first, rest = self.orthant_multiplicity_factors()
         return first[rows] * rest
 
     def space_points(self) -> np.ndarray:
@@ -369,15 +366,18 @@ class RadialProfile:
     """Radial function sampled on increasing radii, with a fitted power-law
     tail value(rho) ~ tail_coefficient * <rho>^{-tail_exponent} beyond range.
 
-    Inside the sampled range it is read by the not-a-knot cubic spline
-    through the samples, on the interval that a binary search of the
-    interior knots finds; below the first radius it takes the first value."""
+    The tail is fitted on the top half of the radii and anchored
+    continuously at the last one; with fewer than four nonzero values there
+    its exponent is inf and it reads 0. Inside the sampled range the profile
+    is read by the not-a-knot cubic spline through the samples, on the
+    interval that a binary search of the interior knots finds; below the
+    first radius it takes the first value."""
 
     radii: np.ndarray
     values: np.ndarray
-    tail_exponent: float | None = None
-    tail_coefficient: float | None = None
-    _coef: np.ndarray = field(init=False, repr=False, default=None)
+    tail_exponent: float = field(init=False)
+    tail_coefficient: float = field(init=False)
+    _coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.radii = np.asarray(self.radii, dtype=float)
@@ -389,19 +389,12 @@ class RadialProfile:
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
         self._coef = _not_a_knot_cubic(self.radii, self.values)
-
-    def fit_tail(self) -> None:
-        """Fit the power-law tail on the top half of the radii and anchor it
-        continuously at the last sampled radius."""
         r_max = self.radii[-1]
         mask = self.radii >= 0.5 * r_max
         p, _ = _power_law_fit(self.radii[mask], np.abs(self.values[mask]))
         self.tail_exponent = p
         edge = float(self.values[-1])
-        if np.isfinite(p):
-            self.tail_coefficient = edge * (1.0 + r_max**2) ** (p / 2.0)
-        else:
-            self.tail_coefficient = 0.0
+        self.tail_coefficient = edge * (1.0 + r_max**2) ** (p / 2.0) if np.isfinite(p) else 0.0
 
     def __call__(self, rho, out=None) -> np.ndarray:
         """The profile at rho; an array ``out``, which may be rho itself,
@@ -425,7 +418,7 @@ class RadialProfile:
             out *= dr
             out += c.take(i)
         if far is not None:
-            if self.tail_exponent is None or not np.isfinite(self.tail_exponent):
+            if not np.isfinite(self.tail_exponent):
                 out[beyond] = 0.0
             else:
                 out[beyond] = self.tail_coefficient * bessel_weight_radius(

@@ -301,10 +301,12 @@ _FIELD_VALUES = {
 
 
 def _full_config(experiment: str, out_dir) -> dict:
-    """The experiment's config with every field it requires or reads."""
+    """The experiment's config with every field it requires or reads, but
+    'a' where it reads 'beta': beta chooses g_beta, which does not read a."""
     _, requires, reads = cli._EXPERIMENTS[experiment]
+    fields = [f for f in requires + reads if f != "a" or "beta" not in requires + reads]
     return {"experiment": experiment, "out_dir": str(out_dir),
-            **{f: _FIELD_VALUES[f] for f in requires + reads}}
+            **{f: _FIELD_VALUES[f] for f in fields}}
 
 
 _REQUIRED_CASES = [(name, f) for name, (_, requires, _) in cli._EXPERIMENTS.items()
@@ -339,6 +341,30 @@ def test_unread_field_rejected(tmp_path, capsys, experiment, field):
     assert run(_write(tmp_path, "u.json", cfg)) == 1
     assert (f"invalid config at field '{field}': experiment '{experiment}' does not "
             "read it") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_OTHER_FAMILY_CASES = [(e, f) for e in ("dispersion-ray", "qfull-radial")
+                       for f in ("grid", "bump_radius", "a")]
+
+
+@pytest.mark.parametrize("experiment, field", _OTHER_FAMILY_CASES,
+                         ids=[f"{e}-{f}" for e, f in _OTHER_FAMILY_CASES])
+def test_other_potential_family_field_rejected(tmp_path, capsys, experiment, field):
+    # beta chooses g_beta, else the Gaussian exp(-a |x|^2); unchecked, a
+    # config with the other family's field ran to exit 0 and ignored it
+    cfg = _full_config(experiment, tmp_path / "out")
+    if field == "a":
+        cfg["a"] = _FIELD_VALUES["a"]
+        why = "with 'beta' the potential is g_beta"
+    else:
+        for f in ("beta", "grid", "bump_radius"):
+            del cfg[f]
+        cfg[field] = _FIELD_VALUES[field]
+        why = "without 'beta' the potential is the Gaussian"
+    assert run(_write(tmp_path, "f.json", cfg)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid config at field '{field}': {why}, which does not read it"]
     assert not (tmp_path / "out").exists()
 
 

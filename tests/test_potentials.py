@@ -31,7 +31,7 @@ def test_gaussian_potential(grid2):
     q = gaussian_potential(0.5, grid2)
     assert q.fourier_eval(np.zeros(2)) == pytest.approx(2 * np.pi)
     assert q.analytic_fourier and q.fourier_profile is None
-    assert q.spatial_eval(np.array([1.0, 0.0])) == pytest.approx(np.exp(-0.5))
+    assert q.spatial_radial(1.0) == pytest.approx(np.exp(-0.5))
     with pytest.raises(ValueError):
         gaussian_potential(-1.0, grid2)
 
@@ -112,6 +112,7 @@ def test_gbeta_flags_and_positivity(gbeta3):
     q = gbeta3
     assert not q.analytic_fourier and q.fourier_profile is not None
     assert q.support_radius == pytest.approx(4.0)
+    assert q.spatial_radial is None
     assert q.meta["ghat_zero"] > 0
     assert q.meta["ghat_min"] >= -1e-8 * q.meta["ghat_zero"]
 
@@ -138,16 +139,10 @@ def test_gbeta_grid_too_coarse():
 
 
 def _full_lattice_gbeta(spec):
-    """Reference synthesis of g_beta with four complex ``fourier`` calls on
-    the full N^n lattice and unweighted shell averages."""
+    """Reference synthesis of g_beta_hat with four complex ``fourier`` calls
+    on the full N^n lattice and unweighted shell averages."""
     grid, n, beta = spec.grid, spec.grid.dimension, spec.beta
     N = grid.samples_per_axis
-
-    def shell_average(r, v, width):
-        idx = np.floor(r.ravel() / width).astype(int)
-        count = np.bincount(idx)
-        return (np.bincount(idx, weights=r.ravel()) / count,
-                np.bincount(idx, weights=v.ravel()) / count)
 
     freq_r = grid.freq_radius()
     # |x| = h |m| from the lattice index, so that mirror images share one
@@ -166,28 +161,29 @@ def _full_lattice_gbeta(spec):
     ghat = fourier(Field(grid, g.astype(complex), Domain.SPACE),
                    TransformDirection.FORWARD).samples.real
 
-    radii, values = shell_average(freq_r, ghat, grid.freq_spacing)
+    idx = np.floor(freq_r.ravel() / grid.freq_spacing).astype(int)
+    count = np.bincount(idx)
+    radii = np.bincount(idx, weights=freq_r.ravel()) / count
+    values = np.bincount(idx, weights=ghat.ravel()) / count
     keep = radii <= 0.98 * np.sqrt(n) * grid.nyquist_radius
-    profile = RadialProfile(radii[keep], values[keep])
-    profile.fit_tail()
-    sp_radii, sp_values = shell_average(space_r, g, grid.spacing)
-    sp_keep = sp_radii <= 2.0 * spec.bump_radius + 2.0 * grid.spacing
-    return profile, RadialProfile(sp_radii[sp_keep], sp_values[sp_keep]), ghat.min()
+    return RadialProfile(radii[keep], values[keep]), ghat.min()
 
 
-# the bump at the guard limit 2 bump = L/2 gives the largest support box;
-# at bump 2.3 the spatial cut 2 bump + 2h is no multiple of h
+# the bump at the guard limit 2 bump = L/2 gives the largest support box and
+# the widest corner 2 b_psi - 1 against N/2 + 1 (63 of 129 at N = 256); bump
+# 2.3 is no multiple of h
 @pytest.mark.parametrize("n, N, L, bump", [
     pytest.param(2, 256, 16.0, 2.0, id="2-256"),
     pytest.param(3, 96, 16.0, 2.0, id="3-96"),
     pytest.param(3, 96, 16.0, 4.0, id="3-96-16.0-4.0"),
+    pytest.param(2, 256, 16.0, 4.0, id="2-256-16.0-4.0"),
     pytest.param(2, 256, 16.0, 2.3, id="2-256-16.0-2.3"),
 ])
 def test_gbeta_matches_full_lattice_synthesis(n, N, L, bump):
     spec = GBetaSpec(beta=1.0, bump_radius=bump, grid=make_grid(n, N, L))
-    ref, ref_spatial, ref_min = _full_lattice_gbeta(spec)
+    ref, ref_min = _full_lattice_gbeta(spec)
     q = make_gbeta(spec)
-    prof, spatial = q.fourier_profile, q.spatial_radial.profile
+    prof = q.fourier_profile
 
     def close(a, b, scale=None):
         # relative to the largest reference value, or to the given scale
@@ -200,8 +196,6 @@ def test_gbeta_matches_full_lattice_synthesis(n, N, L, bump):
     close(prof.tail_coefficient, ref.tail_coefficient)
     close(q.meta["ghat_zero"], ref(0.0))
     close(q.meta["ghat_min"], ref_min, scale=ref(0.0))
-    close(spatial.radii, ref_spatial.radii)
-    close(spatial.values, ref_spatial.values)
 
 
 def test_gbeta_memory():
@@ -222,32 +216,24 @@ def test_gbeta_memory():
 
 def _whole_orthant_gbeta(spec):
     """Reference synthesis on whole first-orthant arrays: the transforms of
-    full (N/2 + 1)^n blocks and weighted bincount shell averages."""
+    full (N/2 + 1)^n blocks and a weighted bincount shell average."""
     grid, n, beta, bump = spec.grid, spec.grid.dimension, spec.beta, spec.bump_radius
     h, m = grid.spacing, grid.samples_per_axis // 2 + 1
     b_psi = 1 + int(np.flatnonzero(standard_mollifier(h * np.arange(m), bump))[-1])
-    cut = 2.0 * bump + 2.0 * h
-    b = min(m, max(2 * b_psi - 1, int(cut / h) + 3))
-
-    def shell_average(r, v, w, width):
-        idx = np.floor(r.ravel() / width).astype(int)
-        count = np.bincount(idx, weights=w.ravel())
-        return (np.bincount(idx, weights=(w * r).ravel()) / count,
-                np.bincount(idx, weights=(w * v).ravel()) / count)
+    b = 2 * b_psi - 1
 
     freq_r = grid.orthant_freq_radius(slice(None))
     G = orthant_inverse(grid, bessel_weight_radius(freq_r, -(n / 2.0 + beta)), b)
     psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(b_psi), bump))()
     g = orthant_inverse(grid, psi_hat**2, b) * G
     ghat = orthant_forward(grid, g)()
-    radii, values = shell_average(freq_r, ghat, grid.orthant_multiplicity(slice(None)),
-                                  grid.freq_spacing)
+    w = grid.orthant_multiplicity(slice(None))
+    idx = np.floor(freq_r.ravel() / grid.freq_spacing).astype(int)
+    count = np.bincount(idx, weights=w.ravel())
+    radii = np.bincount(idx, weights=(w * freq_r).ravel()) / count
+    values = np.bincount(idx, weights=(w * ghat).ravel()) / count
     keep = radii <= 0.98 * grid.corner_radius
-    profile = RadialProfile(radii[keep], values[keep])
-    profile.fit_tail()
-    sp_radii, _ = shell_average(grid.orthant_space_radius(b), g,
-                                grid.orthant_multiplicity(slice(None), b), h)
-    return profile, sp_radii[sp_radii <= cut], float(ghat.min())
+    return RadialProfile(radii[keep], values[keep]), float(ghat.min())
 
 
 # slabs of one row, of a height that divides none of N/2 + 1 = 129, 49 and
@@ -261,11 +247,10 @@ def test_gbeta_streamed_equals_whole_orthant(n, N, rows, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(spectral, "SLAB_ROWS", rows)
     spec = GBetaSpec(beta=1.0, bump_radius=2.0, grid=make_grid(n, N, 16.0))
-    ref, ref_sp_radii, ref_min = _whole_orthant_gbeta(spec)
+    ref, ref_min = _whole_orthant_gbeta(spec)
     q = make_gbeta(spec)
     prof = q.fourier_profile
     np.testing.assert_array_equal(prof.radii, ref.radii)
-    np.testing.assert_array_equal(q.spatial_radial.profile.radii, ref_sp_radii)
     assert q.meta["ghat_min"] == ref_min
     assert np.max(np.abs(prof.values - ref.values) / np.abs(ref.values)) <= 1e-15
     assert abs(prof.tail_exponent - ref.tail_exponent) <= 1e-15 * abs(ref.tail_exponent)
@@ -279,11 +264,10 @@ def test_gbeta_back_to_back_calls_agree():
     first = [make_gbeta(spec) for spec in specs]
     for spec, q in zip(specs[::-1], first[::-1]):
         again = make_gbeta(spec)
-        for a, b in ((q.fourier_profile, again.fourier_profile),
-                     (q.spatial_radial.profile, again.spatial_radial.profile)):
-            np.testing.assert_array_equal(a.radii, b.radii)
-            np.testing.assert_array_equal(a.values, b.values)
-            assert a.tail_exponent == b.tail_exponent
+        a, b = q.fourier_profile, again.fourier_profile
+        np.testing.assert_array_equal(a.radii, b.radii)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.tail_exponent == b.tail_exponent
         assert q.meta == again.meta
 
 
@@ -299,12 +283,6 @@ def test_gbeta_tail_agrees_with_doubled_grid(gbeta3, gbeta3_fine):
     assert gbeta3.fourier_eval(xi_in) == pytest.approx(
         gbeta3_fine.fourier_eval(xi_in), rel=0.05
     )
-
-
-def test_gbeta_spatial_support(gbeta3):
-    pts = np.array([[4.5, 0.0, 0.0], [0.0, 5.0, 0.0], [3.0, 3.0, 3.0]])
-    assert np.all(gbeta3.spatial_eval(pts) == 0.0)
-    assert gbeta3.spatial_eval(np.zeros(3)) != 0.0
 
 
 def test_gbeta_sobolev_refinement_trend():
