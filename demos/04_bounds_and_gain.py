@@ -17,9 +17,8 @@ print("bound calculators, n = 3")
 print("-" * 56)
 print(f"{'beta':>6} {'m':>6} {'alpha0':>8} {'thm11':>8} {'thm13':>8}")
 for beta in (0.5, 1.0, 1.5, 2.0):
-    rep = bounds.thm_limits(3, beta)
-    print(f"{beta:6.2f} {rep.m:6.3f} {rep.alpha0:8.3f} "
-          f"{rep.thm11_max:8.3f} {rep.thm13_sup:8.3f}")
+    print(f"{beta:6.2f} {bounds.m_threshold(3):6.3f} {bounds.alpha0(3, beta):8.3f} "
+          f"{bounds.thm11_max(3, beta):8.3f} {bounds.thm13_sup(3, beta):8.3f}")
 
 print("\nm threshold by dimension:",
       ", ".join(f"n={n}: {bounds.m_threshold(n):.3f}" for n in (3, 4, 5, 6)))

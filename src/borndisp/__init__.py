@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": ("DecayFit", "RefinementScan", "Verdict", "fit_decay", "gain_scan",
                  "lemma52_check"),
-    "bounds": ("BoundReport", "alpha0", "alpha_j", "m_threshold", "thm_limits"),
+    "bounds": ("alpha0", "alpha_j", "m_threshold"),
     "dispersion": ("CutoffSpec", "DispersionSample", "PVParams", "b_theta2", "cutoff_chi",
                    "dispersion_batch", "principal_value_op", "q_full2_hat",
                    "spherical_op"),

@@ -33,9 +33,7 @@ class RayOutsideCone(ValueError):
 @dataclass
 class DecayFit:
     exponent: float
-    log_constant: float
     residual: float
-    window: tuple[float, float]
     sample_count: int
 
 
@@ -106,13 +104,7 @@ def fit_decay(samples, window: tuple[float, float]) -> DecayFit:
     x, y = np.log(t[usable]), np.log(v[usable])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return DecayFit(
-        exponent=float(slope),
-        log_constant=float(intercept),
-        residual=resid,
-        window=window,
-        sample_count=int(usable.sum()),
-    )
+    return DecayFit(exponent=float(slope), residual=resid, sample_count=int(usable.sum()))
 
 
 def lemma52_check(
@@ -123,18 +115,18 @@ def lemma52_check(
     t_range: tuple[float, float],
     level: int,
     cut: CutoffSpec,
-    direction=None,
+    direction,
     samples: int = 16,
 ) -> tuple[Verdict, list]:
-    """Lower-bound surrogate for the spherical operator on the cone axis.
+    """Lower-bound surrogate for the spherical operator along a ray in the cone.
 
-    Samples S_{theta,1}(q)(t d) along a ray d in D_theta and passes iff the
-    fitted decay exponent is >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15,
-    with n = theta.dimension.
+    Samples S_{theta,1}(q)(t d) along the ray d = direction / |direction|,
+    which must lie in D_theta, and passes iff the fitted decay exponent is
+    >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15, with n = theta.dimension.
     S_{theta,1} = Im B / pi is the S of one ``dispersion_batch`` call over
     the samples at the level. Returns the verdict and the raw (t, S) samples.
     """
-    d = Direction.normalized(-theta.components if direction is None else direction).components
+    d = Direction.normalized(direction).components
     if not in_cone(d, theta, a):
         raise RayOutsideCone("probe direction is not inside D_theta")
     if t_range[0] <= 2.0 * cut.C0:

@@ -6,8 +6,6 @@ and positive-range limits, and the gain ceiling alpha0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class OutOfRange(ValueError):
     """beta below the convergence threshold for alpha_j."""
@@ -55,34 +53,3 @@ def thm13_sup(n: int, beta: float) -> float | None:
     if beta > (n - 3) / 2.0:
         return 2.0 * beta - (n - 3) / 2.0
     return None
-
-
-@dataclass
-class BoundReport:
-    n: int
-    beta: float
-    m: float
-    alpha_j: dict = field(default_factory=dict)
-    thm11_max: float | None = None
-    thm13_sup: float | None = None
-    alpha0: float = 0.0
-
-
-def thm_limits(n: int, beta: float, j_max: int = 4) -> BoundReport:
-    if n < 2 or beta < 0:
-        raise ValueError("need n >= 2 and beta >= 0")
-    alphas = {}
-    for j in range(2, j_max + 1):
-        try:
-            alphas[j] = alpha_j(n, beta, j)
-        except OutOfRange:
-            alphas[j] = None
-    return BoundReport(
-        n=n,
-        beta=beta,
-        m=m_threshold(n),
-        alpha_j=alphas,
-        thm11_max=thm11_max(n, beta),
-        thm13_sup=thm13_sup(n, beta),
-        alpha0=alpha0(n, beta),
-    )

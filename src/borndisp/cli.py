@@ -144,6 +144,13 @@ def _check_runtime_constraints(cfg: dict) -> None:
             raise ConfigError(f"invalid config at field '{key}': with{'' if gbeta else 'out'} "
                               f"'beta' the potential is {'g_beta' if gbeta else 'the Gaussian'}, "
                               "which does not read it")
+    # "a" sets the Gaussian, whose amplitude must be a float; oracle-fixtures
+    # builds it in n = 2
+    if "a" in cfg:
+        from .potentials import gaussian_potential
+
+        with _field("a"):
+            gaussian_potential(cfg["a"], _grid({"n": cfg.get("n", 2)}))
     vectors = {"theta": cfg.get("theta"), "ray/direction": cfg.get("ray", {}).get("direction")}
     directions = {}
     for where, v in vectors.items():
@@ -247,10 +254,14 @@ def _cut(cfg: dict):
 
 
 def _write_json(payload, path: Path) -> None:
-    """A JSON artifact: sorted keys, indent 2, a trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """A JSON artifact: sorted keys, indent 2, a trailing newline. A payload
+    that holds NaN or an infinity, which JSON has no number for, is refused
+    before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name} not written: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -415,12 +426,17 @@ def _run_qfull_radial(cfg: dict, out: Path):
 def _run_bounds_table(cfg: dict, out: Path):
     from . import bounds
 
+    def alpha_j(beta, j):
+        # an empty field where beta is below the series' convergence threshold
+        try:
+            return bounds.alpha_j(n, beta, j)
+        except bounds.OutOfRange:
+            return None
+
     n = cfg["n"]
-    rows = []
-    for beta in cfg["betas"]:
-        rep = bounds.thm_limits(n, beta)
-        rows.append([beta, rep.m, rep.alpha0, rep.thm11_max, rep.thm13_sup,
-                     rep.alpha_j.get(2), rep.alpha_j.get(3), rep.alpha_j.get(4)])
+    rows = [[beta, bounds.m_threshold(n), bounds.alpha0(n, beta), bounds.thm11_max(n, beta),
+             bounds.thm13_sup(n, beta), *(alpha_j(beta, j) for j in (2, 3, 4))]
+            for beta in cfg["betas"]]
     header = ["beta", "m", "alpha0", "thm11_max", "thm13_sup",
               "alpha_2", "alpha_3", "alpha_4"]
     _write_csv(out / "bounds_table.csv", header, rows)

@@ -26,31 +26,31 @@ class ToleranceNotReached(RuntimeError):
     pass
 
 
-def exp1_series(x: float, terms: int = 60) -> float:
-    """E_1(x) = -gamma - log x + sum (-1)^{k+1} x^k / (k k!), for x > 0."""
+def exp1_series(x: float) -> float:
+    """E_1(x) = -gamma - log x + sum (-1)^{k+1} x^k / (k k!), for x > 0, to
+    60 terms."""
     if x <= 0:
         raise ValueError("series valid for x > 0")
     total = -EULER_GAMMA - np.log(x)
     term = 1.0
-    for k in range(1, terms + 1):
+    for k in range(1, 61):
         term *= -x / k
         total -= term / k
     return total
 
 
-def pv_1d(f, singularity: float, domain: tuple[float, float], tol: float = 1e-9) -> float:
-    """p.v. integral of f over the domain, f having a simple-pole singularity.
+def pv_1d(f, singularity: float, domain: tuple[float, float]) -> float:
+    """p.v. integral of f over the domain, f having a simple-pole singularity,
+    to an estimated error of 1e-9.
 
     Symmetric pairing on the largest window around the pole that fits the
-    domain; adaptive quadrature outside.
+    domain; adaptive quadrature outside. At most one end may be infinite.
     """
     a, b = domain
     s = singularity
     if not a < s < b:
         raise ValueError("singularity must lie inside the domain")
-    w = min(s - a, b - s if np.isfinite(b) else np.inf)
-    if not np.isfinite(w):
-        w = min(s - a, 1.0)
+    w, tol = min(s - a, b - s), 1e-9
     x, gw = np.polynomial.legendre.leggauss(96)
     u = 0.5 * w * (x + 1.0)
     wu = 0.5 * w * gw
@@ -61,7 +61,7 @@ def pv_1d(f, singularity: float, domain: tuple[float, float], tol: float = 1e-9)
         lo, e1 = integrate.quad(f, a, s - w, epsabs=tol / 4, epsrel=tol / 4, limit=400)
         total += lo
         err += e1
-    if (np.isfinite(b) and s + w < b) or not np.isfinite(b):
+    if s + w < b:
         hi, e2 = integrate.quad(f, s + w, b, epsabs=tol / 4, epsrel=tol / 4, limit=400)
         total += hi
         err += e2
@@ -75,14 +75,13 @@ def brute_b_theta2(
     theta: Direction,
     eta,
     resolution: int = 2048,
-    t_max: float | None = None,
 ) -> complex:
     """Direct evaluation of B_{theta,2}(q)(eta) for n = 2.
 
     Sphere term by dense trapezoid on the circle; principal-value term as
     p.v. integral over R^2 of q_hat(xi) q_hat(eta - xi) / (xi.(xi + 2k theta))
     in polar coordinates (t, phi) about -k theta, where the denominator is
-    t^2 - k^2, with symmetric pairing in t at t = k.
+    t^2 - k^2, with symmetric pairing in t at t = k, cut at t = k + |eta| + 12.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape[0] != 2:
@@ -108,8 +107,7 @@ def brute_b_theta2(
     def g(t):
         return t * ring(t) / (k**2 - t**2)
 
-    if t_max is None:
-        t_max = k + float(np.linalg.norm(eta)) + 12.0
+    t_max = k + float(np.linalg.norm(eta)) + 12.0
     delta = 0.5
     x, gw = np.polynomial.legendre.leggauss(96)
     u = 0.5 * delta * k * (x + 1.0)

@@ -96,10 +96,15 @@ def gaussian_potential(a: float, grid: Grid) -> Potential:
     if not a > 0:
         raise ValueError(f"a must be positive, got {a}")
     n = grid.dimension
+    with np.errstate(over="ignore"):
+        amp = float(np.float64(np.pi / a) ** (n / 2.0))
+    if not np.isfinite(amp):
+        raise ValueError(f"the amplitude (pi/a)^(n/2) of a = {a} in n = {n} is past "
+                         "float range")
     return Potential(
         label=f"gaussian(a={a})",
         dimension=n,
-        fourier_radial=_GaussianHat(a, (np.pi / a) ** (n / 2.0)),
+        fourier_radial=_GaussianHat(a, amp),
         spatial_radial=lambda s: np.exp(-a * s),
         support_radius=np.inf,
         meta={"a": a},

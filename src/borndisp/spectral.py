@@ -122,21 +122,15 @@ class Grid:
                             rows, out)
 
     def orthant_multiplicity_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``orthant_multiplicity`` as two factors whose broadcast product it
-        is: the first axis's, shape (N/2 + 1, 1, ...), and the product of the
-        others, shape (N/2 + 1,) * (n - 1). Per axis the factor is 1 at
-        m = 0 and m = N/2 and 2 otherwise, so every product with them is
-        exact."""
+        """The number of lattice points each orthant point stands for under
+        index negation, as two factors whose broadcast product it is: the
+        first axis's, shape (N/2 + 1, 1, ...), and the product of the others,
+        shape (N/2 + 1,) * (n - 1). Per axis the factor is 1 at m = 0 and
+        m = N/2 and 2 otherwise, so every product with them is exact."""
         w = np.full(self.samples_per_axis // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
         return (w.reshape((-1,) + (1,) * (self.dimension - 1)),
                 functools.reduce(np.multiply.outer, [w] * (self.dimension - 1)))
-
-    def orthant_multiplicity(self, rows: slice) -> np.ndarray:
-        """Number of lattice points each orthant point stands for under index
-        negation, at first-axis ``rows``."""
-        first, rest = self.orthant_multiplicity_factors()
-        return first[rows] * rest
 
     def space_points(self) -> np.ndarray:
         """All lattice points as an array of shape (N^n, n)."""

@@ -47,7 +47,8 @@ def test_fit_decay_drops_nonpositive():
 
 def test_lemma52_thresholds(gbeta2, theta2):
     verdict, data = lemma52_check(
-        gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), 4, CutoffSpec(), samples=16
+        gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), 4, CutoffSpec(),
+        direction=-theta2.components, samples=16
     )
     assert verdict.passed
     assert "threshold -3.1500" in verdict.details

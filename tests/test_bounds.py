@@ -8,7 +8,6 @@ from borndisp.bounds import (
     m_threshold,
     thm11_max,
     thm13_sup,
-    thm_limits,
 )
 
 
@@ -60,14 +59,10 @@ def test_branch_continuity():
         assert 2 * b - (n - 3) / 2.0 == pytest.approx(b + 1.0)
 
 
-def test_report_and_dominance():
-    rep = thm_limits(3, 1.0)
-    assert rep.alpha0 == pytest.approx(2.0)
-    assert rep.alpha_j[2] == pytest.approx(4.0 / 3.0)
-    assert rep.thm11_max == 2.0
+def test_alpha0_dominates_thm13_sup():
     # negative bound dominates the positive range wherever both are defined
     for n in (2, 3, 5):
         for beta in np.linspace(0.0, 4.0, 17):
-            r = thm_limits(n, float(beta))
-            if r.thm13_sup is not None:
-                assert r.alpha0 >= r.thm13_sup - 1e-12
+            sup = thm13_sup(n, float(beta))
+            if sup is not None:
+                assert alpha0(n, float(beta)) >= sup - 1e-12

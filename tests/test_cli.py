@@ -543,6 +543,37 @@ def test_qfull_radial_eta_norm_inside_the_cutoff(tmp_path, capsys, eta_norm, C0)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config", [
+    lambda p: _qfull_config(p, a=1e-320),
+    lambda p: _qfull_config(p, n=3, a=1e-250),
+    lambda p: _ray_config(p, a=1e-320),
+    lambda p: {"experiment": "oracle-fixtures", "a": 1e-320, "out_dir": str(p / "out")},
+], ids=["qfull-n2", "qfull-n3", "dispersion-ray", "oracle-fixtures"])
+def test_gaussian_amplitude_past_float_range_rejected(tmp_path, capsys, config):
+    # (pi/a)^(n/2) is inf, or overflows a float power: unchecked, the n = 2
+    # runs wrote NaN artifacts and exited 0, and the n = 3 run failed part-way
+    # after out_dir was made
+    assert run(_write(tmp_path, "a.json", config(tmp_path))) == 1
+    assert "invalid config at field 'a': " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a small a whose amplitude fits is taken: its q_hat underflows to 0
+    cfg = _qfull_config(tmp_path, n=3, a=1e-150)
+    assert _load_config(_write(tmp_path, "s.json", cfg)) == cfg
+
+
+def test_json_artifact_refuses_a_non_finite_number(tmp_path, capsys):
+    with pytest.raises(ValueError, match="v.json not written"):
+        cli._write_json({"abs": math.nan}, tmp_path / "v.json")
+    assert not (tmp_path / "v.json").exists()
+    # near the hyperplane the theta rule's k squares past float range, and
+    # Q_F is NaN: unchecked, the run wrote "abs": NaN and exited 0
+    cfg = _qfull_config(tmp_path, eta_norm=1e153, angles_deg=[10])
+    assert run(_write(tmp_path, "q.json", cfg)) == 1
+    assert ("error: qfull_radial.json not written: Out of range float values are not "
+            "JSON compliant") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "qfull_radial.json").exists()
+
+
 def test_bounds_table_negative_beta_rejected(tmp_path, capsys):
     # unchecked, it fails part-way through the table, after out_dir is made
     cfg = _write(tmp_path, "b.json", {
@@ -704,11 +735,11 @@ def test_oracle_fixtures_run_leaves_out_scipy_interpolate(tmp_path):
     assert manifest["scipy_version"] == scipy.__version__
 
 
-# the names the package exported when its __init__ imported every submodule
+# the names the package exports, by the submodule that holds each
 _EXPORTS = {
     "analysis": ("DecayFit", "RefinementScan", "Verdict", "fit_decay", "gain_scan",
                  "lemma52_check"),
-    "bounds": ("BoundReport", "alpha0", "alpha_j", "m_threshold", "thm_limits"),
+    "bounds": ("alpha0", "alpha_j", "m_threshold"),
     "dispersion": ("CutoffSpec", "DispersionSample", "PVParams", "b_theta2", "cutoff_chi",
                    "dispersion_batch", "principal_value_op", "q_full2_hat",
                    "spherical_op"),
@@ -723,7 +754,7 @@ _EXPORTS = {
 
 def test_package_exports_resolve_to_their_submodules():
     names = [name for names in _EXPORTS.values() for name in names]
-    assert len(names) == 42 and sorted(borndisp.__all__) == sorted(names)
+    assert len(names) == 40 and sorted(borndisp.__all__) == sorted(names)
     for module, exported in _EXPORTS.items():
         for name in exported:
             scope = {}

@@ -227,7 +227,8 @@ def _whole_orthant_gbeta(spec):
     psi_hat = orthant_forward(grid, standard_mollifier(grid.orthant_space_radius(b_psi), bump))()
     g = orthant_inverse(grid, psi_hat**2, b) * G
     ghat = orthant_forward(grid, g)()
-    w = grid.orthant_multiplicity(slice(None))
+    first, rest = grid.orthant_multiplicity_factors()
+    w = first * rest
     idx = np.floor(freq_r.ravel() / grid.freq_spacing).astype(int)
     count = np.bincount(idx, weights=w.ravel())
     radii = np.bincount(idx, weights=(w * freq_r).ravel()) / count

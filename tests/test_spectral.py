@@ -78,7 +78,8 @@ def test_orthant_transforms_match_full_lattice(n, N):
     np.testing.assert_array_equal(orthant_forward(grid, x)(rows), xh[rows])
     np.testing.assert_array_equal(orthant_inverse(grid, lambda rows: xh[rows]), back)
     # each orthant point stands for its mirror images, N^n points in all
-    assert grid.orthant_multiplicity(slice(None)).sum() == N**n
+    first, rest = grid.orthant_multiplicity_factors()
+    assert (first * rest).sum() == N**n
 
 
 # slabs of one row, of a height that divides neither N/2 + 1 = 65 nor 49,
@@ -117,7 +118,7 @@ def test_readers_into_a_buffer_equal_the_allocating_reads():
         out[...] = radius
     first, rest = grid.orthant_multiplicity_factors()
     assert first.shape == (25, 1, 1) and rest.shape == (25, 25)
-    np.testing.assert_array_equal(first * rest, grid.orthant_multiplicity(slice(None)))
+    assert (first * rest).sum() == 48**3
 
 
 # block lengths N/2 + 1 = 9 and 10: odd and even
@@ -207,8 +208,6 @@ def test_radius_equals_meshgrid_formula(n, N, L):
                                   grid.orthant_space_radius()[corner])
     rows = slice(3, 7)
     np.testing.assert_array_equal(grid.orthant_freq_radius(rows), whole[rows])
-    np.testing.assert_array_equal(grid.orthant_multiplicity(rows),
-                                  grid.orthant_multiplicity(slice(None))[rows])
 
 
 def test_impulse_has_flat_spectrum():
