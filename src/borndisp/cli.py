@@ -22,12 +22,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-# Each runner and each branch of _check_runtime_constraints imports the
-# library modules it calls, so a run loads only what its experiment needs:
-# a gbeta run loads no dispersion, geometry or analysis, and no run but
-# oracle-fixtures loads scipy.
+# Only the standard library loads with this module. Each runner and each
+# branch of _check_runtime_constraints imports what it calls, so numpy loads
+# with the first library module a run calls: a refusal before a library rule
+# and a bounds-table run load no numpy, a gbeta run loads no dispersion,
+# geometry or analysis, and no run but oracle-fixtures loads scipy.
 from . import __version__
 
 log = logging.getLogger(__name__)
@@ -278,6 +277,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _run_chart_selftest(cfg: dict, out: Path):
+    import numpy as np
+
     from .geometry import Direction, chart, in_half_space
 
     rng = np.random.default_rng(cfg.get("seed", 0))
@@ -335,6 +336,8 @@ def _run_gbeta(cfg: dict, out: Path):
 
 
 def _run_dispersion_ray(cfg: dict, out: Path):
+    import numpy as np
+
     from . import dispersion
     from .geometry import Direction
 
@@ -399,6 +402,8 @@ def _run_gain_scan(cfg: dict, out: Path):
 
 
 def _run_qfull_radial(cfg: dict, out: Path):
+    import numpy as np
+
     from . import dispersion
     from .geometry import sphere_rule
 
@@ -445,6 +450,8 @@ def _run_bounds_table(cfg: dict, out: Path):
 
 
 def _run_oracle_fixtures(cfg: dict, out: Path):
+    import numpy as np
+
     from . import oracle
     from .geometry import Direction
     from .potentials import gaussian_potential
@@ -574,8 +581,9 @@ def run(config_path) -> int:
         "experiment": cfg["experiment"],
         "config_sha256": digest,
         "package_version": __version__,
-        "numpy_version": np.__version__,
-        # only a run that loaded scipy (oracle-fixtures) names its version
+        # only a run that loaded numpy (all but bounds-table) or scipy
+        # (oracle-fixtures) names its version
+        "numpy_version": getattr(sys.modules.get("numpy"), "__version__", None),
         "scipy_version": getattr(sys.modules.get("scipy"), "__version__", None),
         "elapsed_seconds": time.monotonic() - start,
         "artifacts": artifacts,

@@ -647,16 +647,6 @@ def _subprocess_env(**extra: str) -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # every CLI run pays for its imports; only oracle-fixtures needs
-    # scipy.integrate
-    env = _subprocess_env()
-    code = "import sys, borndisp.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
-
-
 # jsonschema is only the tests' reference for the config check
 _HEAVY_SCIPY = ("scipy.interpolate", "scipy.fft", "scipy.special", "scipy.linalg",
                 "scipy.optimize", "jsonschema")
@@ -676,16 +666,40 @@ def _loaded(watched: tuple, code: str, *args: str) -> list:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def test_cli_import_leaves_out_heavy_scipy():
-    # the spline and the DCT-I are numpy code, and the manifest names scipy's
-    # version only when the run loaded it, so no scipy is on the start-up path
-    assert _loaded(_HEAVY_SCIPY, "import borndisp.cli") == []
+def test_cli_import_loads_only_the_standard_library():
+    # every CLI run pays for its imports first: each runner imports the
+    # modules it calls, the package's exports load on first use, and the
+    # manifest names numpy's and scipy's versions only when the run loaded them
+    watched = ("numpy", "scipy", "jsonschema", *_LIBRARY)
+    assert _loaded(watched, "import borndisp.cli") == []
 
 
-def test_cli_import_loads_no_library_module():
-    # each runner imports the modules it calls, and the package's exports
-    # load on first use
-    assert _loaded(("scipy", *_LIBRARY), "import borndisp.cli") == []
+@pytest.mark.parametrize("argv, cfg, code", [
+    (["--help"], None, 0),
+    ([], {"experiment": "bounds-table", "n": 3, "betas": [1.0], "bogus": 1}, 1),
+    ([], {"experiment": "bounds-table", "n": 3, "betas": [0.0, 0.5, 1.0]}, 0),
+], ids=["help", "schema-refusal", "bounds-table"])
+def test_cli_loads_no_numpy_before_a_library_rule(tmp_path, argv, cfg, code):
+    # usage, the schema check and the closed-form bounds are standard library
+    if cfg is not None:
+        argv = [_write(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))]
+    script = f"from borndisp.cli import main; assert main(sys.argv[1:]) == {code}"
+    assert _loaded(("numpy",), script, *argv) == []
+
+
+def test_manifest_names_numpy_only_when_the_run_loaded_it(tmp_path):
+    # bounds-table goes first: after a gbeta run numpy stays loaded
+    bounds = _write(tmp_path, "b.json", {"experiment": "bounds-table", "n": 2,
+                                         "betas": [1.0], "out_dir": str(tmp_path / "b")})
+    gbeta = _write(tmp_path, "g.json", {
+        "experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0},
+        "out_dir": str(tmp_path / "g"),
+    })
+    code = "from borndisp.cli import main; assert [main([c]) for c in sys.argv[1:]] == [0, 0]"
+    assert _loaded(("numpy",), code, bounds, gbeta) == ["numpy"]
+    versions = [json.loads((tmp_path / d / "manifest.json").read_text())["numpy_version"]
+                for d in ("b", "g")]
+    assert versions == [None, np.__version__]
 
 
 @pytest.mark.parametrize("cfg, not_loaded", [
