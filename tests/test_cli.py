@@ -647,6 +647,16 @@ def _subprocess_env(**extra: str) -> dict:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    # every CLI run pays for its imports; only oracle-fixtures needs
+    # scipy.integrate
+    env = _subprocess_env()
+    code = "import sys, borndisp.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
 # jsonschema is only the tests' reference for the config check
 _HEAVY_SCIPY = ("scipy.interpolate", "scipy.fft", "scipy.special", "scipy.linalg",
                 "scipy.optimize", "jsonschema")
@@ -666,12 +676,22 @@ def _loaded(watched: tuple, code: str, *args: str) -> list:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def test_cli_import_leaves_out_heavy_scipy():
+    # the spline and the DCT-I are numpy code, and the manifest names scipy's
+    # version only when the run loaded it, so no scipy is on the start-up path
+    assert _loaded(_HEAVY_SCIPY, "import borndisp.cli") == []
+
+
+def test_cli_import_loads_no_library_module():
+    # each runner imports the modules it calls, and the package's exports
+    # load on first use
+    assert _loaded(("scipy", *_LIBRARY), "import borndisp.cli") == []
+
+
 def test_cli_import_loads_only_the_standard_library():
-    # every CLI run pays for its imports first: each runner imports the
-    # modules it calls, the package's exports load on first use, and the
-    # manifest names numpy's and scipy's versions only when the run loaded them
-    watched = ("numpy", "scipy", "jsonschema", *_LIBRARY)
-    assert _loaded(watched, "import borndisp.cli") == []
+    # the manifest names numpy's version only when the run loaded it, so
+    # numpy too is off the start-up path
+    assert _loaded(("numpy",), "import borndisp.cli") == []
 
 
 @pytest.mark.parametrize("argv, cfg, code", [
