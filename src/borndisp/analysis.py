@@ -5,7 +5,6 @@ and pass/fail verdicts against the sharp-regularity predictions.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +12,6 @@ import numpy as np
 from .dispersion import CutoffSpec, bipolar_b, dispersion_batch
 from .geometry import Direction, in_cone
 from .potentials import Potential
-
-log = logging.getLogger(__name__)
 
 # Spacing of the radii at which gain_scan samples |Q|; the first radius is
 # one step out.
@@ -89,16 +86,13 @@ class Verdict:
 def fit_decay(samples, window: tuple[float, float]) -> DecayFit:
     """Least-squares line in (log t, log value); exponent = slope.
 
-    Nonpositive values inside the window are excluded (with a logged count);
-    at least 8 usable samples are required.
+    Nonpositive values inside the window are excluded; at least 8 usable
+    samples are required.
     """
     t = np.asarray([s[0] for s in samples], dtype=float)
     v = np.asarray([s[1] for s in samples], dtype=float)
     in_window = (t >= window[0]) & (t <= window[1])
     usable = in_window & (v > 0)
-    dropped = int(in_window.sum() - usable.sum())
-    if dropped:
-        log.info("fit_decay: excluded %d nonpositive samples", dropped)
     if usable.sum() < 8:
         raise ValueError(f"need >= 8 usable samples in window, got {int(usable.sum())}")
     x, y = np.log(t[usable]), np.log(v[usable])
@@ -114,9 +108,8 @@ def lemma52_check(
     a: float,
     t_range: tuple[float, float],
     level: int,
-    cut: CutoffSpec,
     direction,
-    samples: int = 16,
+    samples: int,
 ) -> tuple[Verdict, list]:
     """Lower-bound surrogate for the spherical operator along a ray in the cone.
 
@@ -129,10 +122,9 @@ def lemma52_check(
     d = Direction.normalized(direction).components
     if not in_cone(d, theta, a):
         raise RayOutsideCone("probe direction is not inside D_theta")
-    if t_range[0] <= 2.0 * cut.C0:
-        log.warning("t_min %.3g is inside the cutoff transition band", t_range[0])
     ts = np.geomspace(t_range[0], t_range[1], samples)
-    batch = dispersion_batch(q, theta, ts[:, None] * d, level, cut)
+    # S = Im B / pi carries no cutoff, which enters only the batch's Q
+    batch = dispersion_batch(q, theta, ts[:, None] * d, level, CutoffSpec())
     data = [(float(t), s.S.real) for t, s in zip(ts, batch)]
     fit = fit_decay(data, t_range)
     threshold = -min(beta + theta.dimension / 2.0 + 1.0, 2.0 * beta + 2.0) - 0.15

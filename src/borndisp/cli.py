@@ -14,7 +14,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import logging
 import math
 import os
 import resource
@@ -28,8 +27,6 @@ from pathlib import Path
 # and a bounds-table run load no numpy, a gbeta run loads no dispersion,
 # geometry or analysis, and no run but oracle-fixtures loads scipy.
 from . import __version__
-
-log = logging.getLogger(__name__)
 
 # The JSON Schema keywords that _validate implements. "type" takes the JSON
 # types below, except that an "integer" (and an integer in an "enum") is a
@@ -111,13 +108,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path) -> dict:
+def _load_config(path) -> tuple[dict, str]:
+    """The checked config and the SHA-256 of the bytes it was parsed from."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        raw = Path(path).read_bytes()
+        cfg = json.loads(raw.decode("utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
+    except ValueError as exc:  # a JSONDecodeError, bad UTF-8, or an integer past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}")
     _validate(cfg, _SCHEMA)
     _, requires, reads = _EXPERIMENTS[cfg["experiment"]]
@@ -130,7 +128,7 @@ def _load_config(path) -> dict:
             raise ConfigError(f"invalid config at field '{field}': experiment "
                               f"'{cfg['experiment']}' does not read it")
     _check_runtime_constraints(cfg)
-    return cfg
+    return cfg, hashlib.sha256(raw).hexdigest()
 
 
 def _check_runtime_constraints(cfg: dict) -> None:
@@ -370,7 +368,7 @@ def _run_lemma52(cfg: dict, out: Path):
     ray = cfg["ray"]
     verdict, data = analysis.lemma52_check(
         q, cfg["beta"], theta, cfg.get("cone_aperture", 0.5),
-        (ray["t_min"], ray["t_max"]), cfg.get("rule_level", 4), _cut(cfg),
+        (ray["t_min"], ray["t_max"]), cfg.get("rule_level", 4),
         direction=ray["direction"], samples=ray["count"],
     )
     _write_csv(out / "lemma52_samples.csv", ["t", "value"], data)
@@ -488,7 +486,7 @@ _EXPERIMENTS = {
     "dispersion-ray": (_run_dispersion_ray, ("n", "theta", "ray"),
                        ("beta", "grid", "bump_radius", "a", "rule_level", "C0")),
     "lemma52": (_run_lemma52, ("n", "beta", "grid", "theta", "ray"),
-                ("bump_radius", "cone_aperture", "rule_level", "C0")),
+                ("bump_radius", "cone_aperture", "rule_level")),
     "gain-scan": (_run_gain_scan, ("n", "beta", "grid", "theta", "alphas", "levels"),
                   ("bump_radius", "rule_level", "C0")),
     "qfull-radial": (_run_qfull_radial, ("n", "eta_norm", "angles_deg"),
@@ -503,6 +501,11 @@ _EXPERIMENTS = {
 # the cost at each cap, which is at least twice the most that a config in the
 # tests, demos, benchmark or README uses (256).
 _GBETA_MAX_N = {2: 4096, 3: 512}
+
+# The largest |eta| a config may ask for. A point that the half-space slack
+# admits has k < |eta| / (16 eps), so the rule's (2k - e)(2k + e) stays finite
+# below about 2.4e139; at 1e153 it overflows and Q_F reads NaN.
+_MAX_ETA = 1e100
 
 _SCHEMA = {
     "type": "object",
@@ -539,8 +542,8 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "direction": {"type": "array", "items": {"type": "number"}},
-                "t_min": {"type": "number", "exclusiveMinimum": 0},
-                "t_max": {"type": "number", "exclusiveMinimum": 0},
+                "t_min": {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_ETA},
+                "t_max": {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_ETA},
                 "count": {"type": "integer", "minimum": 2, "maximum": 256},
             },
         },
@@ -550,7 +553,7 @@ _SCHEMA = {
         "betas": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "cone_aperture": {"type": "number", "exclusiveMinimum": 0,
                           "exclusiveMaximum": 1},
-        "eta_norm": {"type": "number", "exclusiveMinimum": 0},
+        "eta_norm": {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_ETA},
         "angles_deg": {"type": "array", "items": {"type": "number"},
                        "minItems": 1, "maxItems": 32},
         "seed": {"type": "integer", "minimum": 0},
@@ -561,18 +564,18 @@ _SCHEMA = {
 
 def run(config_path) -> int:
     try:
-        cfg = _load_config(config_path)
+        cfg, digest = _load_config(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = _out_dir(cfg)
-    with open(config_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
     start = time.monotonic()
     try:
         code, artifacts = _EXPERIMENTS[cfg["experiment"]][0](cfg, out)
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
-        log.exception("experiment failed")
+        import traceback
+
+        traceback.print_exc()
         # str(MemoryError()) is empty
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
@@ -603,15 +606,10 @@ def main(argv=None) -> int:
                     "JSON config.",
     )
     parser.add_argument("config", help="path to the experiment config (JSON)")
-    parser.add_argument("-v", "--verbose", action="store_true")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a failed verdict here
         return 1 if exc.code else 0
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     return run(args.config)
 
 

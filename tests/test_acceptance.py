@@ -101,9 +101,9 @@ def test_criterion_04_pv_machinery():
 def test_criterion_05_ray_decay_threshold(gbeta3, theta3, gbeta2, theta2):
     start = time.monotonic()
     v3, _ = lemma52_check(gbeta3, 1.0, theta3, 0.5, (8.0, 48.0), 4,
-                          CutoffSpec(), direction=-theta3.components, samples=16)
+                          direction=-theta3.components, samples=16)
     v2, _ = lemma52_check(gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), 4,
-                          CutoffSpec(), direction=-theta2.components, samples=16)
+                          direction=-theta2.components, samples=16)
     elapsed = time.monotonic() - start
     ok = v3.passed and v2.passed and elapsed < 600.0
     _report(5, "ray decay threshold", ok,

@@ -47,7 +47,7 @@ def test_fit_decay_drops_nonpositive():
 
 def test_lemma52_thresholds(gbeta2, theta2):
     verdict, data = lemma52_check(
-        gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), 4, CutoffSpec(),
+        gbeta2, 1.0, theta2, 0.5, (8.0, 48.0), 4,
         direction=-theta2.components, samples=16
     )
     assert verdict.passed
@@ -60,7 +60,7 @@ def test_lemma52_thresholds(gbeta2, theta2):
 def test_lemma52_ray_guard(gbeta2, theta2):
     with pytest.raises(RayOutsideCone):
         lemma52_check(gbeta2, 1.0, theta2, 0.9, (8.0, 48.0), 4,
-                      CutoffSpec(), direction=[0.3, 1.0])
+                      direction=[0.3, 1.0], samples=16)
 
 
 def test_gain_scan_alpha_monotone(gauss2, theta2):

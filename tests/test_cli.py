@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -318,7 +319,7 @@ _UNREAD_CASES = [(name, f) for name, (_, requires, reads) in cli._EXPERIMENTS.it
 @pytest.mark.parametrize("experiment", list(cli._EXPERIMENTS))
 def test_full_config_loads(tmp_path, experiment):
     cfg = _full_config(experiment, tmp_path / "out")
-    assert _load_config(_write(tmp_path, "c.json", cfg)) == cfg
+    assert _load_config(_write(tmp_path, "c.json", cfg))[0] == cfg
 
 
 @pytest.mark.parametrize("experiment, field", _REQUIRED_CASES,
@@ -390,7 +391,7 @@ def test_rule_levels_capped(tmp_path, capsys, field, cap, config):
     # and 487 MB at rule level 9, and each level has up to 4 times the nodes
     # of the one before
     cfg = config(tmp_path, **{field: cap})
-    assert _load_config(_write(tmp_path, "c.json", cfg)) == cfg
+    assert _load_config(_write(tmp_path, "c.json", cfg))[0] == cfg
     assert run(_write(tmp_path, "c.json", dict(cfg, **{field: cap + 1}))) == 1
     assert (f"invalid config at field '{field}': {cap + 1} is greater than the maximum "
             f"{cap}") in capsys.readouterr().err
@@ -412,7 +413,7 @@ def test_list_sizes_capped(tmp_path, capsys, experiment, field, cap):
             cfg[field] = cfg[field][:1] * size
         return cfg
 
-    assert _load_config(_write(tmp_path, "c.json", sized(cap))) == sized(cap)
+    assert _load_config(_write(tmp_path, "c.json", sized(cap)))[0] == sized(cap)
     assert run(_write(tmp_path, "c.json", sized(cap + 1))) == 1
     err = capsys.readouterr().err
     why = "is greater than the maximum" if field == "ray/count" else "has more items than"
@@ -447,7 +448,7 @@ def test_refusal_cuts_a_long_scalar_short(tmp_path, capsys):
 def test_gbeta_grid_capped(tmp_path, capsys, n, cap):
     # the synthesis's time grows about as N^3; README gives its cost at the cap
     cfg = dict(_full_config("gbeta", tmp_path / "out"), n=n, grid={"N": cap, "L": 16.0})
-    assert _load_config(_write(tmp_path, "c.json", cfg)) == cfg
+    assert _load_config(_write(tmp_path, "c.json", cfg))[0] == cfg
     assert run(_write(tmp_path, "c.json", dict(cfg, grid={"N": cap + 2, "L": 16.0}))) == 1
     assert (f"invalid config at field 'grid/N': the g_beta synthesis in n = {n} takes N "
             f"up to {cap}, got {cap + 2}\n") in capsys.readouterr().err
@@ -516,7 +517,7 @@ def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("Example config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     cfg = json.loads(block)
-    assert _load_config(_write(tmp_path, "example.json", cfg)) == cfg
+    assert _load_config(_write(tmp_path, "example.json", cfg))[0] == cfg
 
 
 def test_qfull_radial_needs_an_angle(tmp_path, capsys):
@@ -543,6 +544,40 @@ def test_qfull_radial_eta_norm_inside_the_cutoff(tmp_path, capsys, eta_norm, C0)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config, field", [
+    (lambda p: _qfull_config(p, eta_norm=1e153), "eta_norm"),
+    (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 1e153, "t_max": 1e154,
+                                   "count": 6}), "ray/t_min"),
+    (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 3, "t_max": 1e153,
+                                   "count": 6}), "ray/t_max"),
+], ids=["eta_norm", "ray_t_min", "ray_t_max"])
+def test_eta_past_the_cap_rejected(tmp_path, capsys, config, field):
+    # unchecked, near the hyperplane the rule's k squares past float range:
+    # an eta_norm of 1e153 ran every B evaluation, read Q_F as NaN and failed
+    # only at the JSON write
+    assert run(_write(tmp_path, "e.json", config(tmp_path))) == 1
+    assert (f"invalid config at field '{field}': 1e+153 is greater than the maximum "
+            "1e+100") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [
+    lambda p: _qfull_config(p, eta_norm=1e100, angles_deg=[10], rule_level=4,
+                            theta_rule_level=3),
+    lambda p: _qfull_config(p, eta_norm=1e100, angles_deg=[10], rule_level=4,
+                            theta_rule_level=7),
+    lambda p: _ray_config(p, n=3, theta=[-1, 0, 0], ray={
+        "direction": [3e-15, 1, 0.3], "t_min": 1e98, "t_max": 1e100, "count": 3}),
+], ids=["qfull-n2-level3", "qfull-n2-level7", "ray-n3"])
+def test_eta_at_the_cap_runs_to_finite_artifacts(tmp_path, config):
+    # a point that the half-space slack admits has k < |eta| / (16 eps), so at
+    # the cap (2k - e)(2k + e) stays below about 1e230; a RuntimeWarning is an
+    # error under pytest, and fails the run
+    assert run(_write(tmp_path, "e.json", config(tmp_path))) == 0
+    for path in (tmp_path / "out").glob("*.csv"):
+        assert np.isfinite(np.genfromtxt(path, delimiter=",", skip_header=1)).all()
+
+
 @pytest.mark.parametrize("config", [
     lambda p: _qfull_config(p, a=1e-320),
     lambda p: _qfull_config(p, n=3, a=1e-250),
@@ -558,16 +593,18 @@ def test_gaussian_amplitude_past_float_range_rejected(tmp_path, capsys, config):
     assert not (tmp_path / "out").exists()
     # a small a whose amplitude fits is taken: its q_hat underflows to 0
     cfg = _qfull_config(tmp_path, n=3, a=1e-150)
-    assert _load_config(_write(tmp_path, "s.json", cfg)) == cfg
+    assert _load_config(_write(tmp_path, "s.json", cfg))[0] == cfg
 
 
-def test_json_artifact_refuses_a_non_finite_number(tmp_path, capsys):
+def test_json_artifact_refuses_a_non_finite_number(tmp_path, capsys, monkeypatch):
+    from borndisp import dispersion
+
     with pytest.raises(ValueError, match="v.json not written"):
         cli._write_json({"abs": math.nan}, tmp_path / "v.json")
     assert not (tmp_path / "v.json").exists()
-    # near the hyperplane the theta rule's k squares past float range, and
-    # Q_F is NaN: unchecked, the run wrote "abs": NaN and exited 0
-    cfg = _qfull_config(tmp_path, eta_norm=1e153, angles_deg=[10])
+    # a run whose Q_F is NaN: unchecked, it wrote "abs": NaN and exited 0
+    monkeypatch.setattr(dispersion, "q_full2_hat", lambda *args: complex(math.nan, 0.0))
+    cfg = _qfull_config(tmp_path, angles_deg=[10])
     assert run(_write(tmp_path, "q.json", cfg)) == 1
     assert ("error: qfull_radial.json not written: Out of range float values are not "
             "JSON compliant") in capsys.readouterr().err
@@ -620,18 +657,20 @@ def test_failed_run_names_an_exception_without_a_message(tmp_path, capsys, monke
         "out_dir": str(tmp_path / "out"),
     })
     assert run(cfg) == 1
-    assert "error: MemoryError" in capsys.readouterr().err.splitlines()
+    # the traceback, then the one-line reason
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "Traceback (most recent call last):" and err[-1] == "error: MemoryError"
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
     # exit 2 means a failed verdict, so a usage error exits 1 and names the
-    # bad argument: --threads, which the CLI no longer takes, an unknown flag
-    # and a missing config
+    # bad argument: --threads and -v, which the CLI no longer takes, an
+    # unknown flag and a missing config
     cfg = _write(tmp_path, "b.json", {
         "experiment": "bounds-table", "n": 3, "betas": [1.0],
         "out_dir": str(tmp_path / "out"),
     })
-    for argv, named in ((["--threads", "2", cfg], "--threads"),
+    for argv, named in ((["--threads", "2", cfg], "--threads"), (["-v", cfg], "-v"),
                         (["--bogus", cfg], "--bogus"), ([], "config")):
         assert main(argv) == 1
         assert named in capsys.readouterr().err
@@ -684,8 +723,8 @@ def test_cli_import_leaves_out_heavy_scipy():
 
 def test_cli_import_loads_no_library_module():
     # each runner imports the modules it calls, and the package's exports
-    # load on first use
-    assert _loaded(("scipy", *_LIBRARY), "import borndisp.cli") == []
+    # load on first use; a failed run prints its traceback without logging
+    assert _loaded(("scipy", "logging", *_LIBRARY), "import borndisp.cli") == []
 
 
 def test_cli_import_loads_only_the_standard_library():
@@ -728,8 +767,10 @@ def test_manifest_names_numpy_only_when_the_run_loaded_it(tmp_path):
       "borndisp.geometry")),
     ({"experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,
       "angles_deg": [1.40625], "rule_level": 1, "theta_rule_level": 1},
-     ("scipy", "borndisp.analysis", "borndisp.bounds")),
-], ids=["gbeta", "qfull-radial"])
+     ("scipy", "logging", "borndisp.analysis", "borndisp.bounds")),
+    (_lemma52_config(Path()),
+     ("scipy", "logging", "borndisp.bounds")),
+], ids=["gbeta", "qfull-radial", "lemma52"])
 def test_run_loads_only_the_modules_it_calls(tmp_path, cfg, not_loaded):
     path = _write(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
     code = "from borndisp.cli import main; assert main(sys.argv[1:]) == 0"
@@ -817,7 +858,7 @@ def test_chart_selftest(tmp_path, capsys):
     assert "max reconstruction error" in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 0
-    assert len(manifest["config_sha256"]) == 64
+    assert manifest["config_sha256"] == hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
     assert manifest["peak_rss_mb"] > 0 and isinstance(manifest["minor_page_faults"], int)
 
 
