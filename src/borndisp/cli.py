@@ -25,7 +25,7 @@ from pathlib import Path
 # branch of _check_runtime_constraints imports what it calls, so numpy loads
 # with the first library module a run calls: a refusal before a library rule
 # and a bounds-table run load no numpy, a gbeta run loads no dispersion,
-# geometry or analysis, and no run but oracle-fixtures loads scipy.
+# geometry or analysis, and no run loads scipy.
 from . import __version__
 
 # The JSON Schema keywords that _validate implements. "type" takes the JSON
@@ -115,6 +115,8 @@ def _load_config(path) -> tuple[dict, str]:
         cfg = json.loads(raw.decode("utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"config file not readable: {path}: {exc.strerror}")
     except ValueError as exc:  # a JSONDecodeError, bad UTF-8, or an integer past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}")
     _validate(cfg, _SCHEMA)
@@ -141,13 +143,12 @@ def _check_runtime_constraints(cfg: dict) -> None:
             raise ConfigError(f"invalid config at field '{key}': with{'' if gbeta else 'out'} "
                               f"'beta' the potential is {'g_beta' if gbeta else 'the Gaussian'}, "
                               "which does not read it")
-    # "a" sets the Gaussian, whose amplitude must be a float; oracle-fixtures
-    # builds it in n = 2
+    # "a" sets the Gaussian, whose amplitude must be a float
     if "a" in cfg:
         from .potentials import gaussian_potential
 
         with _field("a"):
-            gaussian_potential(cfg["a"], _grid({"n": cfg.get("n", 2)}))
+            gaussian_potential(cfg["a"], _grid(cfg))
     vectors = {"theta": cfg.get("theta"), "ray/direction": cfg.get("ray", {}).get("direction")}
     directions = {}
     for where, v in vectors.items():
@@ -272,40 +273,6 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 # ---------------------------------------------------------------------------
 # Experiments. Each returns (exit_code, list of output filenames).
-
-
-def _run_chart_selftest(cfg: dict, out: Path):
-    import numpy as np
-
-    from .geometry import Direction, chart, in_half_space
-
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    worst_recon, worst_unit = 0.0, 0.0
-    for n in ([cfg["n"]] if "n" in cfg else [2, 3]):
-        for _ in range(1000):
-            theta = Direction.normalized(rng.normal(size=n))
-            eta = rng.normal(size=n) * rng.uniform(0.1, 20.0)
-            eta = eta if in_half_space(eta, theta) else -eta
-            if not in_half_space(eta, theta):
-                continue
-            ch = chart(eta, theta)
-            recon = ch.k * (ch.theta_prime.components - theta.components)
-            worst_recon = max(
-                worst_recon,
-                float(np.linalg.norm(recon - eta) / np.linalg.norm(eta)),
-            )
-            worst_unit = max(
-                worst_unit, abs(float(np.linalg.norm(ch.theta_prime.components)) - 1.0)
-            )
-            if 2.0 * ch.k < np.linalg.norm(eta) * (1.0 - 1e-12):
-                raise RuntimeError("2k >= |eta| violated")
-    print(f"chart selftest: max reconstruction error {worst_recon:.3e}, "
-          f"max |theta'| deviation {worst_unit:.3e}")
-    _write_json(
-        {"max_reconstruction_error": worst_recon, "max_unit_deviation": worst_unit},
-        out / "chart_selftest.json",
-    )
-    return 0, ["chart_selftest.json"]
 
 
 def _run_gbeta(cfg: dict, out: Path):
@@ -447,41 +414,10 @@ def _run_bounds_table(cfg: dict, out: Path):
     return 0, ["bounds_table.csv"]
 
 
-def _run_oracle_fixtures(cfg: dict, out: Path):
-    import numpy as np
-
-    from . import oracle
-    from .geometry import Direction
-    from .potentials import gaussian_potential
-    from .spectral import make_grid
-
-    grid = make_grid(2, 64, 16.0)
-    q = gaussian_potential(cfg.get("a", 0.5), grid)
-    theta = Direction(np.array([-1.0, 0.0]))
-    fixtures = {
-        "pv_gaussian_shift": oracle.pv_1d(
-            lambda r: float(np.exp(-((1.0 - r) ** 2))) / (1.0 - r),
-            1.0, (0.0, np.inf),
-        ),
-        "exp1_at_1": oracle.exp1_series(1.0),
-        "gaussian_trace_ratio_rho1_n3": oracle.trace_ratio(
-            gaussian_potential(0.5, make_grid(3, 64, 16.0)), 1.0
-        ),
-        "brute_b": {},
-    }
-    for t in (3.0, 5.0, 8.0):
-        val = oracle.brute_b_theta2(q, theta, np.array([t, 0.0]))
-        fixtures["brute_b"][f"eta_{t:g}e1"] = {"re": val.real, "im": val.imag}
-    _write_json(fixtures, out / "oracle_fixtures.json")
-    print("oracle-fixtures: wrote oracle_fixtures.json")
-    return 0, ["oracle_fixtures.json"]
-
-
 # One row per experiment: its runner, the fields it requires and the other
 # fields it reads. The load step refuses a config that lacks a required field
 # or holds a field its experiment does not read.
 _EXPERIMENTS = {
-    "chart-selftest": (_run_chart_selftest, (), ("n", "seed")),
     "gbeta": (_run_gbeta, ("n", "beta", "grid"), ("bump_radius",)),
     "dispersion-ray": (_run_dispersion_ray, ("n", "theta", "ray"),
                        ("beta", "grid", "bump_radius", "a", "rule_level", "C0")),
@@ -493,7 +429,6 @@ _EXPERIMENTS = {
                      ("beta", "grid", "bump_radius", "a", "rule_level",
                       "theta_rule_level", "C0")),
     "bounds-table": (_run_bounds_table, ("n", "betas"), ()),
-    "oracle-fixtures": (_run_oracle_fixtures, (), ("a",)),
 }
 
 # The largest grid.N of a g_beta synthesis, per n. Its time grows about as
@@ -556,7 +491,6 @@ _SCHEMA = {
         "eta_norm": {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_ETA},
         "angles_deg": {"type": "array", "items": {"type": "number"},
                        "minItems": 1, "maxItems": 32},
-        "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": "string"},
     },
 }
@@ -584,10 +518,8 @@ def run(config_path) -> int:
         "experiment": cfg["experiment"],
         "config_sha256": digest,
         "package_version": __version__,
-        # only a run that loaded numpy (all but bounds-table) or scipy
-        # (oracle-fixtures) names its version
+        # only a run that loaded numpy (all but bounds-table) names its version
         "numpy_version": getattr(sys.modules.get("numpy"), "__version__", None),
-        "scipy_version": getattr(sys.modules.get("scipy"), "__version__", None),
         "elapsed_seconds": time.monotonic() - start,
         "artifacts": artifacts,
         "exit_code": code,

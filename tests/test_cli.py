@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import borndisp
 from borndisp import cli
@@ -26,6 +25,24 @@ def _write(tmp_path, name, payload):
 def test_missing_config(tmp_path, capsys):
     assert run(str(tmp_path / "nope.json")) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "mode-000 file"])
+def test_unreadable_config_path_is_one_line(tmp_path, capsys, kind):
+    # unchecked, a directory escaped run as an IsADirectoryError traceback
+    path = tmp_path / "c.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root reads a mode-000 file")
+        path.write_text(json.dumps({"experiment": "bounds-table", "n": 3, "betas": [1.0],
+                                    "out_dir": str(tmp_path / "out")}))
+        path.chmod(0)
+    assert run(str(path)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config file not readable: {path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_schema_violation_names_field(tmp_path, capsys):
@@ -187,9 +204,9 @@ def _qfull_config(tmp_path, **overrides):
                                    "count": 3.0}), "'ray/count'"),
     (lambda p: _ray_config(p, pv={"inner_nodes": 8.0}), "unexpected key 'pv'"),
     (lambda p: _qfull_config(p, n=2.0), "'n'"),
-    (lambda p: {"experiment": "chart-selftest", "n": 2, "seed": 3.0,
-                "out_dir": str(p / "out")}, "'seed'"),
-], ids=["rule_level", "theta_rule_level", "ray_count", "pv_inner_nodes", "n", "seed"])
+    (lambda p: {"experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 256.0, "L": 16.0},
+                "out_dir": str(p / "out")}, "'grid/N'"),
+], ids=["rule_level", "theta_rule_level", "ray_count", "pv_inner_nodes", "n", "grid_N"])
 def test_integral_float_rejected_in_integer_field(tmp_path, capsys, config, field):
     # JSON Schema counts 3.0 as an integer; numpy does not, so each of these
     # would pass validation and fail part-way through the run. The pv object
@@ -281,12 +298,18 @@ def test_samples_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_oracle_fixtures_rejects_n(tmp_path, capsys):
-    cfg = _write(tmp_path, "o.json", {
-        "experiment": "oracle-fixtures", "n": 3, "out_dir": str(tmp_path / "out"),
-    })
-    assert run(cfg) == 1
-    assert "'n'" in capsys.readouterr().err
+@pytest.mark.parametrize("cfg, message", [
+    ({"experiment": "chart-selftest", "n": 2},
+     "field 'experiment': 'chart-selftest' is not one of"),
+    ({"experiment": "oracle-fixtures"},
+     "field 'experiment': 'oracle-fixtures' is not one of"),
+    ({"experiment": "bounds-table", "n": 3, "betas": [1.0], "seed": 3},
+     "field '(root)': unexpected key 'seed'"),
+], ids=["chart-selftest", "oracle-fixtures", "seed"])
+def test_retired_experiment_or_seed_rejected(tmp_path, capsys, cfg, message):
+    # the chart and the oracle are the tests' to check, not the CLI's
+    assert run(_write(tmp_path, "r.json", dict(cfg, out_dir=str(tmp_path / "out")))) == 1
+    assert f"error: invalid config at {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -297,7 +320,7 @@ _FIELD_VALUES = {
     "grid": {"N": 256, "L": 16.0}, "rule_level": 3, "theta_rule_level": 3,
     "ray": {"direction": [1, 0], "t_min": 8, "t_max": 48, "count": 16},
     "alphas": [1.7], "levels": [4.0, 6.0, 8.0], "betas": [1.0], "cone_aperture": 0.5,
-    "eta_norm": 4.0, "angles_deg": [1.40625], "seed": 3,
+    "eta_norm": 4.0, "angles_deg": [1.40625],
 }
 
 
@@ -582,8 +605,7 @@ def test_eta_at_the_cap_runs_to_finite_artifacts(tmp_path, config):
     lambda p: _qfull_config(p, a=1e-320),
     lambda p: _qfull_config(p, n=3, a=1e-250),
     lambda p: _ray_config(p, a=1e-320),
-    lambda p: {"experiment": "oracle-fixtures", "a": 1e-320, "out_dir": str(p / "out")},
-], ids=["qfull-n2", "qfull-n3", "dispersion-ray", "oracle-fixtures"])
+], ids=["qfull-n2", "qfull-n3", "dispersion-ray"])
 def test_gaussian_amplitude_past_float_range_rejected(tmp_path, capsys, config):
     # (pi/a)^(n/2) is inf, or overflows a float power: unchecked, the n = 2
     # runs wrote NaN artifacts and exited 0, and the n = 3 run failed part-way
@@ -687,8 +709,7 @@ def _subprocess_env(**extra: str) -> dict:
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # every CLI run pays for its imports; only oracle-fixtures needs
-    # scipy.integrate
+    # every CLI run pays for its imports, and no run needs scipy.integrate
     env = _subprocess_env()
     code = "import sys, borndisp.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -761,22 +782,26 @@ def test_manifest_names_numpy_only_when_the_run_loaded_it(tmp_path):
     assert versions == [None, np.__version__]
 
 
+# one row per experiment: no run loads scipy or the oracle
 @pytest.mark.parametrize("cfg, not_loaded", [
     ({"experiment": "gbeta", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0}},
-     ("scipy", "borndisp.analysis", "borndisp.bounds", "borndisp.dispersion",
-      "borndisp.geometry")),
+     ("borndisp.analysis", "borndisp.bounds", "borndisp.dispersion", "borndisp.geometry")),
+    (_ray_config(Path()), ("logging", "borndisp.analysis", "borndisp.bounds")),
+    (_lemma52_config(Path()), ("logging", "borndisp.bounds")),
+    ({"experiment": "gain-scan", "n": 2, "beta": 1.0, "grid": {"N": 128, "L": 8.0},
+      "theta": [-1, 0], "alphas": [1.7], "levels": [4.0, 6.0, 8.0], "rule_level": 1},
+     ("logging", "borndisp.bounds")),
     ({"experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,
       "angles_deg": [1.40625], "rule_level": 1, "theta_rule_level": 1},
-     ("scipy", "logging", "borndisp.analysis", "borndisp.bounds")),
-    (_lemma52_config(Path()),
-     ("scipy", "logging", "borndisp.bounds")),
-], ids=["gbeta", "qfull-radial", "lemma52"])
+     ("logging", "borndisp.analysis", "borndisp.bounds")),
+    ({"experiment": "bounds-table", "n": 3, "betas": [0.5, 1.0]},
+     ("numpy", "borndisp.analysis", "borndisp.dispersion", "borndisp.geometry",
+      "borndisp.potentials", "borndisp.spectral")),
+], ids=["gbeta", "dispersion-ray", "lemma52", "gain-scan", "qfull-radial", "bounds-table"])
 def test_run_loads_only_the_modules_it_calls(tmp_path, cfg, not_loaded):
     path = _write(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
     code = "from borndisp.cli import main; assert main(sys.argv[1:]) == 0"
-    assert _loaded(not_loaded, code, path) == []
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["scipy_version"] is None
+    assert _loaded(("scipy", "borndisp.oracle", *not_loaded), code, path) == []
 
 
 def test_cli_runs_leave_out_heavy_scipy(tmp_path):
@@ -795,19 +820,6 @@ def test_cli_runs_leave_out_heavy_scipy(tmp_path):
     assert _loaded(_HEAVY_SCIPY, code, gbeta, qfull) == []
     assert (tmp_path / "g" / "gbeta.json").exists()
     assert (tmp_path / "q" / "manifest.json").exists()
-
-
-def test_oracle_fixtures_run_leaves_out_scipy_interpolate(tmp_path):
-    # oracle-fixtures needs scipy.integrate (and what it pulls in), but no
-    # oracle check reads a lattice by interpolation
-    cfg = _write(tmp_path, "o.json", {"experiment": "oracle-fixtures",
-                                      "out_dir": str(tmp_path / "o")})
-    code = "from borndisp.cli import main; assert main(sys.argv[1:]) == 0"
-    assert "scipy.interpolate" not in _loaded(_HEAVY_SCIPY, code, cfg)
-    assert (tmp_path / "o" / "oracle_fixtures.json").exists()
-    # the one experiment that loads scipy names its version in the manifest
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["scipy_version"] == scipy.__version__
 
 
 # the names the package exports, by the submodule that holds each
@@ -849,19 +861,6 @@ def test_package_loads_a_submodule_on_first_use():
     assert _loaded(_LIBRARY, code) == ["borndisp.potentials", "borndisp.spectral"]
 
 
-def test_chart_selftest(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _write(tmp_path, "c.json", {
-        "experiment": "chart-selftest", "n": 2, "seed": 3, "out_dir": str(out),
-    })
-    assert main([cfg]) == 0
-    assert "max reconstruction error" in capsys.readouterr().out
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["exit_code"] == 0
-    assert manifest["config_sha256"] == hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
-    assert manifest["peak_rss_mb"] > 0 and isinstance(manifest["minor_page_faults"], int)
-
-
 def test_bounds_table(tmp_path):
     out = tmp_path / "out"
     cfg = _write(tmp_path, "b.json", {
@@ -872,21 +871,13 @@ def test_bounds_table(tmp_path):
     lines = (out / "bounds_table.csv").read_text().strip().splitlines()
     assert lines[0].startswith("beta,m,alpha0")
     assert len(lines) == 4
-
-
-def test_oracle_fixtures(tmp_path):
-    out = tmp_path / "out"
-    cfg = _write(tmp_path, "o.json", {"experiment": "oracle-fixtures",
-                                      "out_dir": str(out)})
-    assert run(cfg) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["artifacts"] == ["oracle_fixtures.json"]
-    fixtures = json.loads((out / "oracle_fixtures.json").read_text())
-    e1 = 0.21938393439552029  # E_1(1)
-    assert fixtures["exp1_at_1"] == pytest.approx(e1, abs=1e-12)
-    # PV integral_0^inf exp(-(1 - r)^2) / (1 - r) dr = -E_1(1) / 2
-    assert fixtures["pv_gaussian_shift"] == pytest.approx(-e1 / 2, abs=1e-9)
-    assert set(fixtures["brute_b"]) == {"eta_3e1", "eta_5e1", "eta_8e1"}
+    assert set(manifest) == {"experiment", "config_sha256", "package_version", "numpy_version",
+                             "elapsed_seconds", "artifacts", "exit_code", "peak_rss_mb",
+                             "minor_page_faults"}
+    assert manifest["exit_code"] == 0
+    assert manifest["config_sha256"] == hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+    assert manifest["peak_rss_mb"] > 0 and isinstance(manifest["minor_page_faults"], int)
 
 
 def test_lemma52_experiment_and_determinism(tmp_path):
@@ -1020,9 +1011,9 @@ def test_validate_implements_every_schema_keyword():
 
 
 def _base_configs() -> list:
+    """One config per experiment, each one the load step accepts."""
     ray = {"direction": [1, 0], "t_min": 3, "t_max": 8, "count": 6}
     return [
-        {"experiment": "chart-selftest", "n": 2, "seed": 3, "out_dir": "o"},
         {"experiment": "gbeta", "n": 3, "beta": 1.0, "bump_radius": 2.0,
          "grid": {"N": 128, "L": 16.0}, "out_dir": "o"},
         {"experiment": "dispersion-ray", "n": 2, "a": 0.5, "theta": [-1, 0], "ray": ray,
@@ -1030,13 +1021,14 @@ def _base_configs() -> list:
          "out_dir": "o"},
         {"experiment": "lemma52", "n": 2, "beta": 1.0, "grid": {"N": 256, "L": 16.0},
          "theta": [-1, 0], "ray": dict(ray, count=16), "cone_aperture": 0.5,
-         "out_dir": "o"},
-        {"experiment": "gain-scan", "n": 3, "beta": 1.0, "theta": [-1.0, 0.0, 0.0],
-         "alphas": [1.7, 2.3], "levels": [4.0, 6.0, 8.0], "rule_level": 3, "out_dir": "o"},
+         "rule_level": 4, "out_dir": "o"},
+        {"experiment": "gain-scan", "n": 3, "beta": 1.0, "grid": {"N": 128, "L": 16.0},
+         "theta": [-1.0, 0.0, 0.0], "alphas": [1.7, 2.3], "levels": [4.0, 6.0, 8.0],
+         "rule_level": 3, "out_dir": "o"},
         {"experiment": "qfull-radial", "n": 2, "a": 0.5, "eta_norm": 4.0,
-         "angles_deg": [1.40625, 73.0], "theta_rule_level": 3, "out_dir": "o"},
+         "angles_deg": [1.40625, 73.0], "rule_level": 4, "theta_rule_level": 3,
+         "out_dir": "o"},
         {"experiment": "bounds-table", "n": 3, "betas": [0.5, 1.0], "out_dir": "o"},
-        {"experiment": "oracle-fixtures", "a": 0.5, "out_dir": "o"},
     ]
 
 
