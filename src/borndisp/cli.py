@@ -22,10 +22,10 @@ import time
 from pathlib import Path
 
 # Only the standard library loads with this module. Each runner and each
-# branch of _check_runtime_constraints imports what it calls, so numpy loads
-# with the first library module a run calls: a refusal before a library rule
-# and a bounds-table run load no numpy, a gbeta run loads no dispersion,
-# geometry or analysis, and no run loads scipy.
+# branch of _inputs imports what it calls, so numpy loads with the first
+# library module a run calls: a refusal before a library rule and a
+# bounds-table run load no numpy, a gbeta run loads no dispersion, geometry
+# or analysis, and no run loads scipy.
 from . import __version__
 
 # The JSON Schema keywords that _validate implements. "type" takes the JSON
@@ -108,8 +108,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path) -> tuple[dict, str]:
-    """The checked config and the SHA-256 of the bytes it was parsed from."""
+def _load_config(path) -> tuple[dict, dict, str]:
+    """The checked config, the run's inputs that _inputs builds from it, and
+    the SHA-256 of the bytes it was parsed from."""
     try:
         raw = Path(path).read_bytes()
         cfg = json.loads(raw.decode("utf-8"))
@@ -129,12 +130,16 @@ def _load_config(path) -> tuple[dict, str]:
         if field not in ("experiment", "out_dir", *requires, *reads):
             raise ConfigError(f"invalid config at field '{field}': experiment "
                               f"'{cfg['experiment']}' does not read it")
-    _check_runtime_constraints(cfg)
-    return cfg, hashlib.sha256(raw).hexdigest()
+    return cfg, _inputs(cfg, reads), hashlib.sha256(raw).hexdigest()
 
 
-def _check_runtime_constraints(cfg: dict) -> None:
-    """Constraints that the schema cannot express, checked before any work."""
+def _inputs(cfg: dict, reads: tuple) -> dict:
+    """The run's inputs: the config with each optional field it leaves out at
+    its default, and each field that sets a library object as that object,
+    built once: 'theta' and 'ray/direction' as Directions, 'C0' as the
+    CutoffSpec and 'potential' as the Gaussian or g_beta's spec, which the
+    runner synthesizes. Checks what the schema cannot express, before any work."""
+    inputs = {**{f: d for f, d in _DEFAULTS.items() if f in reads}, **cfg}
     # beta chooses g_beta, else the Gaussian; a field of the other family
     # would be taken and ignored
     gbeta = "beta" in cfg
@@ -143,14 +148,17 @@ def _check_runtime_constraints(cfg: dict) -> None:
             raise ConfigError(f"invalid config at field '{key}': with{'' if gbeta else 'out'} "
                               f"'beta' the potential is {'g_beta' if gbeta else 'the Gaussian'}, "
                               "which does not read it")
-    # "a" sets the Gaussian, whose amplitude must be a float
-    if "a" in cfg:
+    if "grid" in inputs:  # every experiment but bounds-table
+        from .spectral import make_grid
+
+        grid = make_grid(cfg["n"], inputs["grid"]["N"], inputs["grid"]["L"])
+    # the Gaussian's amplitude must be a float
+    if "a" in inputs and not gbeta:
         from .potentials import gaussian_potential
 
         with _field("a"):
-            gaussian_potential(cfg["a"], _grid(cfg))
+            inputs["potential"] = gaussian_potential(inputs["a"], grid)
     vectors = {"theta": cfg.get("theta"), "ray/direction": cfg.get("ray", {}).get("direction")}
-    directions = {}
     for where, v in vectors.items():
         if v is None:
             continue
@@ -159,17 +167,21 @@ def _check_runtime_constraints(cfg: dict) -> None:
         with _field(where):
             if len(v) != cfg["n"]:
                 raise ValueError(f"length {len(v)} does not match n = {cfg['n']}")
-            directions[where] = Direction.normalized(v)
+            inputs[where] = Direction.normalized(v)
+    if "C0" in inputs:
+        from .dispersion import CutoffSpec
+
+        inputs["C0"] = CutoffSpec(C0=inputs["C0"])
     # fit_decay needs 8 samples on a nonempty window, on a ray in D_theta
     if cfg["experiment"] == "lemma52":
         from .geometry import in_cone
 
-        ray, a = cfg["ray"], cfg.get("cone_aperture", 0.5)
+        ray, a = cfg["ray"], inputs["cone_aperture"]
         for where, bad, why in (
             ("ray/count", ray["count"] < 8, f"needs at least 8 samples, got {ray['count']}"),
             ("ray/t_max", ray["t_max"] <= ray["t_min"], "must exceed t_min"),
-            ("ray/direction", not in_cone(directions["ray/direction"].components,
-                                          directions["theta"], a),
+            ("ray/direction", not in_cone(inputs["ray/direction"].components,
+                                          inputs["theta"], a),
              f"the ray is outside the cone D_theta of aperture {a:g}"),
         ):
             if bad:
@@ -179,32 +191,34 @@ def _check_runtime_constraints(cfg: dict) -> None:
         from . import analysis
 
         with _field("levels"):
-            radii = analysis.radial_plan(cfg["levels"], _cut(cfg))[0]
+            radii = analysis.radial_plan(cfg["levels"], inputs["C0"])[0]
         for i, alpha in enumerate(cfg["alphas"]):
             with _field(f"alphas/{i}"):
                 analysis.radial_weights(radii, alpha, cfg["n"])
     # Q_F carries the cutoff, which is 0 up to C0: every value at such an
     # eta_norm is 0, and their relative spread reads a perfect 0
     if cfg["experiment"] == "qfull-radial":
-        t, c0 = cfg["eta_norm"], _cut(cfg).C0
+        t, c0 = cfg["eta_norm"], inputs["C0"].C0
         if t <= c0:
             raise ConfigError(
                 f"invalid config at field 'eta_norm': Q_F is 0 up to C0 = {c0:g}, so "
                 f"eta_norm must exceed C0, got {t:g}"
             )
-    if "beta" in cfg:
-        from .potentials import GridTooCoarseError
+    if gbeta:
+        from .potentials import GBetaSpec, GridTooCoarseError
 
-        N, cap = _grid(cfg).samples_per_axis, _GBETA_MAX_N[cfg["n"]]
+        N, cap = grid.samples_per_axis, _GBETA_MAX_N[cfg["n"]]
         if N > cap:
             raise ConfigError(f"invalid config at field 'grid/N': the g_beta synthesis "
                               f"in n = {cfg['n']} takes N up to {cap}, got {N}")
         try:
-            _gbeta_spec(cfg)
+            inputs["potential"] = GBetaSpec(beta=cfg["beta"], bump_radius=inputs["bump_radius"],
+                                            grid=grid)
         except GridTooCoarseError as exc:
             raise ConfigError(f"invalid config at field 'grid/N': {exc}")
         except ValueError as exc:
             raise ConfigError(f"invalid config at field 'bump_radius': {exc}")
+    return inputs
 
 
 @contextlib.contextmanager
@@ -218,37 +232,18 @@ def _field(where: str):
 
 def _out_dir(cfg: dict) -> Path:
     out = Path(os.environ.get("BORN_DISPERSION_OUT", cfg["out_dir"]))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"output directory not made: {out}: {exc.strerror}")
     return out
 
 
-def _grid(cfg: dict):
-    from .spectral import make_grid
+def _potential(inputs: dict):
+    """g_beta synthesized from the load step's spec, else the load step's Gaussian."""
+    from .potentials import make_gbeta
 
-    g = cfg.get("grid", {"N": 128, "L": 16.0})
-    return make_grid(cfg["n"], g["N"], g["L"])
-
-
-def _gbeta_spec(cfg: dict):
-    from .potentials import GBetaSpec
-
-    return GBetaSpec(beta=cfg["beta"], bump_radius=cfg.get("bump_radius", 2.0),
-                     grid=_grid(cfg))
-
-
-def _potential(cfg: dict):
-    """gbeta when beta is configured, else the analytic Gaussian family."""
-    from .potentials import gaussian_potential, make_gbeta
-
-    if "beta" in cfg:
-        return make_gbeta(_gbeta_spec(cfg))
-    return gaussian_potential(cfg.get("a", 0.5), _grid(cfg))
-
-
-def _cut(cfg: dict):
-    from .dispersion import CutoffSpec
-
-    return CutoffSpec(C0=cfg.get("C0", 2.0))
+    return make_gbeta(inputs["potential"]) if "beta" in inputs else inputs["potential"]
 
 
 def _write_json(payload, path: Path) -> None:
@@ -272,13 +267,12 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Experiments. Each returns (exit_code, list of output filenames).
+# Experiments. Each takes the run's inputs (see _inputs) and the output
+# directory, and returns (exit_code, list of output filenames).
 
 
-def _run_gbeta(cfg: dict, out: Path):
-    from .potentials import make_gbeta
-
-    q = make_gbeta(_gbeta_spec(cfg))
+def _run_gbeta(inputs: dict, out: Path):
+    q = _potential(inputs)
     profile = q.fourier_profile
     _write_json({
         "label": q.label,
@@ -300,20 +294,18 @@ def _run_gbeta(cfg: dict, out: Path):
     return 0, ["gbeta.json", "gbeta_profile.csv"]
 
 
-def _run_dispersion_ray(cfg: dict, out: Path):
+def _run_dispersion_ray(inputs: dict, out: Path):
     import numpy as np
 
     from . import dispersion
-    from .geometry import Direction
 
-    theta = Direction.normalized(cfg["theta"])
-    q = _potential(cfg)
-    ray = cfg["ray"]
-    d = Direction.normalized(ray["direction"]).components
+    q = _potential(inputs)
+    ray, d = inputs["ray"], inputs["ray/direction"].components
     ts = np.geomspace(ray["t_min"], ray["t_max"], ray["count"])
     etas = [t * d for t in ts]
-    samples = dispersion.dispersion_batch(q, theta, etas, cfg.get("rule_level", 4), _cut(cfg))
-    header = [f"eta_{i + 1}" for i in range(cfg["n"])] + [
+    samples = dispersion.dispersion_batch(q, inputs["theta"], etas, inputs["rule_level"],
+                                          inputs["C0"])
+    header = [f"eta_{i + 1}" for i in range(inputs["n"])] + [
         "k", "S_re", "S_im", "P_re", "P_im", "B_re", "B_im", "Q_re", "Q_im"]
     rows = []
     for s in samples:
@@ -326,16 +318,14 @@ def _run_dispersion_ray(cfg: dict, out: Path):
     return 0, ["dispersion_ray.csv"]
 
 
-def _run_lemma52(cfg: dict, out: Path):
+def _run_lemma52(inputs: dict, out: Path):
     from . import analysis
-    from .geometry import Direction
 
-    theta = Direction.normalized(cfg["theta"])
-    q = _potential(cfg)
-    ray = cfg["ray"]
+    q = _potential(inputs)
+    ray = inputs["ray"]
     verdict, data = analysis.lemma52_check(
-        q, cfg["beta"], theta, cfg.get("cone_aperture", 0.5),
-        (ray["t_min"], ray["t_max"]), cfg.get("rule_level", 4),
+        q, inputs["beta"], inputs["theta"], inputs["cone_aperture"],
+        (ray["t_min"], ray["t_max"]), inputs["rule_level"],
         direction=ray["direction"], samples=ray["count"],
     )
     _write_csv(out / "lemma52_samples.csv", ["t", "value"], data)
@@ -344,15 +334,13 @@ def _run_lemma52(cfg: dict, out: Path):
     return (0 if verdict.passed else 2), ["lemma52_samples.csv", "lemma52_verdict.json"]
 
 
-def _run_gain_scan(cfg: dict, out: Path):
+def _run_gain_scan(inputs: dict, out: Path):
     from . import analysis
-    from .geometry import Direction
 
-    theta = Direction.normalized(cfg["theta"])
-    q = _potential(cfg)
+    q = _potential(inputs)
     scans = analysis.gain_scan(
-        q, theta, cfg["alphas"], cfg["levels"], _cut(cfg),
-        rule_level=cfg.get("rule_level", 4),
+        q, inputs["theta"], inputs["alphas"], inputs["levels"], inputs["C0"],
+        rule_level=inputs["rule_level"],
     )
     _write_json([{"alpha": s.alpha,
                   "levels": [{"extent": T, "norm": v} for T, v in s.levels],
@@ -366,34 +354,35 @@ def _run_gain_scan(cfg: dict, out: Path):
     return 0, ["gain_scan.json", "gain_scan.csv"]
 
 
-def _run_qfull_radial(cfg: dict, out: Path):
+def _run_qfull_radial(inputs: dict, out: Path):
     import numpy as np
 
     from . import dispersion
     from .geometry import sphere_rule
 
-    n = cfg["n"]
-    q = _potential(cfg)
-    theta_rule = sphere_rule(n, cfg.get("theta_rule_level", 5))
-    level, cut = cfg.get("rule_level", 4), _cut(cfg)
-    t = cfg["eta_norm"]
+    n, t = inputs["n"], inputs["eta_norm"]
+    q = _potential(inputs)
+    theta_rule = sphere_rule(n, inputs["theta_rule_level"])
     rows = []
-    for ang in cfg["angles_deg"]:
+    for ang in inputs["angles_deg"]:
         rad = np.deg2rad(ang)
         eta = np.zeros(n)
         eta[0], eta[1] = t * np.cos(rad), t * np.sin(rad)
-        val = dispersion.q_full2_hat(q, eta, theta_rule, level, cut)
+        val = dispersion.q_full2_hat(q, eta, theta_rule, inputs["rule_level"], inputs["C0"])
         rows.append({"angle_deg": ang, "re": val.real, "im": val.imag,
                      "abs": abs(val)})
     mags = [r["abs"] for r in rows]
-    spread = (max(mags) - min(mags)) / max(mags) if max(mags) > 0 else 0.0
+    # where every value is 0 (q_hat underflows) there is no spread to read:
+    # 0 would report perfect radiality
+    spread = (max(mags) - min(mags)) / max(mags) if max(mags) > 0 else None
     _write_json({"eta_norm": t, "values": rows, "relative_spread": spread},
                 out / "qfull_radial.json")
-    print(f"qfull-radial: |eta| = {t}, relative spread {spread:.3e}")
+    print(f"qfull-radial: |eta| = {t}, " + (f"relative spread {spread:.3e}" if spread is not None
+                                            else "every |Q_F| is 0, so no relative spread"))
     return 0, ["qfull_radial.json"]
 
 
-def _run_bounds_table(cfg: dict, out: Path):
+def _run_bounds_table(inputs: dict, out: Path):
     from . import bounds
 
     def alpha_j(beta, j):
@@ -403,14 +392,14 @@ def _run_bounds_table(cfg: dict, out: Path):
         except bounds.OutOfRange:
             return None
 
-    n = cfg["n"]
+    n = inputs["n"]
     rows = [[beta, bounds.m_threshold(n), bounds.alpha0(n, beta), bounds.thm11_max(n, beta),
              bounds.thm13_sup(n, beta), *(alpha_j(beta, j) for j in (2, 3, 4))]
-            for beta in cfg["betas"]]
+            for beta in inputs["betas"]]
     header = ["beta", "m", "alpha0", "thm11_max", "thm13_sup",
               "alpha_2", "alpha_3", "alpha_4"]
     _write_csv(out / "bounds_table.csv", header, rows)
-    print(f"bounds-table: n = {n}, {len(cfg['betas'])} beta values")
+    print(f"bounds-table: n = {n}, {len(inputs['betas'])} beta values")
     return 0, ["bounds_table.csv"]
 
 
@@ -437,10 +426,18 @@ _EXPERIMENTS = {
 # tests, demos, benchmark or README uses (256).
 _GBETA_MAX_N = {2: 4096, 3: 512}
 
+# The value of each optional field that a config leaves out
+_DEFAULTS = {"grid": {"N": 128, "L": 16.0}, "bump_radius": 2.0, "a": 0.5, "C0": 2.0,
+             "rule_level": 4, "theta_rule_level": 5, "cone_aperture": 0.5}
+
 # The largest |eta| a config may ask for. A point that the half-space slack
 # admits has k < |eta| / (16 eps), so the rule's (2k - e)(2k + e) stays finite
 # below about 2.4e139; at 1e153 it overflows and Q_F reads NaN.
 _MAX_ETA = 1e100
+# The smallest |eta| of a ray. Below about 1.5e-154 eta.eta is subnormal and
+# k loses digits, then 0, where the chart cannot normalize theta'; at 1e-100
+# every value matches a run at 1e-140 to rounding.
+_MIN_ETA = 1e-100
 
 _SCHEMA = {
     "type": "object",
@@ -477,8 +474,8 @@ _SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "direction": {"type": "array", "items": {"type": "number"}},
-                "t_min": {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_ETA},
-                "t_max": {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_ETA},
+                "t_min": {"type": "number", "minimum": _MIN_ETA, "maximum": _MAX_ETA},
+                "t_max": {"type": "number", "minimum": _MIN_ETA, "maximum": _MAX_ETA},
                 "count": {"type": "integer", "minimum": 2, "maximum": 256},
             },
         },
@@ -498,14 +495,14 @@ _SCHEMA = {
 
 def run(config_path) -> int:
     try:
-        cfg, digest = _load_config(config_path)
+        cfg, inputs, digest = _load_config(config_path)
+        out = _out_dir(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = _out_dir(cfg)
     start = time.monotonic()
     try:
-        code, artifacts = _EXPERIMENTS[cfg["experiment"]][0](cfg, out)
+        code, artifacts = _EXPERIMENTS[cfg["experiment"]][0](inputs, out)
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         import traceback
 

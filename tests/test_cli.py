@@ -567,20 +567,31 @@ def test_qfull_radial_eta_norm_inside_the_cutoff(tmp_path, capsys, eta_norm, C0)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("config, field", [
-    (lambda p: _qfull_config(p, eta_norm=1e153), "eta_norm"),
+_PAST_CAP = "1e+153 is greater than the maximum 1e+100"
+
+
+@pytest.mark.parametrize("config, field, why", [
+    (lambda p: _qfull_config(p, eta_norm=1e153), "eta_norm", _PAST_CAP),
     (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 1e153, "t_max": 1e154,
-                                   "count": 6}), "ray/t_min"),
+                                   "count": 6}), "ray/t_min", _PAST_CAP),
     (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 3, "t_max": 1e153,
-                                   "count": 6}), "ray/t_max"),
-], ids=["eta_norm", "ray_t_min", "ray_t_max"])
-def test_eta_past_the_cap_rejected(tmp_path, capsys, config, field):
+                                   "count": 6}), "ray/t_max", _PAST_CAP),
+    (lambda p: _ray_config(p, n=3, theta=[-1, 0, 0], ray={
+        "direction": [1, 0.2, 0.1], "t_min": 1e-200, "t_max": 1, "count": 3}),
+     "ray/t_min", "1e-200 is less than the minimum 1e-100"),
+    (lambda p: _ray_config(p, ray={"direction": [1, 0], "t_min": 3, "t_max": 1e-162,
+                                   "count": 3}),
+     "ray/t_max", "1e-162 is less than the minimum 1e-100"),
+], ids=["eta_norm", "ray_t_min", "ray_t_max", "ray_t_min_below_the_floor",
+        "ray_t_max_below_the_floor"])
+def test_eta_past_the_cap_rejected(tmp_path, capsys, config, field, why):
     # unchecked, near the hyperplane the rule's k squares past float range:
     # an eta_norm of 1e153 ran every B evaluation, read Q_F as NaN and failed
-    # only at the JSON write
+    # only at the JSON write. Below the floor eta.eta underflows: the n = 3
+    # ray at 1e-200 and the n = 2 ray at 1e-162 failed part-way, after
+    # out_dir was made, as the chart could not normalize theta'
     assert run(_write(tmp_path, "e.json", config(tmp_path))) == 1
-    assert (f"invalid config at field '{field}': 1e+153 is greater than the maximum "
-            "1e+100") in capsys.readouterr().err
+    assert f"invalid config at field '{field}': {why}\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -591,11 +602,16 @@ def test_eta_past_the_cap_rejected(tmp_path, capsys, config, field):
                             theta_rule_level=7),
     lambda p: _ray_config(p, n=3, theta=[-1, 0, 0], ray={
         "direction": [3e-15, 1, 0.3], "t_min": 1e98, "t_max": 1e100, "count": 3}),
-], ids=["qfull-n2-level3", "qfull-n2-level7", "ray-n3"])
+    lambda p: _ray_config(p, ray={"direction": [1, 0.2], "t_min": 1e-100, "t_max": 1e-98,
+                                  "count": 3}),
+    lambda p: _ray_config(p, n=3, theta=[-1, 0, 0], ray={
+        "direction": [1, 0.2, 0.1], "t_min": 1e-100, "t_max": 1e-100, "count": 3}),
+], ids=["qfull-n2-level3", "qfull-n2-level7", "ray-n3", "ray-n2-floor", "ray-n3-floor"])
 def test_eta_at_the_cap_runs_to_finite_artifacts(tmp_path, config):
     # a point that the half-space slack admits has k < |eta| / (16 eps), so at
-    # the cap (2k - e)(2k + e) stays below about 1e230; a RuntimeWarning is an
-    # error under pytest, and fails the run
+    # the cap (2k - e)(2k + e) stays below about 1e230; at the floor eta.eta
+    # is about 1e-200, a normal float. A RuntimeWarning is an error under
+    # pytest, and fails the run
     assert run(_write(tmp_path, "e.json", config(tmp_path))) == 0
     for path in (tmp_path / "out").glob("*.csv"):
         assert np.isfinite(np.genfromtxt(path, delimiter=",", skip_header=1)).all()
@@ -616,6 +632,36 @@ def test_gaussian_amplitude_past_float_range_rejected(tmp_path, capsys, config):
     # a small a whose amplitude fits is taken: its q_hat underflows to 0
     cfg = _qfull_config(tmp_path, n=3, a=1e-150)
     assert _load_config(_write(tmp_path, "s.json", cfg))[0] == cfg
+
+
+def test_qfull_radial_reports_no_spread_when_every_value_is_0(tmp_path, capsys):
+    # q_hat underflows to 0 at a = 1e300: unchecked, relative_spread read a
+    # perfect 0.0, the false pass that the eta_norm refusal guards against
+    assert run(_write(tmp_path, "q.json", _qfull_config(tmp_path, a=1e300,
+                                                        angles_deg=[10, 20]))) == 0
+    result = json.loads((tmp_path / "out" / "qfull_radial.json").read_text())
+    assert [v["abs"] for v in result["values"]] == [0.0, 0.0]
+    assert result["relative_spread"] is None
+    assert "every |Q_F| is 0, so no relative spread" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config, built", [
+    (_lemma52_config, "GBetaSpec"), (_qfull_config, "gaussian_potential"),
+], ids=["lemma52-gbeta", "qfull-radial-gaussian"])
+def test_each_input_is_built_once(tmp_path, monkeypatch, config, built):
+    # the load step builds the potential (or g_beta's spec) and the run uses it
+    from borndisp import potentials
+
+    calls = []
+    original = getattr(potentials, built)
+
+    def counted(*args, **kwargs):
+        calls.append(built)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, built, counted)
+    assert run(_write(tmp_path, "c.json", config(tmp_path))) == 0
+    assert calls == [built]
 
 
 def test_json_artifact_refuses_a_non_finite_number(tmp_path, capsys, monkeypatch):
@@ -669,7 +715,7 @@ def test_gbeta_grid_checked_at_load(tmp_path, capsys, overrides, field):
 
 def test_failed_run_names_an_exception_without_a_message(tmp_path, capsys, monkeypatch):
     # str(MemoryError()) is empty, which left a bare 'error:' line
-    def out_of_memory(cfg, out):
+    def out_of_memory(inputs, out):
         raise MemoryError()
 
     _, requires, reads = cli._EXPERIMENTS["bounds-table"]
@@ -682,6 +728,22 @@ def test_failed_run_names_an_exception_without_a_message(tmp_path, capsys, monke
     # the traceback, then the one-line reason
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "Traceback (most recent call last):" and err[-1] == "error: MemoryError"
+
+
+@pytest.mark.parametrize("where", ["out_dir", "BORN_DISPERSION_OUT"])
+@pytest.mark.parametrize("below", [False, True], ids=["a file", "under a file"])
+def test_out_dir_that_cannot_be_made_is_one_line(tmp_path, capsys, monkeypatch, where, below):
+    # unchecked, FileExistsError or NotADirectoryError escaped run as a traceback
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "out" if below else tmp_path / "taken"
+    cfg = {"experiment": "bounds-table", "n": 3, "betas": [1.0], "out_dir": str(out)}
+    if where == "BORN_DISPERSION_OUT":
+        monkeypatch.setenv(where, str(out))
+        cfg["out_dir"] = str(tmp_path / "ignored")
+    assert run(_write(tmp_path, "b.json", cfg)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: output directory not made: {out}: ")
+    assert not (tmp_path / "ignored").exists()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -1086,6 +1148,24 @@ def _integral_float_field(cfg, path: str) -> bool:
     return integer and isinstance(value, float) and value.is_integer()
 
 
+def _float_twins(cfg) -> list:
+    """One copy of cfg per integer field that it holds, with that field's
+    integer swapped for its float twin (3 -> 3.0)."""
+    import copy
+
+    twins = []
+    for path in ("n", "grid/N", "rule_level", "theta_rule_level", "ray/count"):
+        *parents, key = path.split("/")
+        twin = copy.deepcopy(cfg)
+        node = twin
+        for part in parents:
+            node = node.get(part, {})
+        if key in node:
+            node[key] = float(node[key])
+            twins.append(twin)
+    return twins
+
+
 def test_validate_agrees_with_jsonschema():
     # the same verdict as jsonschema on mutated configs, naming a field that
     # jsonschema names too; the only difference allowed is an integral float
@@ -1102,11 +1182,17 @@ def test_validate_agrees_with_jsonschema():
     jsonschema = pytest.importorskip("jsonschema")
     validator = jsonschema.validators.validator_for(cli._SCHEMA)(cli._SCHEMA)
     rng = random.Random(20261019)
-    verdicts = {"accepted": 0, "rejected": 0, "integral float": 0}
+    corpus = []
     for _ in range(2000):
         cfg = copy.deepcopy(rng.choice(_base_configs()))
         for _ in range(rng.choice([1, 1, 2, 3])):
             _mutate(cfg, rng)
+        corpus.append(cfg)
+    # one integral float per integer field of each base config, so that this
+    # verdict's count does not hang on the fields that random edits hit
+    corpus += [twin for base in _base_configs() for twin in _float_twins(base)]
+    verdicts = {"accepted": 0, "rejected": 0, "integral float": 0}
+    for cfg in corpus:
         paths = {"/".join(map(str, e.absolute_path)) or "(root)"
                  for e in validator.iter_errors(cfg)}
         try:
