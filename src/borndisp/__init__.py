@@ -17,9 +17,8 @@ _EXPORTS = {
     "analysis": ("DecayFit", "RefinementScan", "Verdict", "fit_decay", "gain_scan",
                  "lemma52_check"),
     "bounds": ("alpha0", "alpha_j", "m_threshold"),
-    "dispersion": ("CutoffSpec", "DispersionSample", "PVParams", "b_theta2", "cutoff_chi",
-                   "dispersion_batch", "principal_value_op", "q_full2_hat",
-                   "spherical_op"),
+    "dispersion": ("CutoffSpec", "PVParams", "b_theta2", "cutoff_chi", "dispersion_batch",
+                   "principal_value_op", "q_full2_hat", "spherical_op"),
     "geometry": ("Chart", "Direction", "NotInHalfSpace", "SphereRule", "chart",
                  "ewald_nodes", "in_cone", "in_half_space", "sphere_rule"),
     "potentials": ("GBetaSpec", "GridTooCoarseError", "Potential", "gaussian_potential",

@@ -34,10 +34,12 @@ class DecayFit:
     sample_count: int
 
 
-def radial_plan(levels, cut: CutoffSpec) -> tuple[np.ndarray, list]:
-    """gain_scan's radii RADIAL_STEP, 2 RADIAL_STEP, ... up to the largest level, and
-    the sorted levels. Refuses a level past MAX_RADII radii, and one below the first
-    radius past C0, where |Q| is 0: its norm is 0, and the next ratio divides by it."""
+def radial_plan(levels, cut: CutoffSpec) -> tuple[np.ndarray, list, np.ndarray]:
+    """gain_scan's radii RADIAL_STEP, 2 RADIAL_STEP, ... up to the largest level, the
+    sorted levels, and the index of each level's last radius. Refuses a level past
+    MAX_RADII radii, one below the first radius past C0, where |Q| is 0: its norm is 0,
+    and the next ratio divides by it; and two levels that end at the same radius: their
+    norms are the same sum, and the ratio between them reads 1 whatever the gain."""
     levels = sorted(float(T) for T in levels)
     if levels[-1] / RADIAL_STEP > MAX_RADII:
         raise ValueError(f"level {levels[-1]:g} needs more than {MAX_RADII} radii at the "
@@ -46,7 +48,15 @@ def radial_plan(levels, cut: CutoffSpec) -> tuple[np.ndarray, list]:
     if levels[0] < first:
         raise ValueError(f"level {levels[0]:g} is below {first:g}, the first sampled radius "
                          f"past C0 = {cut.C0:g}, and |Q| is 0 up to C0")
-    return np.arange(RADIAL_STEP, levels[-1] + 0.5 * RADIAL_STEP, RADIAL_STEP), levels
+    radii = np.arange(RADIAL_STEP, levels[-1] + 0.5 * RADIAL_STEP, RADIAL_STEP)
+    last = np.searchsorted(radii, np.add(levels, 1e-12)) - 1
+    shared = np.flatnonzero(np.diff(last) == 0)
+    if shared.size:
+        i = int(shared[0])
+        raise ValueError(f"levels {levels[i]:g} and {levels[i + 1]:g} both end at the sampled "
+                         f"radius {radii[last[i]]:g}, so their norms are equal and the growth "
+                         "ratio between them reads 1")
+    return radii, levels, last
 
 
 def radial_weights(radii: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -116,16 +126,15 @@ def lemma52_check(
     Samples S_{theta,1}(q)(t d) along the ray d = direction / |direction|,
     which must lie in D_theta, and passes iff the fitted decay exponent is
     >= -min(beta + n/2 + 1, 2 beta + 2) - 0.15, with n = theta.dimension.
-    S_{theta,1} = Im B / pi is the S of one ``dispersion_batch`` call over
+    S_{theta,1} = Im B / pi, with B from one ``dispersion_batch`` call over
     the samples at the level. Returns the verdict and the raw (t, S) samples.
     """
     d = Direction.normalized(direction).components
     if not in_cone(d, theta, a):
         raise RayOutsideCone("probe direction is not inside D_theta")
     ts = np.geomspace(t_range[0], t_range[1], samples)
-    # S = Im B / pi carries no cutoff, which enters only the batch's Q
-    batch = dispersion_batch(q, theta, ts[:, None] * d, level, CutoffSpec())
-    data = [(float(t), s.S.real) for t, s in zip(ts, batch)]
+    B = dispersion_batch(q, theta, ts[:, None] * d, level)[1]
+    data = list(zip(ts.tolist(), (B.imag / np.pi).tolist()))
     fit = fit_decay(data, t_range)
     threshold = -min(beta + theta.dimension / 2.0 + 1.0, 2.0 * beta + 2.0) - 0.15
     margin = fit.exponent - threshold
@@ -157,8 +166,7 @@ def gain_scan(
     angle) grid up to the largest extent, and every (alpha, level) norm is
     a reweighted partial sum over ``radial_plan``'s radii.
     """
-    ts, levels = radial_plan(levels, cut)
-    last = np.searchsorted(ts, np.add(levels, 1e-12)) - 1  # each level's last radius
+    ts, levels, last = radial_plan(levels, cut)
     weights = [radial_weights(ts, alpha, theta.dimension) for alpha in alphas]
     qsq, mu_w = _polar_samples(q, theta, ts, cut, rule_level)
 

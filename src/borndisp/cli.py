@@ -218,6 +218,13 @@ def _inputs(cfg: dict, reads: tuple) -> dict:
             raise ConfigError(f"invalid config at field 'grid/N': {exc}")
         except ValueError as exc:
             raise ConfigError(f"invalid config at field 'bump_radius': {exc}")
+    # off H_theta the chart has no k and B is 0
+    if cfg["experiment"] == "dispersion-ray":
+        from .geometry import in_half_space
+
+        if not in_half_space(inputs["ray/direction"].components, inputs["theta"]):
+            raise ConfigError("invalid config at field 'ray/direction': the ray is not in the "
+                              "half space H_theta = {eta : eta.theta < 0}, off which B is 0")
     return inputs
 
 
@@ -303,18 +310,16 @@ def _run_dispersion_ray(inputs: dict, out: Path):
     ray, d = inputs["ray"], inputs["ray/direction"].components
     ts = np.geomspace(ray["t_min"], ray["t_max"], ray["count"])
     etas = [t * d for t in ts]
-    samples = dispersion.dispersion_batch(q, inputs["theta"], etas, inputs["rule_level"],
-                                          inputs["C0"])
+    ks, Bs = dispersion.dispersion_batch(q, inputs["theta"], etas, inputs["rule_level"])
     header = [f"eta_{i + 1}" for i in range(inputs["n"])] + [
         "k", "S_re", "S_im", "P_re", "P_im", "B_re", "B_im", "Q_re", "Q_im"]
     rows = []
-    for s in samples:
-        row = [*s.eta, s.k]
-        for z in (s.S, s.P, s.B, s.Q):
-            row += [complex(z).real, complex(z).imag]
-        rows.append(row)
+    for eta, k, B in zip(etas, ks.tolist(), Bs.tolist()):
+        # S = Im B / pi and P = Re B are real; Q = chi B
+        Q = complex(dispersion.cutoff_chi(eta, inputs["C0"])) * B
+        rows.append([*eta, k, B.imag / np.pi, 0.0, B.real, 0.0, B.real, B.imag, Q.real, Q.imag])
     _write_csv(out / "dispersion_ray.csv", header, rows)
-    print(f"dispersion-ray: {len(samples)} samples along {d.tolist()}")
+    print(f"dispersion-ray: {len(rows)} samples along {d.tolist()}")
     return 0, ["dispersion_ray.csv"]
 
 
@@ -482,7 +487,7 @@ _SCHEMA = {
         "alphas": {"type": "array", "items": {"type": "number"}, "minItems": 1,
                    "maxItems": 32},
         "levels": {"type": "array", "items": {"type": "number"}, "minItems": 3},
-        "betas": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "betas": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
         "cone_aperture": {"type": "number", "exclusiveMinimum": 0,
                           "exclusiveMaximum": 1},
         "eta_norm": {"type": "number", "exclusiveMinimum": 0, "maximum": _MAX_ETA},

@@ -106,16 +106,6 @@ class PVParams:
         object.__setattr__(self, "rule", (radii, coeffs))
 
 
-@dataclass
-class DispersionSample:
-    eta: np.ndarray
-    S: complex
-    P: complex
-    B: complex
-    Q: complex
-    k: float
-
-
 def spherical_op(
     q: Potential, theta: Direction, r: float | np.ndarray, eta, rule: SphereRule
 ) -> complex | np.ndarray:
@@ -429,19 +419,15 @@ def q_full2_hat(
 
 
 def dispersion_batch(
-    q: Potential, theta: Direction, etas, level: int, cut: CutoffSpec
-) -> list[DispersionSample]:
-    """Evaluate S, P, B, Q at each eta, on the half space of theta or of
-    -theta that contains it, with S = Im B / pi and P = Re B from one
-    ``bipolar_b`` call over those points. A point in neither half space
-    gets k = NaN and zeros."""
+    q: Potential, theta: Direction, etas, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The chart's k and B_{theta,2}(q) at each eta, as ``chart`` and
+    ``b_theta2`` give them, from one ``bipolar_b`` call over the points of
+    H_theta. A point outside H_theta gets k = NaN and B = 0."""
     etas = [np.asarray(e, dtype=float) for e in etas]
-    sides = [theta if in_half_space(eta, theta) else -theta for eta in etas]
-    live = [i for i, eta in enumerate(etas) if in_half_space(eta, sides[i])]
-    ks = [chart(etas[i], sides[i]).k for i in live]
-    Bs = bipolar_b(q, [float(np.linalg.norm(etas[i])) for i in live], ks, level)
-    samples = [DispersionSample(eta, 0j, 0j, 0j, 0j, np.nan) for eta in etas]
-    for i, k, B in zip(live, ks, Bs.tolist()):
-        samples[i] = DispersionSample(etas[i], complex(B.imag / np.pi), complex(B.real), B,
-                                      complex(cutoff_chi(etas[i], cut)) * B, k)
-    return samples
+    live = [i for i, eta in enumerate(etas) if in_half_space(eta, theta)]
+    k = np.full(len(etas), np.nan)
+    B = np.zeros(len(etas), dtype=complex)
+    k[live] = [chart(etas[i], theta).k for i in live]
+    B[live] = bipolar_b(q, [float(np.linalg.norm(etas[i])) for i in live], k[live], level)
+    return k, B

@@ -47,9 +47,6 @@ class Direction:
                              "normal square: cannot normalize the vector")
         return cls(v / np.sqrt(sq))
 
-    def __neg__(self) -> "Direction":
-        return Direction(-self.components)
-
     @property
     def dimension(self) -> int:
         return self.components.shape[0]

@@ -84,11 +84,28 @@ def test_gain_scan_rejects_level_below_radial_step(gauss2, theta2):
         gain_scan(gauss2, theta2, [0.0], [2.0, 4.0, 8.0], CutoffSpec(C0=2.0))
 
 
+@pytest.mark.parametrize("levels, pair", [
+    ([4.0, 5.0, 8.0], "4 and 5"), ([4.0, 4.0, 8.0], "4 and 4"), ([8.0, 4.0, 9.5], "8 and 9.5"),
+])
+def test_levels_that_end_at_one_radius_rejected(gauss2, theta2, levels, pair):
+    # unchecked, each level wrote the norm of its last sampled radius, so
+    # both wrote the same norm and the ratio between them read exactly 1
+    from borndisp.analysis import radial_plan
+
+    with pytest.raises(ValueError, match=f"levels {pair} both end at the sampled radius"):
+        radial_plan(levels, CutoffSpec())
+    with pytest.raises(ValueError, match=f"levels {pair} both end"):
+        gain_scan(gauss2, theta2, [0.0], levels, CutoffSpec())
+    # a level one step on ends at the next radius
+    radii, _, last = radial_plan([4.0, 6.0, 9.5], CutoffSpec())
+    assert radii[last].tolist() == [4.0, 6.0, 8.0]
+
+
 def test_radial_plan_caps_the_radii():
     from borndisp.analysis import MAX_RADII, RADIAL_STEP, radial_plan
 
     top = MAX_RADII * RADIAL_STEP
-    radii, levels = radial_plan([top, 4.0, 8.0], CutoffSpec())
+    radii, levels, _ = radial_plan([top, 4.0, 8.0], CutoffSpec())
     assert radii.size == MAX_RADII and radii[-1] == top and levels == [4.0, 8.0, top]
     with pytest.raises(ValueError, match="needs more than"):
         radial_plan([4.0, 8.0, top + RADIAL_STEP], CutoffSpec())

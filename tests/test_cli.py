@@ -679,6 +679,47 @@ def test_json_artifact_refuses_a_non_finite_number(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out" / "qfull_radial.json").exists()
 
 
+def test_bounds_table_empty_betas_rejected(tmp_path, capsys):
+    # unchecked, it wrote a bounds_table.csv of only a header and exited 0
+    cfg = _write(tmp_path, "b.json", {"experiment": "bounds-table", "n": 3, "betas": [],
+                                      "out_dir": str(tmp_path / "out")})
+    assert run(cfg) == 1
+    assert ("invalid config at field 'betas': an array of length 0 has fewer items than 1\n"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, direction", [
+    (2, [-1, 0.3]), (2, [0, 1]), (2, [1e-16, 1]),
+    (3, [-1, 0.2, 0.1]), (3, [0, 1, 0.3]), (3, [1e-16, 1, 0]),
+], ids=["n2-minus-theta", "n2-hyperplane", "n2-rounding", "n3-minus-theta", "n3-hyperplane",
+        "n3-rounding"])
+def test_dispersion_ray_off_the_half_space_rejected(tmp_path, capsys, n, direction):
+    # theta = -e_1. Unchecked, a ray in H_-theta was evaluated under -theta,
+    # and a ray on the hyperplane, or within 8 eps of it, wrote rows of
+    # k = nan and zeros; each exited 0
+    theta = [-1] + [0] * (n - 1)
+    cfg = _ray_config(tmp_path, n=n, theta=theta,
+                      ray={"direction": direction, "t_min": 3, "t_max": 8, "count": 3})
+    assert run(_write(tmp_path, "r.json", cfg)) == 1
+    assert ("invalid config at field 'ray/direction': the ray is not in the half space "
+            "H_theta = {eta : eta.theta < 0}, off which B is 0\n") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("levels", [[4, 5, 8], [4, 4, 8]])
+def test_gain_scan_levels_that_share_a_radius_rejected(tmp_path, capsys, levels):
+    # unchecked, both levels wrote the norm at radius 4 and a growth ratio of
+    # exactly 1, which reads as no gain, and the run exited 0
+    cfg = {"experiment": "gain-scan", "n": 2, "beta": 1.0,
+           "grid": {"N": 256, "L": 16.0}, "theta": [-1, 0], "alphas": [1.7],
+           "levels": levels, "out_dir": str(tmp_path / "out")}
+    assert run(_write(tmp_path, "g.json", cfg)) == 1
+    assert (f"invalid config at field 'levels': levels 4 and {levels[1]} both end at the "
+            "sampled radius 4") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_table_negative_beta_rejected(tmp_path, capsys):
     # unchecked, it fails part-way through the table, after out_dir is made
     cfg = _write(tmp_path, "b.json", {
@@ -889,9 +930,8 @@ _EXPORTS = {
     "analysis": ("DecayFit", "RefinementScan", "Verdict", "fit_decay", "gain_scan",
                  "lemma52_check"),
     "bounds": ("alpha0", "alpha_j", "m_threshold"),
-    "dispersion": ("CutoffSpec", "DispersionSample", "PVParams", "b_theta2", "cutoff_chi",
-                   "dispersion_batch", "principal_value_op", "q_full2_hat",
-                   "spherical_op"),
+    "dispersion": ("CutoffSpec", "PVParams", "b_theta2", "cutoff_chi", "dispersion_batch",
+                   "principal_value_op", "q_full2_hat", "spherical_op"),
     "geometry": ("Chart", "Direction", "NotInHalfSpace", "SphereRule", "chart",
                  "ewald_nodes", "in_cone", "in_half_space", "sphere_rule"),
     "potentials": ("GBetaSpec", "GridTooCoarseError", "Potential", "gaussian_potential",
@@ -903,7 +943,7 @@ _EXPORTS = {
 
 def test_package_exports_resolve_to_their_submodules():
     names = [name for names in _EXPORTS.values() for name in names]
-    assert len(names) == 40 and sorted(borndisp.__all__) == sorted(names)
+    assert len(names) == 39 and sorted(borndisp.__all__) == sorted(names)
     for module, exported in _EXPORTS.items():
         for name in exported:
             scope = {}

@@ -221,10 +221,11 @@ def test_b_theta2_zero_on_rounded_hyperplane(gauss2):
 def test_b_theta2_reflection_symmetry(gauss2, theta2):
     # B_theta(eta) = B_{-theta}(-eta): negation keeps eta.theta, |eta| and
     # the chart's k to the bit
+    minus_theta = Direction(-theta2.components)
     for eta in (np.array([3.0, 4.0]), np.array([5.0, 0.5])):
         B = b_theta2(gauss2, theta2, eta, 4)
         assert B != 0
-        assert b_theta2(gauss2, -theta2, -eta, 4) == B
+        assert b_theta2(gauss2, minus_theta, -eta, 4) == B
 
 
 def test_q_full2_theta_refinement(gauss2):
@@ -333,23 +334,24 @@ def test_quadrature_level_convergence(gauss2, theta2):
 
 
 def test_batch_matches_point_evaluation(gauss2, theta2, gauss3, theta3, monkeypatch):
-    # one bipolar_b call over a batch with points in H_theta, in H_-theta
-    # (mirrors, which share their n = 2 R integrals) and on the hyperplane
-    # (exactly, and within rounding of it). From an empty cache each time,
-    # every live point keeps the bits of b_theta2 on the side that holds it,
-    # and every other point gets k = NaN and zeros
+    # one bipolar_b call over the points of H_theta in a batch that also holds
+    # points of H_-theta and of the hyperplane (exactly, and within rounding
+    # of it). Two of the H_theta points share |eta|, and so their n = 2 R
+    # integrals within the call. Each point keeps the bits that chart and
+    # b_theta2 give it alone, from an empty cache; every other point gets
+    # k = NaN and B = 0
     from borndisp import dispersion
     from borndisp.geometry import chart
 
-    cut = CutoffSpec()
     for q, theta in ((gauss2, theta2), (gauss3, theta3)):
         n = theta.dimension
         etas = [_eta_at(4.0, 3.0, n), -_eta_at(4.0, 3.0, n), np.array([0.0, 5.0, 0.0][:n]),
-                -_eta_at(7.0, 40.0, n), np.array([1e-16, 6.0, 0.0][:n]), _eta_at(3.0, 1.6, n)]
-        sides = [theta, -theta, None, -theta, None, theta]
-        dispersion._low_chi_diff.cache_clear()
-        alone = [None if side is None else (chart(eta, side).k, b_theta2(q, side, eta, 4))
-                 for eta, side in zip(etas, sides)]
+                _eta_at(4.0, 40.0, n), np.array([1e-16, 6.0, 0.0][:n]), _eta_at(3.0, 1.6, n)]
+        live = [True, False, False, True, False, True]
+        alone = []
+        for eta, inside in zip(etas, live):
+            dispersion._low_chi_diff.cache_clear()
+            alone.append((chart(eta, theta).k, b_theta2(q, theta, eta, 4)) if inside else None)
         dispersion._low_chi_diff.cache_clear()
         sizes = []
 
@@ -359,16 +361,60 @@ def test_batch_matches_point_evaluation(gauss2, theta2, gauss3, theta3, monkeypa
 
         with monkeypatch.context() as m:
             m.setattr(dispersion, "bipolar_b", counted)
-            samples = dispersion_batch(q, theta, etas, 4, cut)
-        assert sizes == [4]
-        for eta, s, point in zip(etas, samples, alone):
-            np.testing.assert_array_equal(s.eta, eta)
+            ks, Bs = dispersion_batch(q, theta, etas, 4)
+        assert sizes == [3]
+        for k, B, point in zip(ks.tolist(), Bs.tolist(), alone):
             if point is None:
-                assert np.isnan(s.k)
-                assert s.S == s.P == s.B == s.Q == 0
+                assert np.isnan(k) and B == 0
             else:
-                assert (s.k, s.B) == point
-                assert (s.S, s.P) == (s.B.imag / np.pi, s.B.real)
+                assert (k, B) == point
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), angles=st.lists(st.floats(-np.pi, np.pi), min_size=3,
+                                                   max_size=3),
+       points=st.lists(st.tuples(st.sampled_from(["in", "out", "plane", "rounding"]),
+                                 st.floats(0.5, 20.0), st.floats(0.005, 1.0),
+                                 st.floats(-np.pi, np.pi), st.integers(-32, 32)),
+                       min_size=1, max_size=6))
+def test_batch_is_b_theta2_on_and_off_the_half_space(n, angles, points):
+    # for any theta and eta in H_theta, in H_-theta, on the hyperplane or
+    # within rounding of it, the batch's B is b_theta2's to the bit, and its
+    # k is the chart's on H_theta and NaN elsewhere, from one bipolar_b call.
+    # A point at (side, e, cos_a, phi, m) has |eta| = e, lies at the angle
+    # whose cosine is cos_a from -theta (from theta for "out"), and at phi
+    # about the theta axis; "plane" puts it on the hyperplane, and
+    # "rounding" m eps |eta| off it along -theta
+    from unittest import mock
+
+    from borndisp import dispersion
+    from borndisp.geometry import chart
+
+    q = gaussian_potential(0.5, make_grid(n, 8, 16.0))
+    rot = _rotation(n, angles)
+    theta = Direction(rot @ -np.eye(n)[0])
+    etas = []
+    for side, e, cos_a, phi, m in points:
+        # a unit vector across the theta axis
+        across = (np.array([0.0, np.cos(phi), np.sin(phi)]) if n == 3
+                  else np.array([0.0, 1.0 if phi >= 0 else -1.0]))
+        sin_a = np.sqrt(1.0 - cos_a * cos_a)
+        local = {"in": e * (cos_a * np.eye(n)[0] + sin_a * across),
+                 "out": e * (-cos_a * np.eye(n)[0] + sin_a * across),
+                 "plane": e * across,
+                 "rounding": e * across + m * np.finfo(float).eps * e * np.eye(n)[0]}[side]
+        etas.append(rot @ local)
+    with mock.patch.object(dispersion, "bipolar_b", wraps=dispersion.bipolar_b) as call:
+        ks, Bs = dispersion_batch(q, theta, etas, 3)
+    assert call.call_count == 1
+    for (side, *_), eta, k, B in zip(points, etas, ks.tolist(), Bs.tolist()):
+        assert B == b_theta2(q, theta, eta, 3)
+        if side in ("in", "out"):
+            assert in_half_space(eta, theta) == (side == "in")
+        if in_half_space(eta, theta):
+            assert k == chart(eta, theta).k
+        else:
+            assert np.isnan(k) and B == 0
 
 
 def test_csv_schema(tmp_path):
@@ -488,13 +534,32 @@ def test_bipolar_b_imag_is_spherical_op(gbeta3, theta3, gbeta2, theta2):
             assert B[i].imag / np.pi == pytest.approx(ref.real, rel=1e-5)
 
 
-def test_n3_batch_parts(gauss3, theta3):
-    # in n = 3, S = Im B / pi and P = Re B, from one bipolar value
-    etas = [_eta_at(4.0, 3.0), -_eta_at(5.0, 8.0)]
-    for s in dispersion_batch(gauss3, theta3, etas, 4, CutoffSpec()):
-        assert s.B == complex(s.P.real, np.pi * s.S.real)
-        assert s.Q == cutoff_chi(s.eta, CutoffSpec()) * s.B
-        assert s.B == b_theta2(gauss3, theta3 if s.eta[0] > 0 else -theta3, s.eta, 4)
+def test_n3_batch_parts(tmp_path, gauss3, theta3):
+    # in n = 3, a ray's S = Im B / pi, P = Re B and Q = chi B columns come
+    # from the batch's one B at each row, and S and P are real. The ray
+    # starts inside C0 and crosses the cutoff's ramp
+    import json
+
+    from borndisp.cli import run
+
+    C0 = CutoffSpec(1.5)
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({
+        "experiment": "dispersion-ray", "n": 3, "a": 0.5, "theta": [-1, 0, 0],
+        "ray": {"direction": [1, 0.4, 0.2], "t_min": 1, "t_max": 9, "count": 5},
+        "C0": C0.C0, "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(str(cfg)) == 0
+    rows = np.genfromtxt(tmp_path / "out" / "dispersion_ray.csv", delimiter=",",
+                         skip_header=1)
+    eta, (k, S_re, S_im, P_re, P_im, B_re, B_im, Q_re, Q_im) = rows[:, :3], rows[:, 3:].T
+    ks, Bs = dispersion_batch(gauss3, theta3, eta, 4)
+    np.testing.assert_array_equal(k, ks)
+    np.testing.assert_array_equal(B_re + 1j * B_im, Bs)
+    np.testing.assert_array_equal(S_re, B_im / np.pi)
+    np.testing.assert_array_equal(P_re, B_re)
+    assert np.all(S_im == 0) and np.all(P_im == 0)
+    np.testing.assert_array_equal(Q_re + 1j * Q_im, cutoff_chi(eta, C0) * Bs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

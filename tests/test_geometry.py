@@ -19,7 +19,6 @@ def test_direction_validation():
         Direction(np.array([1.0, 1.0]))
     d = Direction.normalized([3.0, 4.0])
     assert np.allclose(d.components, [0.6, 0.8])
-    assert (-d).components[0] == pytest.approx(-0.6)
     # a zero vector, and ones whose v.v overflows to inf or underflows to 0,
     # where v / |v| would be 0 or NaN, or to a subnormal, where |v| has lost
     # bits and v / |v| misses unit length
@@ -51,7 +50,8 @@ def test_chart_outside_half_space():
     grazing = Direction(np.array([np.cos(1.5 * np.pi), np.sin(1.5 * np.pi)]))
     eta = np.array([4.0, 0.0])
     assert float(eta @ grazing.components) < 0
-    assert not in_half_space(eta, grazing) and not in_half_space(eta, -grazing)
+    assert not in_half_space(eta, grazing)
+    assert not in_half_space(eta, Direction(-grazing.components))
     with pytest.raises(NotInHalfSpace):
         chart(eta, grazing)
 
